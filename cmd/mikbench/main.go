@@ -1,66 +1,32 @@
-// Command mikbench measures a pinned benchmark suite and gates the result
-// against a committed baseline. It is the CI perf jobs' engine and the local
-// tool for refreshing the BENCH_*.json baselines.
+// Command mikbench runs the pinned benchmark suites and gates the result
+// against the committed baseline (BENCH_gate.json). It is the CI gate job's
+// engine and the local tool for refreshing the baseline.
 //
-// Five suites are available via -suite:
+// Five suites are available via -suite (default all):
 //
-//   - planner (default): online-planner latency over BERT-style dynamic-
-//     sequence-length and Llama-decode GEMM shapes → BENCH_planner.json;
+//   - planner: the online planner's decisions, allocations and latency over
+//     BERT-style dynamic-sequence-length and Llama-decode GEMM shapes;
 //   - serve: goodput-under-SLO on synthetic multi-tenant LLM traffic through
-//     the paged KV cache and scheduler → BENCH_serve.json;
-//   - plancache: cold vs warm plans-before-first-hit through the persistent
-//     plan-cache tier (self-gating; no baseline file);
-//   - overload: surge survival — the same Poisson burst replayed with the
-//     overload defenses (adaptive admission, deadline shedding, KV-pressure
-//     preemption) on vs off (self-gating; no baseline file);
+//     the paged KV cache and scheduler;
 //   - fusion: whole-graph polymerization — fused GEMM→epilogue→GEMM chain
-//     programs vs the per-op path → BENCH_fusion.json.
+//     programs vs the per-op path;
+//   - plancache: cold vs warm plans-before-first-hit through the persistent
+//     plan-cache tier;
+//   - overload: surge survival — the same Poisson burst replayed with the
+//     overload defenses on vs off; -seeds overrides the seed matrix.
 //
-// Run a suite and write a fresh baseline:
+// Every suite emits the same report (internal/bench/gate.go): cases whose
+// fields are exact (must equal the baseline), no_grow (may not exceed it) or
+// info (printed, never gated — planner latency among them; wall-clock claims
+// belong to mikload), plus the self-checks that failed.
 //
-//	go run ./cmd/mikbench -out BENCH_planner.json
-//	go run ./cmd/mikbench -suite serve -out BENCH_serve.json
+// Refresh the committed baseline, then gate a working tree against it:
 //
-// Gate a working tree against the committed baseline (CI does this):
+//	go run ./cmd/mikbench -out BENCH_gate.json
+//	go run ./cmd/mikbench -suite serve -baseline BENCH_gate.json -out serve-current.json
 //
-//	go run ./cmd/mikbench -baseline BENCH_planner.json -out bench-current.json
-//	go run ./cmd/mikbench -suite serve -baseline BENCH_serve.json -out serve-current.json
-//
-// Exit status: 0 = suite ran and (if -baseline) the gate passed; 1 = the gate
-// found regressions; 2 = the suite itself failed to run.
-//
-// Planner gate: latency is compared with -tolerance (default +15%);
-// allocation counts may never increase; chosen programs, candidate counts and
-// cycle costs must be bitwise identical to the baseline — those fields are
-// machine-independent, so any drift means the planner's decisions changed,
-// not that the runner was noisy. -slowdown N plans every shape N times per
-// measured op, which exists to prove the gate trips (a -slowdown 2 run must
-// fail a clean baseline).
-//
-// Serve gate: the replay clock is virtual (executed device cycles), so every
-// gated field is exact. Decode digests must be bitwise identical to the
-// baseline and between reuse-on/off runs, KV pages may never leak, p99
-// decode-step latency must sit within each case's SLO bound, and
-// goodput-under-SLO may drop at most -tolerance (default -10% for serve).
-//
-// Plancache gate (self-contained, no -baseline): a warm-started replica must
-// plan 0 of the suite's hot shapes online, with every served program bitwise
-// identical (program string + cost bits) to the cold-planned one, the
-// snapshot file must round-trip losslessly, and a tampered library hash must
-// reject cleanly with a working online replan.
-//
-// Overload gate (self-contained, no -baseline): per seed, goodput-under-SLO
-// with the defenses on must be at least 2x the undefended run of the same
-// surge, no run may leak a KV page, preempt→restore through a tight arena
-// must reproduce the wide arena's decode digests bit for bit with every
-// request completed, and a repeated defended replay must be bitwise
-// identical. -seeds overrides the seed matrix (comma-separated).
-//
-// Fusion gate: fused execution must beat the unfused execution on simulated
-// cycles for every case with the chain actually fused, fused and unfused
-// numerics must produce bitwise-identical output digests, and (vs -baseline)
-// the deterministic cycle numbers must match bit for bit with zero PlanChain
-// allocation growth.
+// Exit status: 0 = the suites ran, every self-check held and (if -baseline)
+// the gate passed; 1 = regressions; 2 = a suite itself failed to run.
 package main
 
 import (
@@ -68,328 +34,71 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"mikpoly/internal/bench"
-	"mikpoly/internal/tune"
 )
 
 func main() {
 	var (
-		suite     = flag.String("suite", "planner", "benchmark suite to run: planner, serve, plancache or overload")
-		out       = flag.String("out", "", "write the measured report to this file (JSON)")
-		baseline  = flag.String("baseline", "", "compare against this baseline report and exit 1 on regression")
-		quick     = flag.Bool("quick", false, "run the subsampled suite (tests and smoke runs)")
-		minTime   = flag.Duration("mintime", 150*time.Millisecond, "minimum sampling window per repetition (planner)")
-		repeats   = flag.Int("repeats", 3, "sampling repetitions per case (planner; minimum ns/op is reported)")
-		tolerance = flag.Float64("tolerance", 0, "allowed fractional regression vs baseline (default 0.15 planner ns/op, 0.10 serve goodput)")
-		slowdown  = flag.Int("slowdown", 1, "plan each shape this many times per op (planner gate-trip injection)")
-		seeds     = flag.String("seeds", "", "comma-separated trace seeds (overload; default suite matrix)")
+		suite    = flag.String("suite", "all", "suite to run: all, "+strings.Join(bench.SuiteNames(), ", "))
+		out      = flag.String("out", "", "write the measured report to this file (JSON)")
+		baseline = flag.String("baseline", "", "compare against this baseline report and exit 1 on regression")
+		quick    = flag.Bool("quick", false, "run the subsampled suites (smoke runs; the case set differs from the baseline's)")
+		seeds    = flag.String("seeds", "", "comma-separated trace seeds (overload; default suite matrix)")
 	)
 	flag.Parse()
 
-	switch *suite {
-	case "serve":
-		runServe(*out, *baseline, *quick, *tolerance)
-		return
-	case "plancache":
-		runPlanCache(*out, *quick)
-		return
-	case "overload":
-		runOverload(*out, *quick, *seeds)
-		return
-	case "fusion":
-		runFusion(*out, *baseline, *quick)
-		return
-	case "planner":
-	default:
-		fmt.Fprintf(os.Stderr, "mikbench: unknown -suite %q (want planner, serve, plancache, overload or fusion)\n", *suite)
-		os.Exit(2)
-	}
-
-	if *tolerance == 0 {
-		*tolerance = 0.15
-	}
-	opts := bench.PlannerMeasureOpts{MinTime: *minTime, Repeats: *repeats, Slowdown: *slowdown}
-	cases := bench.PlannerSuite(*quick)
-	fmt.Fprintf(os.Stderr, "mikbench: measuring %d planner cases (mintime=%v repeats=%d slowdown=%d)\n",
-		len(cases), *minTime, *repeats, *slowdown)
-	start := time.Now()
-	rep, err := bench.RunPlannerSuite(cases, opts)
+	seedList, err := bench.ParseSeeds(*seeds)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: %v\n", err)
-		os.Exit(2)
+		fatalf("-seeds: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "mikbench: suite done in %v\n", time.Since(start).Round(time.Millisecond))
 
-	fmt.Printf("%-24s %12s %10s %10s %8s  %s\n", "case", "ns/op", "allocs/op", "bytes/op", "cands", "pattern")
-	for _, c := range rep.Cases {
-		fmt.Printf("%-24s %12.0f %10d %10d %8d  %s\n",
-			c.Name, c.NsPerOp, c.AllocsPerOp, c.BytesPerOp, c.Candidates, c.Pattern)
+	start := time.Now()
+	rep, err := bench.Run(*suite, *quick, seedList)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	fmt.Fprintf(os.Stderr, "mikbench: %s done in %v (%d cases)\n",
+		*suite, time.Since(start).Round(time.Millisecond), len(rep.Cases))
+	rep.Print(os.Stdout)
 
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: marshal: %v\n", err)
-			os.Exit(2)
+			fatalf("marshal: %v", err)
 		}
 		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: write %s: %v\n", *out, err)
-			os.Exit(2)
+			fatalf("write %s: %v", *out, err)
 		}
 		fmt.Fprintf(os.Stderr, "mikbench: wrote %s\n", *out)
 	}
 
-	if *baseline == "" {
-		return
-	}
-	data, err := os.ReadFile(*baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: read baseline: %v\n", err)
-		os.Exit(2)
-	}
-	var base bench.PlannerBenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: parse baseline %s: %v\n", *baseline, err)
-		os.Exit(2)
-	}
-	regs, notes := bench.ComparePlanner(&base, rep, bench.PlannerCompareOpts{LatencyTolerance: *tolerance})
-	for _, n := range notes {
-		fmt.Fprintf(os.Stderr, "mikbench: note: %s\n", n)
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d regression(s) vs %s:\n", len(regs), *baseline)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  - %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: PASS — within tolerances of %s (%d cases, latency tolerance %.0f%%)\n",
-		*baseline, len(base.Cases), *tolerance*100)
-}
-
-// runFusion measures the whole-graph polymerization suite and applies its
-// gates: the self-contained ones always (fused beats unfused, chains fused,
-// bitwise numerics), the baseline-relative ones (bitwise cycle numbers, zero
-// alloc growth) when -baseline is given.
-func runFusion(out, baseline string, quick bool) {
-	fmt.Fprintf(os.Stderr, "mikbench: running fusion suite (quick=%v)\n", quick)
-	start := time.Now()
-	rep, regs, err := bench.RunFusionSuite(quick)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: suite done in %v\n", time.Since(start).Round(time.Millisecond))
-	fmt.Print(bench.FusionSummary(rep))
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
+	regs := rep.SelfChecks
+	if *baseline != "" {
+		data, err := os.ReadFile(*baseline)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: marshal: %v\n", err)
-			os.Exit(2)
+			fatalf("read baseline: %v", err)
 		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: write %s: %v\n", out, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mikbench: wrote %s\n", out)
-	}
-
-	if baseline != "" {
-		data, err := os.ReadFile(baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: read baseline: %v\n", err)
-			os.Exit(2)
-		}
-		var base bench.FusionBenchReport
+		var base bench.Report
 		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: parse baseline %s: %v\n", baseline, err)
-			os.Exit(2)
+			fatalf("parse baseline %s: %v", *baseline, err)
 		}
-		// CompareFusion re-applies the self-contained gates, so its result
-		// replaces (not extends) the suite's own checks — no duplicates.
-		more, notes := bench.CompareFusion(&base, rep)
-		regs = more
-		for _, n := range notes {
-			fmt.Fprintf(os.Stderr, "mikbench: note: %s\n", n)
-		}
+		regs = bench.Compare(&base, rep)
 	}
 	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d fusion regression(s):\n", len(regs))
+		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d regression(s):\n", len(regs))
 		for _, r := range regs {
 			fmt.Fprintf(os.Stderr, "  - %s\n", r)
 		}
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "mikbench: PASS — fused chains beat the per-op path on all %d cases, %d numerics cases bitwise\n",
-		len(rep.Cases), len(rep.Numerics))
+	fmt.Fprintf(os.Stderr, "mikbench: PASS\n")
 }
 
-// runPlanCache runs the self-gating plan-cache warm-start suite: the gate
-// quantities (online-plan counts, program fingerprints) are exact by
-// construction, so there is no baseline file to compare against.
-func runPlanCache(out string, quick bool) {
-	fmt.Fprintf(os.Stderr, "mikbench: running plancache suite (quick=%v)\n", quick)
-	start := time.Now()
-	rep, regs, err := bench.RunPlanCacheSuite(quick, tune.Options{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: suite done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	fmt.Printf("library %s: cold plans %d, snapshot entries %d, imported %d, warm plans %d\n",
-		rep.LibraryHash[:12], rep.ColdPlans, rep.SnapshotSize, rep.Imported, rep.WarmPlans)
-	fmt.Printf("%-24s %8s %8s\n", "case", "bitwise", "warmplan")
-	for _, c := range rep.Cases {
-		fmt.Printf("%-24s %8v %8v\n", c.Name, c.Bitwise, c.WarmPlanned)
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: marshal: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: write %s: %v\n", out, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mikbench: wrote %s\n", out)
-	}
-
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d plan-cache regression(s):\n", len(regs))
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  - %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: PASS — warm replica served %d hot shapes with 0 online plans, all bitwise-identical\n",
-		len(rep.Cases))
-}
-
-// runOverload replays the surge suite and applies its self-contained gates:
-// defended goodput >= 2x undefended, zero KV leaks, bitwise preempt→restore,
-// deterministic replay.
-func runOverload(out string, quick bool, seedList string) {
-	var seeds []uint64
-	if seedList != "" {
-		for _, part := range strings.Split(seedList, ",") {
-			s, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mikbench: bad -seeds entry %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			seeds = append(seeds, s)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: running overload suite (quick=%v)\n", quick)
-	start := time.Now()
-	rep, regs, err := bench.RunOverloadSuite(quick, seeds, bench.ServeMeasureOpts{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: suite done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	fmt.Printf("%-6s %14s %14s %7s %6s %9s %8s %8s %6s\n",
-		"seed", "defended t/s", "undefended", "ratio", "sheds", "preempts", "bitwise", "determ", "leaks")
-	for _, s := range rep.Seeds {
-		ratio := "inf"
-		if s.GoodputRatio > 0 {
-			ratio = fmt.Sprintf("%.2fx", s.GoodputRatio)
-		}
-		fmt.Printf("%-6d %14.1f %14.1f %7s %6d %9d %8v %8v %6d\n",
-			s.Seed, s.DefendedGoodput, s.UndefendedGoodput, ratio,
-			s.DeadlineSheds, s.Preemptions, s.RestoreBitwise, s.Deterministic, s.LeakedPages)
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: marshal: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: write %s: %v\n", out, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mikbench: wrote %s\n", out)
-	}
-
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d overload regression(s):\n", len(regs))
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  - %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: PASS — defended goodput >= %.0fx undefended across %d seed(s), 0 leaks, bitwise restore\n",
-		bench.OverloadGoodputFactor, len(rep.Seeds))
-}
-
-// runServe measures the serving suite and (if baseline is set) gates
-// goodput-under-SLO, decode digests, KV leaks and step-latency SLOs.
-func runServe(out, baseline string, quick bool, tolerance float64) {
-	cases := bench.ServeSuite(quick)
-	fmt.Fprintf(os.Stderr, "mikbench: replaying %d serve cases (quick=%v)\n", len(cases), quick)
-	start := time.Now()
-	rep, err := bench.RunServeSuite(cases, bench.ServeMeasureOpts{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: suite done in %v\n", time.Since(start).Round(time.Millisecond))
-
-	fmt.Printf("%-20s %12s %8s %6s %10s %10s %10s %8s %6s\n",
-		"case", "goodput_tps", "slo_ok", "done", "p99step_ms", "p99ttft_ms", "reused_tok", "cow", "leaks")
-	for _, c := range rep.Cases {
-		fmt.Printf("%-20s %12.1f %7.0f%% %6d %10.3f %10.1f %10d %8d %6d\n",
-			c.Name, c.GoodputTPS, c.SLOGoodFrac*100, c.Completed,
-			c.P99StepMs, c.P99TTFTMs, c.ReusedTokens, c.COWCopies, c.LeakedPages)
-	}
-
-	if out != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: marshal: %v\n", err)
-			os.Exit(2)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "mikbench: write %s: %v\n", out, err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "mikbench: wrote %s\n", out)
-	}
-
-	if baseline == "" {
-		return
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: read baseline: %v\n", err)
-		os.Exit(2)
-	}
-	var base bench.ServeBenchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "mikbench: parse baseline %s: %v\n", baseline, err)
-		os.Exit(2)
-	}
-	regs, notes := bench.CompareServe(&base, rep, bench.ServeCompareOpts{GoodputTolerance: tolerance})
-	for _, n := range notes {
-		fmt.Fprintf(os.Stderr, "mikbench: note: %s\n", n)
-	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "mikbench: FAIL — %d regression(s) vs %s:\n", len(regs), baseline)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  - %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "mikbench: PASS — within tolerances of %s (%d cases)\n", baseline, len(base.Cases))
+// fatalf reports a failure to run (not a regression) and exits 2.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "mikbench: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -73,7 +73,6 @@ func main() {
 		library     = flag.String("library", "", "load the micro-kernel library from this file instead of tuning (falls back to tuning if unreadable)")
 		saveLibrary = flag.String("save-library", "", "after tuning, save the micro-kernel library to this file")
 		planAhead   = flag.Int("plan-ahead", 2, "graph-runtime plan-ahead depth for /model (<= 0 = sequential inline planning)")
-		planWorkers = flag.Int("plan-workers", 0, "online-search candidate-evaluation goroutines per plan (<= 1 = sequential; chosen programs are identical either way)")
 		decodeBatch = flag.Bool("decode-batch", true, "continuously batch concurrent llama2-decode /model requests")
 		fuse        = flag.Bool("fuse", false, "fuse GEMM→epilogue→GEMM graph chains into single programs when the cost model prefers them (whole-graph polymerization)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
@@ -204,15 +203,14 @@ func main() {
 
 	go func() {
 		if *fleetSpec != "" {
-			if err := bindFleet(srv, o, *fleetSpec, *fleetChaos, *cacheCap, *planWorkers, *planSnap); err != nil {
+			if err := bindFleet(srv, o, *fleetSpec, *fleetChaos, *cacheCap, *planSnap); err != nil {
 				log.Fatalf("mikserve: -fleet: %v", err)
 			}
 			return
 		}
 		lib := loadOrTune(h, *library, *saveLibrary, *cacheCap)
 		srv.SetCompiler(core.NewCompilerFromLibrary(lib,
-			core.WithCacheCapacity(*cacheCap), core.WithObs(o),
-			core.WithPlannerWorkers(*planWorkers)))
+			core.WithCacheCapacity(*cacheCap), core.WithObs(o)))
 		log.Printf("mikserve: ready (%d kernels for %s)", len(lib.Kernels), lib.HW.Name)
 	}()
 
@@ -242,7 +240,7 @@ func main() {
 // device fleet, and binds it to the server. The first device class's library
 // also backs the single-device endpoints (/plan, /execute), so the server
 // goes fully ready in one step.
-func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cacheCap, planWorkers int, snapPath string) error {
+func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cacheCap int, snapPath string) error {
 	raw := []byte(spec)
 	if strings.HasPrefix(spec, "@") {
 		data, err := os.ReadFile(spec[1:])
@@ -289,8 +287,7 @@ func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cac
 	// The fleet shares one library per class; reuse the first device's for
 	// the classic endpoints.
 	srv.SetCompiler(core.NewCompilerFromLibrary(devices[0].Library(),
-		core.WithCacheCapacity(cacheCap), core.WithObs(o),
-		core.WithPlannerWorkers(planWorkers)))
+		core.WithCacheCapacity(cacheCap), core.WithObs(o)))
 	log.Printf("mikserve: fleet ready (%d devices)", total)
 	return nil
 }

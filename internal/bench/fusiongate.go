@@ -1,3 +1,9 @@
+// Whole-graph polymerization suite: fused GEMM→epilogue→GEMM chain programs
+// vs the per-op path. The self-checks require every case's chain to fuse and
+// to beat the unfused execution on simulated cycles, and fused execution to
+// reproduce the unfused numerics bit for bit. The simulator, the tuner and
+// the planner are all deterministic, so the cycle numbers and output digests
+// are exact fields; the fused planner's steady-state allocations are no_grow.
 package bench
 
 import (
@@ -7,9 +13,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"runtime"
-	"strings"
-	"time"
 
 	"mikpoly/internal/core"
 	"mikpoly/internal/engine"
@@ -21,36 +24,26 @@ import (
 	"mikpoly/internal/tune"
 )
 
-// The fusion gate: whole-graph polymerization must (a) beat the unfused
-// execution on simulated cycles for every suite case, (b) be bitwise
-// numerically identical to the per-op path, and (c) keep the fused planner's
-// steady-state allocation count flat. The simulator, the tuner, and the
-// planner are all deterministic, so the cycle numbers are exact quantities
-// gated bitwise against the committed BENCH_fusion.json — regenerate the
-// baseline (mikbench -suite fusion -out BENCH_fusion.json) when a deliberate
-// cost-model change moves them.
-
-// FusionStage describes one GEMM stage of a suite chain.
-type FusionStage struct {
-	N int `json:"n"`
-	K int `json:"k"`
+// fusionStage describes one GEMM stage of a suite chain.
+type fusionStage struct {
+	N, K int
 	// Epilogue names the elementwise function folded onto this stage's
 	// output ("relu", "gelu", "" = none; must be empty on the last stage).
-	Epilogue string `json:"epilogue,omitempty"`
+	Epilogue string
 }
 
-// FusionPerfCase is one end-to-end graph case of the fusion suite.
-type FusionPerfCase struct {
-	Name string `json:"name"`
+// fusionCase is one end-to-end graph case of the fusion suite.
+type fusionCase struct {
+	Name string
 	// M is the shared row count of the chain.
-	M      int           `json:"m"`
-	Stages []FusionStage `json:"stages"`
+	M      int
+	Stages []fusionStage
 }
 
 // graph builds the case's operator graph: the GEMM chain with each named
 // epilogue expressed as a standalone elementwise op between the GEMMs —
 // exactly what fusion must detect, fold, and beat.
-func (c FusionPerfCase) graph(h hw.Hardware) nn.Graph {
+func (c fusionCase) graph(h hw.Hardware) nn.Graph {
 	g := nn.Graph{Name: "fusion-" + c.Name}
 	for i, st := range c.Stages {
 		g.Ops = append(g.Ops, nn.Op{
@@ -71,7 +64,7 @@ func (c FusionPerfCase) graph(h hw.Hardware) nn.Graph {
 }
 
 // spec is the planning request the detector would derive from the graph.
-func (c FusionPerfCase) spec() poly.ChainSpec {
+func (c fusionCase) spec() poly.ChainSpec {
 	var spec poly.ChainSpec
 	for _, st := range c.Stages {
 		ep := poly.EpNone
@@ -89,21 +82,21 @@ func (c FusionPerfCase) spec() poly.ChainSpec {
 	return spec
 }
 
-// FusionSuite returns the pinned perf cases: long chains of narrow,
+// fusionCases returns the pinned perf cases: long chains of narrow,
 // memory-bound GEMMs with enough rows that strip-level parallelism still
 // fills the device — the regime whole-graph polymerization exists for.
 // Quick mode subsamples for tests.
-func FusionSuite(quick bool) []FusionPerfCase {
-	cases := []FusionPerfCase{
-		{Name: "mlp-relu-14k", M: 13824, Stages: []FusionStage{
+func fusionCases(quick bool) []fusionCase {
+	cases := []fusionCase{
+		{Name: "mlp-relu-14k", M: 13824, Stages: []fusionStage{
 			{N: 256, K: 512, Epilogue: "relu"}, {N: 128, K: 256}}},
-		{Name: "mlp-gelu-16k", M: 16384, Stages: []FusionStage{
+		{Name: "mlp-gelu-16k", M: 16384, Stages: []fusionStage{
 			{N: 128, K: 256, Epilogue: "gelu"}, {N: 128, K: 128}}},
-		{Name: "deep-3stage-8k", M: 8192, Stages: []FusionStage{
+		{Name: "deep-3stage-8k", M: 8192, Stages: []fusionStage{
 			{N: 192, K: 384, Epilogue: "relu"}, {N: 96, K: 192, Epilogue: "relu"}, {N: 64, K: 96}}},
-		{Name: "ragged-m-relu", M: 7000, Stages: []FusionStage{
+		{Name: "ragged-m-relu", M: 7000, Stages: []fusionStage{
 			{N: 256, K: 384, Epilogue: "relu"}, {N: 64, K: 256}}},
-		{Name: "bare-chain-24k", M: 24576, Stages: []FusionStage{
+		{Name: "bare-chain-24k", M: 24576, Stages: []fusionStage{
 			{N: 96, K: 192}, {N: 48, K: 96}}},
 	}
 	if quick {
@@ -115,130 +108,89 @@ func FusionSuite(quick bool) []FusionPerfCase {
 // fusionNumericsCases are the conformance shapes for the bitwise gate:
 // deliberately small (they execute real arithmetic on the host) and ragged
 // in every dimension, with biases exercising the epilogue path.
-func fusionNumericsCases() []FusionPerfCase {
-	return []FusionPerfCase{
-		{Name: "tiny-relu", M: 96, Stages: []FusionStage{
+func fusionNumericsCases() []fusionCase {
+	return []fusionCase{
+		{Name: "tiny-relu", M: 96, Stages: []fusionStage{
 			{N: 48, K: 64, Epilogue: "relu"}, {N: 32, K: 48}}},
-		{Name: "ragged-gelu", M: 117, Stages: []FusionStage{
+		{Name: "ragged-gelu", M: 117, Stages: []fusionStage{
 			{N: 53, K: 71, Epilogue: "gelu"}, {N: 29, K: 53}}},
-		{Name: "deep-mixed", M: 160, Stages: []FusionStage{
+		{Name: "deep-mixed", M: 160, Stages: []fusionStage{
 			{N: 64, K: 80, Epilogue: "relu"}, {N: 48, K: 64, Epilogue: "gelu"}, {N: 24, K: 48}}},
-		{Name: "wide-k-relu", M: 144, Stages: []FusionStage{
+		{Name: "wide-k-relu", M: 144, Stages: []fusionStage{
 			{N: 40, K: 256, Epilogue: "relu"}, {N: 56, K: 40}}},
 	}
 }
 
-// FusionPerfResult is one measured perf case in the stable JSON schema.
-type FusionPerfResult struct {
-	FusionPerfCase
-
-	// FusedCycles/UnfusedCycles are the simulated end-to-end graph cycles
-	// with fusion on and off; the *_bits fields carry exact IEEE-754 bit
-	// patterns for the bitwise baseline gate.
-	FusedCycles       float64 `json:"fused_cycles"`
-	FusedCyclesBits   string  `json:"fused_cycles_bits"`
-	UnfusedCycles     float64 `json:"unfused_cycles"`
-	UnfusedCyclesBits string  `json:"unfused_cycles_bits"`
-
-	// FusedChains is the number of chains the fused execution actually ran
-	// fused (must be >= 1: a rejected chain makes the case meaningless).
-	FusedChains int `json:"fused_chains"`
-	// SavedBytes is the modeled inter-stage traffic the fusion avoided.
-	SavedBytes float64 `json:"saved_bytes"`
-
-	// PlanAllocsPerOp is the steady-state allocation count of one
-	// PlanChain call (losing candidates must never materialize).
-	PlanAllocsPerOp int64 `json:"plan_allocs_per_op"`
-}
-
-// FusionNumericsResult is one bitwise conformance case.
-type FusionNumericsResult struct {
-	Name          string `json:"name"`
-	FusedDigest   string `json:"fused_digest"`
-	UnfusedDigest string `json:"unfused_digest"`
-	Bitwise       bool   `json:"bitwise"`
-}
-
-// FusionBenchReport is the BENCH_fusion.json document.
-type FusionBenchReport struct {
-	Schema   string                 `json:"schema"`
-	GoOS     string                 `json:"goos"`
-	GoArch   string                 `json:"goarch"`
-	HW       string                 `json:"hw"`
-	Cases    []FusionPerfResult     `json:"cases"`
-	Numerics []FusionNumericsResult `json:"numerics"`
-}
-
-// FusionReportSchema versions the report format.
-const FusionReportSchema = "mikpoly-fusion-bench/v1"
-
-// RunFusionSuite measures the fusion suite on the shared A100 library and
-// applies the self-contained gates (fused wins, chains fused, bitwise
-// numerics); baseline-relative gates live in CompareFusion.
-func RunFusionSuite(quick bool) (*FusionBenchReport, []string, error) {
+// fusionSuite measures the fusion suite on the shared A100 library.
+func fusionSuite(quick bool, _ []uint64) ([]Case, []string, error) {
 	lib, err := core.SharedLibrary(hw.A100(), tune.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}
 	h := lib.HW
-	rep := &FusionBenchReport{
-		Schema: FusionReportSchema,
-		GoOS:   runtime.GOOS, GoArch: runtime.GOARCH,
-		HW: h.Name,
-	}
-	var regs []string
+	var out []Case
+	var failed []string
 
 	execute := func(g nn.Graph, fuse bool) (graphrt.Report, error) {
 		rt := graphrt.New(core.NewCompilerFromLibrary(lib), graphrt.Config{Fuse: fuse})
 		return rt.Execute(context.Background(), g)
 	}
-	for _, c := range FusionSuite(quick) {
+	for _, c := range fusionCases(quick) {
 		g := c.graph(h)
 		unfused, err := execute(g, false)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion case %s unfused: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("case %s unfused: %w", c.Name, err)
 		}
 		fused, err := execute(g, true)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion case %s fused: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("case %s fused: %w", c.Name, err)
 		}
 		allocs, err := measureChainPlanAllocs(lib, c.spec())
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion case %s allocs: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("case %s allocs: %w", c.Name, err)
 		}
-		res := FusionPerfResult{
-			FusionPerfCase:    c,
-			FusedCycles:       fused.Cycles,
-			FusedCyclesBits:   floatBits(fused.Cycles),
-			UnfusedCycles:     unfused.Cycles,
-			UnfusedCyclesBits: floatBits(unfused.Cycles),
-			FusedChains:       fused.FusedChains,
-			SavedBytes:        fused.FusedSavedBytes,
-			PlanAllocsPerOp:   allocs,
+		res := Case{
+			Name: c.Name,
+			Exact: map[string]string{
+				"fused_cycles_bits":   floatBits(fused.Cycles),
+				"unfused_cycles_bits": floatBits(unfused.Cycles),
+				"fused_chains":        itoa(fused.FusedChains),
+			},
+			NoGrow: map[string]int64{"plan_allocs_per_op": allocs},
+			Info: map[string]float64{
+				"fused_cycles":   fused.Cycles,
+				"unfused_cycles": unfused.Cycles,
+				"saved_bytes":    fused.FusedSavedBytes,
+			},
 		}
-		rep.Cases = append(rep.Cases, res)
-		if res.FusedChains < 1 {
-			regs = append(regs, fmt.Sprintf("%s: chain was not fused (%d rejected)", c.Name, fused.FusionRejected))
+		if fused.Cycles > 0 {
+			res.Info["speedup"] = unfused.Cycles / fused.Cycles
 		}
-		if !(res.FusedCycles < res.UnfusedCycles) {
-			regs = append(regs, fmt.Sprintf("%s: fused cycles %.0f do not beat unfused %.0f",
-				c.Name, res.FusedCycles, res.UnfusedCycles))
+		out = append(out, res)
+		// A rejected chain makes the case meaningless.
+		if fused.FusedChains < 1 {
+			failed = append(failed, fmt.Sprintf("%s: chain was not fused (%d rejected)", c.Name, fused.FusionRejected))
+		}
+		if !(fused.Cycles < unfused.Cycles) {
+			failed = append(failed, fmt.Sprintf("%s: fused cycles %.0f do not beat unfused %.0f",
+				c.Name, fused.Cycles, unfused.Cycles))
 		}
 	}
 
 	planner := &poly.Planner{Lib: lib}
 	for _, c := range fusionNumericsCases() {
-		res, err := runFusionNumerics(planner, c)
+		fd, ud, err := runFusionNumerics(planner, c)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fusion numerics %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("numerics %s: %w", c.Name, err)
 		}
-		rep.Numerics = append(rep.Numerics, res)
-		if !res.Bitwise {
-			regs = append(regs, fmt.Sprintf("numerics %s: fused digest %s != unfused %s",
-				res.Name, res.FusedDigest[:12], res.UnfusedDigest[:12]))
+		out = append(out, Case{Name: "numerics-" + c.Name, Exact: map[string]string{
+			"fused_digest": fd, "unfused_digest": ud,
+		}})
+		if fd != ud {
+			failed = append(failed, fmt.Sprintf("numerics %s: fused digest %s != unfused %s", c.Name, fd[:12], ud[:12]))
 		}
 	}
-	return rep, regs, nil
+	return out, failed, nil
 }
 
 // measureChainPlanAllocs reports the steady-state allocations of one
@@ -246,33 +198,22 @@ func RunFusionSuite(quick bool) (*FusionBenchReport, []string, error) {
 // nothing — only the winning program materializes.
 func measureChainPlanAllocs(lib *tune.Library, spec poly.ChainSpec) (int64, error) {
 	p := &poly.Planner{Lib: lib}
+	planOnce := func() error {
+		_, _, err := p.PlanChain(spec)
+		return err
+	}
 	for i := 0; i < 16; i++ {
-		if _, _, err := p.PlanChain(spec); err != nil {
+		if err := planOnce(); err != nil {
 			return 0, err
 		}
 	}
-	const iters = 64
-	best := int64(math.MaxInt64)
-	var ms0, ms1 runtime.MemStats
-	for r := 0; r < 3; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		for i := 0; i < iters; i++ {
-			if _, _, err := p.PlanChain(spec); err != nil {
-				return 0, err
-			}
-		}
-		runtime.ReadMemStats(&ms1)
-		if a := int64(ms1.Mallocs-ms0.Mallocs) / iters; a < best {
-			best = a
-		}
-	}
-	return best, nil
+	allocs, _, _, err := measureOp(0, 64, planOnce)
+	return allocs, err
 }
 
 // runFusionNumerics executes one conformance chain both ways on identical
-// deterministic operands and digests the raw output bits.
-func runFusionNumerics(p *poly.Planner, c FusionPerfCase) (FusionNumericsResult, error) {
+// deterministic operands and digests the raw output bits of each.
+func runFusionNumerics(p *poly.Planner, c fusionCase) (fusedDigest, unfusedDigest string, err error) {
 	spec := c.spec()
 	rng := uint64(0x9e3779b97f4a7c15)
 	fill := func(m *tensor.Matrix) {
@@ -304,11 +245,11 @@ func runFusionNumerics(p *poly.Planner, c FusionPerfCase) (FusionNumericsResult,
 
 	fusedProg, _, err := p.PlanChain(spec)
 	if err != nil {
-		return FusionNumericsResult{}, err
+		return "", "", err
 	}
 	fusedOut, err := engine.ExecuteChain(fusedProg, a, stages)
 	if err != nil {
-		return FusionNumericsResult{}, err
+		return "", "", err
 	}
 
 	// Unfused reference: each stage plans and executes standalone with its
@@ -317,18 +258,15 @@ func runFusionNumerics(p *poly.Planner, c FusionPerfCase) (FusionNumericsResult,
 	for i, st := range c.Stages {
 		prog, _, err := p.Plan(tensor.GemmShape{M: c.M, N: st.N, K: st.K})
 		if err != nil {
-			return FusionNumericsResult{}, err
+			return "", "", err
 		}
 		cur, err = engine.ExecuteFused(prog, cur, stages[i].B, engine.Epilogue{Bias: stages[i].Bias, Act: acts[i]})
 		if err != nil {
-			return FusionNumericsResult{}, err
+			return "", "", err
 		}
 	}
 
-	fd, ud := matrixDigest(fusedOut), matrixDigest(cur)
-	return FusionNumericsResult{
-		Name: c.Name, FusedDigest: fd, UnfusedDigest: ud, Bitwise: fd == ud,
-	}, nil
+	return matrixDigest(fusedOut), matrixDigest(cur), nil
 }
 
 // matrixDigest hashes the exact float bit patterns of a matrix's logical
@@ -344,78 +282,3 @@ func matrixDigest(m *tensor.Matrix) string {
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// CompareFusion applies the baseline-relative gates: matching case sets,
-// bitwise-identical cycle numbers (everything in the pipeline is
-// deterministic), and zero allocation growth in the fused planner path.
-// Self-contained gates (fused wins, bitwise numerics) are re-checked so a
-// gate run never passes on a stale self-check.
-func CompareFusion(base, cur *FusionBenchReport) (regressions, notes []string) {
-	if base.Schema != cur.Schema {
-		regressions = append(regressions, fmt.Sprintf("schema %q != baseline %q — regenerate the baseline", cur.Schema, base.Schema))
-		return regressions, notes
-	}
-	baseCases := make(map[string]FusionPerfResult, len(base.Cases))
-	for _, b := range base.Cases {
-		baseCases[b.Name] = b
-	}
-	for _, c := range cur.Cases {
-		if c.FusedChains < 1 {
-			regressions = append(regressions, fmt.Sprintf("%s: chain was not fused", c.Name))
-		}
-		if !(c.FusedCycles < c.UnfusedCycles) {
-			regressions = append(regressions, fmt.Sprintf("%s: fused cycles %.0f do not beat unfused %.0f",
-				c.Name, c.FusedCycles, c.UnfusedCycles))
-		}
-		b, ok := baseCases[c.Name]
-		if !ok {
-			notes = append(notes, fmt.Sprintf("%s: new case, no baseline", c.Name))
-			continue
-		}
-		delete(baseCases, c.Name)
-		if c.FusedCyclesBits != b.FusedCyclesBits {
-			regressions = append(regressions, fmt.Sprintf("%s: fused cycles %.0f != baseline %.0f (deterministic quantity; regenerate the baseline only for deliberate cost-model changes)",
-				c.Name, c.FusedCycles, b.FusedCycles))
-		}
-		if c.PlanAllocsPerOp > b.PlanAllocsPerOp {
-			regressions = append(regressions, fmt.Sprintf("%s: PlanChain allocs/op %d > baseline %d (no alloc growth allowed)",
-				c.Name, c.PlanAllocsPerOp, b.PlanAllocsPerOp))
-		}
-	}
-	for name := range baseCases {
-		regressions = append(regressions, fmt.Sprintf("%s: baseline case missing from this run", name))
-	}
-	for _, n := range cur.Numerics {
-		if !n.Bitwise {
-			regressions = append(regressions, fmt.Sprintf("numerics %s: fused and unfused outputs differ", n.Name))
-		}
-	}
-	return regressions, notes
-}
-
-// floatBits renders a float64's exact IEEE-754 bit pattern.
-func floatBits(f float64) string {
-	return fmt.Sprintf("%016x", math.Float64bits(f))
-}
-
-// FusionSummary renders the human-readable table mikbench prints.
-func FusionSummary(rep *FusionBenchReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-18s %14s %14s %8s %7s %12s %7s\n",
-		"case", "fused-cycles", "unfused", "speedup", "chains", "saved-bytes", "allocs")
-	for _, c := range rep.Cases {
-		speedup := 0.0
-		if c.FusedCycles > 0 {
-			speedup = c.UnfusedCycles / c.FusedCycles
-		}
-		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %7.2fx %7d %12.3g %7d\n",
-			c.Name, c.FusedCycles, c.UnfusedCycles, speedup, c.FusedChains, c.SavedBytes, c.PlanAllocsPerOp)
-	}
-	for _, n := range rep.Numerics {
-		fmt.Fprintf(&b, "numerics %-16s bitwise=%v\n", n.Name, n.Bitwise)
-	}
-	return b.String()
-}
-
-// fusionElapsed is a tiny helper for mikbench logging.
-func fusionElapsed(start time.Time) string { return time.Since(start).Round(time.Millisecond).String() }

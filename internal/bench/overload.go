@@ -11,20 +11,21 @@
 //   - restore-tight / restore-wide: preemption alone through a tight arena vs
 //     an arena that never preempts, for the bitwise-restore invariant.
 //
-// The gate is self-contained (no committed baseline) because the replay clock
-// is virtual: goodput-under-SLO of the defended run must be at least
-// OverloadGoodputFactor times the undefended run, no configuration may leak a
+// The self-checks: goodput-under-SLO of the defended run must be at least
+// overloadGoodputFactor times the undefended run, no configuration may leak a
 // single KV page, preempt→restore must reproduce the no-preemption decode
 // digests bit for bit while completing every request, and a second defended
-// replay must be bitwise-identical to the first (per-seed determinism).
+// replay must be bitwise-identical to the first (per-seed determinism). The
+// replay clock is virtual, so each seed's goodput bits, digests and defense
+// counters are exact fields.
 package bench
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"mikpoly/internal/core"
@@ -36,122 +37,81 @@ import (
 	"mikpoly/internal/workload"
 )
 
-// OverloadBenchSchema versions the overload suite report layout.
-const OverloadBenchSchema = "mikpoly-bench-overload/v1"
-
-// OverloadGoodputFactor is the headline gate: goodput-under-SLO with the
-// defenses on must be at least this multiple of the undefended run on the
+// overloadGoodputFactor is the headline self-check: goodput-under-SLO with
+// the defenses on must be at least this multiple of the undefended run on the
 // same surge.
-const OverloadGoodputFactor = 2.0
+const overloadGoodputFactor = 2.0
 
-// DefaultOverloadSeeds is the seed matrix when the caller passes none (the
-// CI job overrides it per matrix entry).
-func DefaultOverloadSeeds(quick bool) []uint64 {
+// overloadSeeds is the seed matrix when the caller passes none (the CI
+// overload job overrides it per matrix entry).
+func overloadSeeds(quick bool) []uint64 {
 	if quick {
 		return []uint64{11}
 	}
 	return []uint64{11, 29}
 }
 
-// OverloadCase pins the surge shape and the scheduler configuration both
-// sides run under; only the defense switches differ between runs.
-type OverloadCase struct {
-	Requests       int     `json:"requests"`
-	Tenants        int     `json:"tenants"`
-	ArrivalsPerSec float64 `json:"arrivals_per_sec"`
-	BurstFactor    float64 `json:"burst_factor"`
-	BurstStartSec  float64 `json:"burst_start_sec"`
-	BurstLenSec    float64 `json:"burst_len_sec"`
-	PromptMin      int     `json:"prompt_min"`
-	PromptMax      int     `json:"prompt_max"`
-	DecodeMin      int     `json:"decode_min"`
-	DecodeMax      int     `json:"decode_max"`
-
-	KVPages        int     `json:"kv_pages"`
-	KVPagesWide    int     `json:"kv_pages_wide"`
-	PageTokens     int     `json:"page_tokens"`
-	PrefillChunk   int     `json:"prefill_chunk"`
-	StepSLOMs      float64 `json:"step_slo_ms"`
-	TTFTSLOMs      float64 `json:"ttft_slo_ms"`
-	InFlightTokens int64   `json:"inflight_tokens"`
-	AdaptiveMin    int64   `json:"adaptive_min_tokens"`
-}
-
-// OverloadSuiteCase returns the pinned surge shape. The trace length is the
-// same in quick mode — a shorter surge does not sustain the overload the
-// gates are calibrated against — so quick subsamples the seed matrix
-// (DefaultOverloadSeeds) instead.
-func OverloadSuiteCase(quick bool) OverloadCase {
-	c := OverloadCase{
-		// The device drains this request mix at roughly 50 requests per
-		// virtual second (measured; the serve suite's cases sit well under
-		// that). 1200 arrivals/s with a 5x burst window on top is a >20x
-		// overload: the shape that makes an undefended replica burn cycles
-		// on requests that have already missed their deadline and drop
-		// sequences mid-decode when the tight 48-page arena runs out.
-		Requests: 48, Tenants: 3, ArrivalsPerSec: 1200,
-		BurstFactor: 5, BurstStartSec: 0.01, BurstLenSec: 0.03,
-		PromptMin: 64, PromptMax: 512, DecodeMin: 8, DecodeMax: 24,
-		KVPages: 48, KVPagesWide: 8192, PageTokens: 16, PrefillChunk: 256,
-		StepSLOMs: 30, TTFTSLOMs: 300, InFlightTokens: 16384, AdaptiveMin: 1024,
+// ParseSeeds parses a comma-separated seed list (mikbench -seeds, the CI
+// job's OVERLOAD_SEEDS). Empty input means the default matrix: nil.
+func ParseSeeds(list string) ([]uint64, error) {
+	if list == "" {
+		return nil, nil
 	}
-	_ = quick
-	return c
+	var seeds []uint64
+	for _, part := range strings.Split(list, ",") {
+		s, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad seed %q: %w", part, err)
+		}
+		seeds = append(seeds, s)
+	}
+	return seeds, nil
 }
 
-// OverloadSeedResult is one seed's four-way replay outcome.
-type OverloadSeedResult struct {
-	Seed     uint64 `json:"seed"`
-	Requests int    `json:"requests"`
+// overloadCase pins the surge shape and the scheduler configuration both
+// sides run under; only the defense switches differ between runs.
+type overloadCase struct {
+	Requests       int
+	Tenants        int
+	ArrivalsPerSec float64
+	BurstFactor    float64
+	BurstStartSec  float64
+	BurstLenSec    float64
+	PromptMin      int
+	PromptMax      int
+	DecodeMin      int
+	DecodeMax      int
 
-	// Defended run (adaptive + deadline shed + KV preemption).
-	DefendedGoodput     float64 `json:"defended_goodput_tps"`
-	DefendedGoodputBits string  `json:"defended_goodput_bits"`
-	DefendedSLOGood     int     `json:"defended_slo_good"`
-	DefendedCompleted   int     `json:"defended_completed"`
-	DeadlineSheds       int64   `json:"deadline_sheds"`
-	Preemptions         int64   `json:"preemptions"`
-	Restores            int64   `json:"restores"`
-	AdaptiveLimitTokens int64   `json:"adaptive_limit_tokens"`
-
-	// Undefended run on the same surge.
-	UndefendedGoodput float64 `json:"undefended_goodput_tps"`
-	UndefendedSLOGood int     `json:"undefended_slo_good"`
-
-	// GoodputRatio is defended/undefended (+Inf encoded as 0 ratio with
-	// UndefendedGoodput 0 — the gate treats that as a pass when the
-	// defended side produced goodput).
-	GoodputRatio float64 `json:"goodput_ratio"`
-
-	// Restore invariant: preemption churn vs the arena that never preempts.
-	RestorePreemptions int64  `json:"restore_preemptions"`
-	RestoreDigest      string `json:"restore_digest"`
-	WideDigest         string `json:"wide_digest"`
-	RestoreBitwise     bool   `json:"restore_bitwise_equal"`
-
-	Deterministic bool `json:"deterministic"`
-	LeakedPages   int  `json:"leaked_pages"` // summed across all runs
-
-	// Events is the defended run's bounded overload decision log (preempt,
-	// restore, shed-deadline, limit-cut) — the CI failure artifact.
-	Events []sched.Event `json:"events,omitempty"`
-
-	WallSec float64 `json:"wall_sec"`
+	KVPages        int
+	KVPagesWide    int
+	PageTokens     int
+	PrefillChunk   int
+	StepSLOMs      float64
+	TTFTSLOMs      float64
+	InFlightTokens int64
+	AdaptiveMin    int64
 }
 
-// OverloadReport is the -suite overload document (informational; the gate is
-// self-contained).
-type OverloadReport struct {
-	Schema   string               `json:"schema"`
-	GoOS     string               `json:"goos"`
-	GoArch   string               `json:"goarch"`
-	TuneNGen int                  `json:"tune_ngen"`
-	TuneNMik int                  `json:"tune_nmik"`
-	Case     OverloadCase         `json:"case"`
-	Seeds    []OverloadSeedResult `json:"seeds"`
+// overloadSurge is the pinned surge shape. The trace length is the same in
+// quick mode — a shorter surge does not sustain the overload the self-checks
+// are calibrated against — so quick subsamples the seed matrix
+// (overloadSeeds) instead.
+//
+// The device drains this request mix at roughly 50 requests per virtual
+// second (measured; the serve suite's cases sit well under that). 1200
+// arrivals/s with a 5x burst window on top is a >20x overload: the shape that
+// makes an undefended replica burn cycles on requests that have already
+// missed their deadline and drop sequences mid-decode when the tight 48-page
+// arena runs out.
+var overloadSurge = overloadCase{
+	Requests: 48, Tenants: 3, ArrivalsPerSec: 1200,
+	BurstFactor: 5, BurstStartSec: 0.01, BurstLenSec: 0.03,
+	PromptMin: 64, PromptMax: 512, DecodeMin: 8, DecodeMax: 24,
+	KVPages: 48, KVPagesWide: 8192, PageTokens: 16, PrefillChunk: 256,
+	StepSLOMs: 30, TTFTSLOMs: 300, InFlightTokens: 16384, AdaptiveMin: 1024,
 }
 
-func (c OverloadCase) traceConfig(seed uint64, h hw.Hardware) workload.TraceConfig {
+func (c overloadCase) traceConfig(seed uint64, h hw.Hardware) workload.TraceConfig {
 	return workload.TraceConfig{
 		Seed:           seed,
 		Requests:       c.Requests,
@@ -177,7 +137,7 @@ type overloadRun struct {
 	events   bool
 }
 
-func (c OverloadCase) schedConfig(h hw.Hardware, r overloadRun) sched.Config {
+func (c overloadCase) schedConfig(h hw.Hardware, r overloadRun) sched.Config {
 	return sched.Config{
 		HW:                h,
 		KV:                kvcache.Config{NumPages: r.pages, TokensPerPage: c.PageTokens},
@@ -193,39 +153,26 @@ func (c OverloadCase) schedConfig(h hw.Hardware, r overloadRun) sched.Config {
 	}
 }
 
-// RunOverloadSuite replays the surge for every seed and returns the report
-// plus the gate regressions (empty = pass). An error means the suite itself
-// could not run.
-func RunOverloadSuite(quick bool, seeds []uint64, opts ServeMeasureOpts) (*OverloadReport, []string, error) {
-	opts = opts.withDefaults()
+// overloadSuite replays the surge for every seed (default overloadSeeds).
+func overloadSuite(quick bool, seeds []uint64) ([]Case, []string, error) {
 	if len(seeds) == 0 {
-		seeds = DefaultOverloadSeeds(quick)
+		seeds = overloadSeeds(quick)
 	}
-	c := OverloadSuiteCase(quick)
-	h := hw.A100()
-	lib, err := core.SharedLibrary(h, opts.Tune)
+	lib, err := core.SharedLibrary(hw.A100(), serveTune)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	rep := &OverloadReport{
-		Schema:   OverloadBenchSchema,
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		TuneNGen: opts.Tune.NGen,
-		TuneNMik: opts.Tune.NMik,
-		Case:     c,
-	}
-	var regressions []string
+	var out []Case
+	var failed []string
 	for _, seed := range seeds {
-		res, regs, err := measureOverloadSeed(c, seed, lib)
+		res, _, checks, err := measureOverloadSeed(overloadSurge, seed, lib)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: overload seed %d: %w", seed, err)
+			return nil, nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
-		rep.Seeds = append(rep.Seeds, res)
-		regressions = append(regressions, regs...)
+		out = append(out, res)
+		failed = append(failed, checks...)
 	}
-	return rep, regressions, nil
+	return out, failed, nil
 }
 
 // replayOverload runs one variant over the trace and returns the report,
@@ -234,7 +181,7 @@ func RunOverloadSuite(quick bool, seeds []uint64, opts ServeMeasureOpts) (*Overl
 // arena exhaustion is exactly the collapse the defenses exist to prevent,
 // so those failures feed the baseline's goodput rather than erroring the
 // suite. Leak accounting stays strict on both sides.
-func replayOverload(c OverloadCase, lib *tune.Library, trace []workload.TraceRequest, r overloadRun, strict bool) (sched.Report, sched.Stats, []sched.Event, error) {
+func replayOverload(c overloadCase, lib *tune.Library, trace []workload.TraceRequest, r overloadRun, strict bool) (sched.Report, sched.Stats, []sched.Event, error) {
 	comp := core.NewCompilerFromLibrary(lib)
 	rt := graphrt.New(comp, graphrt.Config{})
 	s := sched.New(rtExecutor{rt}, c.schedConfig(lib.HW, r))
@@ -255,91 +202,105 @@ func replayOverload(c OverloadCase, lib *tune.Library, trace []workload.TraceReq
 	return rep, s.Stats(), s.Events(), nil
 }
 
-func measureOverloadSeed(c OverloadCase, seed uint64, lib *tune.Library) (OverloadSeedResult, []string, error) {
+// measureOverloadSeed replays one seed's surge five ways and returns its
+// case, the defended run's bounded overload decision log (preempt, restore,
+// shed-deadline, limit-cut — the CI failure artifact) and the self-checks
+// that failed.
+func measureOverloadSeed(c overloadCase, seed uint64, lib *tune.Library) (Case, []sched.Event, []string, error) {
 	trace := workload.GenerateTrace(c.traceConfig(seed, lib.HW))
 	start := time.Now()
-	tag := func(format string, args ...any) string {
-		return fmt.Sprintf("seed %d: ", seed) + fmt.Sprintf(format, args...)
-	}
 
 	defended := overloadRun{pages: c.KVPages, adaptive: true, shed: true, preempt: true, events: true}
 	defRep, defStats, events, err := replayOverload(c, lib, trace, defended, true)
 	if err != nil {
-		return OverloadSeedResult{}, nil, err
+		return Case{}, nil, nil, err
 	}
 	undefRep, _, _, err := replayOverload(c, lib, trace, overloadRun{pages: c.KVPages}, false)
 	if err != nil {
-		return OverloadSeedResult{}, nil, err
+		return Case{}, nil, nil, err
 	}
 	tightRep, tightStats, _, err := replayOverload(c, lib, trace, overloadRun{pages: c.KVPages, preempt: true}, true)
 	if err != nil {
-		return OverloadSeedResult{}, nil, err
+		return Case{}, nil, nil, err
 	}
 	wideRep, _, _, err := replayOverload(c, lib, trace, overloadRun{pages: c.KVPagesWide}, true)
 	if err != nil {
-		return OverloadSeedResult{}, nil, err
+		return Case{}, nil, nil, err
 	}
 	defRep2, defStats2, _, err := replayOverload(c, lib, trace, defended, true)
 	if err != nil {
-		return OverloadSeedResult{}, nil, err
+		return Case{}, nil, nil, err
 	}
 
-	res := OverloadSeedResult{
-		Seed:                seed,
-		Requests:            len(trace),
-		DefendedGoodput:     defRep.GoodputTokensPerSec,
-		DefendedGoodputBits: fmt.Sprintf("%016x", math.Float64bits(defRep.GoodputTokensPerSec)),
-		DefendedSLOGood:     defRep.SLOGood,
-		DefendedCompleted:   defRep.Completed,
-		DeadlineSheds:       defStats.DeadlineSheds,
-		Preemptions:         defStats.Preemptions,
-		Restores:            defStats.Restores,
-		AdaptiveLimitTokens: defStats.AdaptiveLimitTokens,
-		UndefendedGoodput:   undefRep.GoodputTokensPerSec,
-		UndefendedSLOGood:   undefRep.SLOGood,
-		RestorePreemptions:  tightStats.Preemptions,
-		RestoreDigest:       fmt.Sprintf("%016x", tightRep.DigestBits),
-		WideDigest:          fmt.Sprintf("%016x", wideRep.DigestBits),
-		RestoreBitwise:      tightRep.DigestBits == wideRep.DigestBits && tightRep.Completed == wideRep.Completed,
-		Deterministic:       defRep == defRep2 && defStats == defStats2,
-		LeakedPages:         defRep.LeakedPages + undefRep.LeakedPages + tightRep.LeakedPages + wideRep.LeakedPages + defRep2.LeakedPages,
-		Events:              events,
-		WallSec:             time.Since(start).Seconds(),
+	defGoodput, undefGoodput := defRep.GoodputTokensPerSec, undefRep.GoodputTokensPerSec
+	// Summed across all five runs.
+	leaked := defRep.LeakedPages + undefRep.LeakedPages + tightRep.LeakedPages + wideRep.LeakedPages + defRep2.LeakedPages
+	res := Case{
+		Name: fmt.Sprintf("seed-%d", seed),
+		Exact: map[string]string{
+			"requests":                itoa(len(trace)),
+			"defended_goodput_bits":   floatBits(defGoodput),
+			"defended_slo_good":       itoa(defRep.SLOGood),
+			"defended_completed":      itoa(defRep.Completed),
+			"deadline_sheds":          itoa(defStats.DeadlineSheds),
+			"preemptions":             itoa(defStats.Preemptions),
+			"restores":                itoa(defStats.Restores),
+			"adaptive_limit_tokens":   itoa(defStats.AdaptiveLimitTokens),
+			"undefended_goodput_bits": floatBits(undefGoodput),
+			"undefended_slo_good":     itoa(undefRep.SLOGood),
+			"restore_preemptions":     itoa(tightStats.Preemptions),
+			"restore_digest":          fmt.Sprintf("%016x", tightRep.DigestBits),
+			"wide_digest":             fmt.Sprintf("%016x", wideRep.DigestBits),
+			"leaked_pages":            itoa(leaked),
+		},
+		Info: map[string]float64{
+			"defended_goodput_tps":   defGoodput,
+			"undefended_goodput_tps": undefGoodput,
+			"wall_sec":               time.Since(start).Seconds(),
+		},
 	}
-	if res.UndefendedGoodput > 0 {
-		res.GoodputRatio = res.DefendedGoodput / res.UndefendedGoodput
+	// With nothing undefended to divide by the ratio is left out; the
+	// self-check below passes that case when the defended side produced
+	// goodput.
+	ratio := 0.0
+	if undefGoodput > 0 {
+		ratio = defGoodput / undefGoodput
+		res.Info["goodput_ratio"] = ratio
 	}
 
-	var regs []string
+	var failed []string
+	fail := func(format string, args ...any) {
+		failed = append(failed, fmt.Sprintf("seed %d: ", seed)+fmt.Sprintf(format, args...))
+	}
 	// Every request must be accounted for: completed or deadline-shed.
 	if got := defRep.Completed + defRep.Failed; got != len(trace) {
-		regs = append(regs, tag("defended run accounted %d of %d requests", got, len(trace)))
+		fail("defended run accounted %d of %d requests", got, len(trace))
 	}
-	if res.LeakedPages != 0 {
-		regs = append(regs, tag("%d KV pages leaked across the surge runs (must be 0)", res.LeakedPages))
+	if leaked != 0 {
+		fail("%d KV pages leaked across the surge runs (must be 0)", leaked)
 	}
 	switch {
-	case res.UndefendedGoodput == 0 && res.DefendedGoodput == 0:
-		regs = append(regs, tag("defenses produced no goodput under the surge"))
-	case res.UndefendedGoodput > 0 && res.GoodputRatio < OverloadGoodputFactor:
-		regs = append(regs, tag("defended goodput %.1f tok/s is only %.2fx the undefended %.1f (gate %.1fx)",
-			res.DefendedGoodput, res.GoodputRatio, res.UndefendedGoodput, OverloadGoodputFactor))
+	case undefGoodput == 0 && defGoodput == 0:
+		fail("defenses produced no goodput under the surge")
+	case undefGoodput > 0 && ratio < overloadGoodputFactor:
+		fail("defended goodput %.1f tok/s is only %.2fx the undefended %.1f (gate %.1fx)",
+			defGoodput, ratio, undefGoodput, overloadGoodputFactor)
 	}
-	if res.RestorePreemptions == 0 {
-		regs = append(regs, tag("tight arena exercised no preemption; the restore invariant went untested"))
+	if tightStats.Preemptions == 0 {
+		fail("tight arena exercised no preemption; the restore invariant went untested")
 	}
 	if tightRep.Failed != 0 {
-		regs = append(regs, tag("preemption-only run failed %d requests (preemption must be lossless)", tightRep.Failed))
+		fail("preemption-only run failed %d requests (preemption must be lossless)", tightRep.Failed)
 	}
-	if !res.RestoreBitwise {
-		regs = append(regs, tag("preempt→restore not bitwise-identical: tight %s (%d done) vs wide %s (%d done)",
-			res.RestoreDigest, tightRep.Completed, res.WideDigest, wideRep.Completed))
+	if tightRep.DigestBits != wideRep.DigestBits || tightRep.Completed != wideRep.Completed {
+		fail("preempt→restore not bitwise-identical: tight %016x (%d done) vs wide %016x (%d done)",
+			tightRep.DigestBits, tightRep.Completed, wideRep.DigestBits, wideRep.Completed)
 	}
-	if !res.Deterministic {
-		regs = append(regs, tag("defended replay not deterministic: identical seed produced different bits"))
+	if defRep != defRep2 || defStats != defStats2 {
+		fail("defended replay not deterministic: identical seed produced different bits")
 	}
-	if res.DeadlineSheds == 0 && res.Preemptions == 0 && defStats.AdaptiveLimitTokens >= c.InFlightTokens {
-		regs = append(regs, tag("surge engaged no defense (no sheds, no preemptions, limiter never moved)"))
+	if defStats.DeadlineSheds == 0 && defStats.Preemptions == 0 && defStats.AdaptiveLimitTokens >= c.InFlightTokens {
+		fail("surge engaged no defense (no sheds, no preemptions, limiter never moved)")
 	}
-	return res, regs, nil
+	return res, events, failed, nil
 }

@@ -5,79 +5,70 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
+
+	"mikpoly/internal/core"
+	"mikpoly/internal/hw"
+	"mikpoly/internal/sched"
 )
 
-// overloadSeeds returns the seed matrix: OVERLOAD_SEEDS (comma-separated)
-// overrides the quick default, which is what the CI job's matrix sets.
-func overloadSeeds(t *testing.T) []uint64 {
-	env := os.Getenv("OVERLOAD_SEEDS")
-	if env == "" {
-		return nil // RunOverloadSuite falls back to DefaultOverloadSeeds
-	}
-	var seeds []uint64
-	for _, part := range strings.Split(env, ",") {
-		s, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			t.Fatalf("bad OVERLOAD_SEEDS entry %q: %v", part, err)
-		}
-		seeds = append(seeds, s)
-	}
-	return seeds
-}
-
-// dumpOverload writes each seed's overload decision log to $OVERLOAD_LOG_DIR
+// dumpOverload writes one seed's overload decision log to $OVERLOAD_LOG_DIR
 // (when set — CI uploads it as an artifact) and, on failure, into the test
 // log, mirroring the fleet-chaos harness.
-func dumpOverload(t *testing.T, rep *OverloadReport) {
+func dumpOverload(t *testing.T, seed uint64, res Case, events []sched.Event) {
 	t.Helper()
-	if rep == nil {
+	data, err := json.MarshalIndent(events, "", "  ")
+	if err != nil {
+		t.Logf("marshaling seed %d events: %v", seed, err)
 		return
 	}
-	dir := os.Getenv("OVERLOAD_LOG_DIR")
-	for _, seed := range rep.Seeds {
-		data, err := json.MarshalIndent(seed.Events, "", "  ")
-		if err != nil {
-			t.Logf("marshaling seed %d events: %v", seed.Seed, err)
-			continue
-		}
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err == nil {
-				path := filepath.Join(dir, fmt.Sprintf("overload-events-seed%d.json", seed.Seed))
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Logf("writing %s: %v", path, err)
-				}
+	if dir := os.Getenv("OVERLOAD_LOG_DIR"); dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err == nil {
+			path := filepath.Join(dir, fmt.Sprintf("overload-events-seed%d.json", seed))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Logf("writing %s: %v", path, err)
 			}
 		}
-		if t.Failed() {
-			t.Logf("seed %d result: %+v", seed.Seed, seed)
-			t.Logf("seed %d overload events:\n%s", seed.Seed, data)
-		}
+	}
+	if t.Failed() {
+		t.Logf("seed %d result: %+v", seed, res)
+		t.Logf("seed %d overload events:\n%s", seed, data)
 	}
 }
 
-// TestOverloadSurgeGates runs the surge suite in quick mode and fails on any
-// gate regression: defended goodput >= 2x undefended, zero KV leaks, bitwise
-// preempt->restore, deterministic replay. The full matrix runs in CI via
-// `mikbench -suite overload` and the OVERLOAD_SEEDS matrix here.
+// TestOverloadSurgeGates replays the surge for the quick seed matrix and
+// fails on any self-check: defended goodput >= 2x undefended, zero KV leaks,
+// bitwise preempt->restore, deterministic replay. The full matrix runs in CI
+// via `mikbench -suite overload` and the OVERLOAD_SEEDS matrix here.
 func TestOverloadSurgeGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload surge suite in -short mode")
 	}
-	rep, regs, err := RunOverloadSuite(true, overloadSeeds(t), ServeMeasureOpts{})
+	lib, err := core.SharedLibrary(hw.A100(), serveTune)
 	if err != nil {
-		t.Fatalf("overload suite: %v", err)
+		t.Fatal(err)
 	}
-	for _, r := range regs {
-		t.Errorf("gate regression: %s", r)
+	// OVERLOAD_SEEDS (what the CI job's matrix sets) overrides the quick
+	// default.
+	seeds, err := ParseSeeds(os.Getenv("OVERLOAD_SEEDS"))
+	if err != nil {
+		t.Fatalf("OVERLOAD_SEEDS: %v", err)
 	}
-	for _, seed := range rep.Seeds {
-		t.Logf("seed %d: defended %.0f tok/s (%d/%d SLO-good, %d sheds, %d preemptions) vs undefended %.0f tok/s (%d SLO-good); ratio %.2fx",
-			seed.Seed, seed.DefendedGoodput, seed.DefendedSLOGood, seed.Requests,
-			seed.DeadlineSheds, seed.Preemptions,
-			seed.UndefendedGoodput, seed.UndefendedSLOGood, seed.GoodputRatio)
+	if seeds == nil {
+		seeds = overloadSeeds(true)
 	}
-	dumpOverload(t, rep)
+	for _, seed := range seeds {
+		res, events, failed, err := measureOverloadSeed(overloadSurge, seed, lib)
+		if err != nil {
+			t.Fatalf("overload seed %d: %v", seed, err)
+		}
+		for _, f := range failed {
+			t.Errorf("self-check failed: %s", f)
+		}
+		t.Logf("seed %d: defended %.0f tok/s (%s/%s SLO-good, %s sheds, %s preemptions) vs undefended %.0f tok/s (%s SLO-good); ratio %.2fx",
+			seed, res.Info["defended_goodput_tps"], res.Exact["defended_slo_good"], res.Exact["requests"],
+			res.Exact["deadline_sheds"], res.Exact["preemptions"],
+			res.Info["undefended_goodput_tps"], res.Exact["undefended_slo_good"], res.Info["goodput_ratio"])
+		dumpOverload(t, seed, res, events)
+	}
 }

@@ -7,9 +7,9 @@
 // format, and a second compiler warm-started from that file must serve every
 // hot shape with ZERO online plans and bitwise-identical programs (program
 // string plus IEEE-754 cost bits). A tampered library hash must reject the
-// snapshot cleanly and fall back to online planning. The gate is
-// self-contained — no committed baseline — because every gated quantity is
-// exact by construction.
+// snapshot cleanly and fall back to online planning. All of that is
+// self-checks; the cases record each hot shape's cold and warm fingerprints
+// and the suite's plan counts as exact fields.
 package bench
 
 import (
@@ -25,95 +25,49 @@ import (
 	"mikpoly/internal/tune"
 )
 
-// PlanCacheBenchSchema versions the plancache suite report layout.
-const PlanCacheBenchSchema = "mikpoly-bench-plancache/v1"
-
-// PlanCacheCaseResult records one hot shape's cold-vs-warm comparison.
-type PlanCacheCaseResult struct {
-	Name        string `json:"name"`
-	M           int    `json:"m"`
-	N           int    `json:"n"`
-	K           int    `json:"k"`
-	ColdFP      string `json:"cold_fp"`
-	WarmFP      string `json:"warm_fp"`
-	Bitwise     bool   `json:"bitwise_equal"`
-	WarmPlanned bool   `json:"warm_planned_online"`
-}
-
-// PlanCacheReport is the -suite plancache document (informational; the gate
-// is self-contained).
-type PlanCacheReport struct {
-	Schema       string                `json:"schema"`
-	HW           string                `json:"hw"`
-	LibraryHash  string                `json:"library_hash"`
-	ColdPlans    int                   `json:"cold_plans"`
-	WarmPlans    int                   `json:"warm_plans"`
-	Imported     int                   `json:"imported"`
-	SnapshotSize int                   `json:"snapshot_entries"`
-	Cases        []PlanCacheCaseResult `json:"cases"`
-}
-
-// planCacheShapes derives the hot-shape set from the planner suite's pinned
-// GPU cases — the same traffic the perf gate measures.
-func planCacheShapes(quick bool) []PlannerCase {
-	var out []PlannerCase
-	for _, c := range PlannerSuite(quick) {
-		if c.HW == "a100" {
-			out = append(out, c)
+// planCacheSuite runs the cold/warm comparison over the planner suite's
+// pinned GPU cases — the same traffic the planner suite measures.
+func planCacheSuite(quick bool, _ []uint64) ([]Case, []string, error) {
+	var cases []plannerCase
+	for _, c := range plannerCases(quick) {
+		if c.HW.Name == hw.A100().Name {
+			cases = append(cases, c)
 		}
 	}
-	return out
-}
-
-// RunPlanCacheSuite runs the cold/warm comparison and returns the report plus
-// the list of gate regressions (empty = pass). An error means the suite
-// itself could not run.
-func RunPlanCacheSuite(quick bool, opts tune.Options) (*PlanCacheReport, []string, error) {
-	if opts == (tune.Options{}) {
-		opts = tune.DefaultOptions()
-	}
-	cases := planCacheShapes(quick)
-	if len(cases) == 0 {
-		return nil, nil, errors.New("bench: plancache suite has no cases")
-	}
-	lib, err := core.SharedLibrary(hw.A100(), opts)
+	lib, err := core.SharedLibrary(hw.A100(), tune.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}
 
-	var regressions []string
-	rep := &PlanCacheReport{
-		Schema: PlanCacheBenchSchema,
-		HW:     lib.HW.Name,
+	var failed []string
+	fail := func(format string, args ...any) {
+		failed = append(failed, fmt.Sprintf(format, args...))
 	}
 
 	// Cold replica: every hot shape is an online plan.
 	cold := core.NewCompilerFromLibrary(lib)
-	rep.LibraryHash = cold.LibraryHash()
-	if rep.LibraryHash == "" {
-		return nil, nil, errors.New("bench: library has no content hash; snapshots disabled")
+	if cold.LibraryHash() == "" {
+		return nil, nil, errors.New("library has no content hash; snapshots disabled")
 	}
 	coldFP := make(map[string]string, len(cases))
 	for _, c := range cases {
 		shape := tensor.GemmShape{M: c.M, N: c.N, K: c.K}
 		prog, err := cold.Plan(shape)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: cold plan %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("cold plan %s: %w", c.Name, err)
 		}
 		coldFP[c.Name] = plancache.ProgramFingerprint(prog)
 	}
-	rep.ColdPlans, _ = cold.PlanStats()
-	if rep.ColdPlans != len(cases) {
-		regressions = append(regressions, fmt.Sprintf(
-			"cold replica planned %d shapes online, want %d (cache not cold?)", rep.ColdPlans, len(cases)))
+	coldPlans, _ := cold.PlanStats()
+	if coldPlans != len(cases) {
+		fail("cold replica planned %d shapes online, want %d (cache not cold?)", coldPlans, len(cases))
 	}
 
 	// Snapshot round-trip through the crash-safe file format.
 	snap, err := cold.ExportSnapshot()
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: export snapshot: %w", err)
+		return nil, nil, fmt.Errorf("export snapshot: %w", err)
 	}
-	rep.SnapshotSize = len(snap.Entries)
 	dir, err := os.MkdirTemp("", "mikbench-plancache-*")
 	if err != nil {
 		return nil, nil, err
@@ -121,15 +75,14 @@ func RunPlanCacheSuite(quick bool, opts tune.Options) (*PlanCacheReport, []strin
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "plans.snap")
 	if err := plancache.SaveFile(snap, path); err != nil {
-		return nil, nil, fmt.Errorf("bench: save snapshot: %w", err)
+		return nil, nil, fmt.Errorf("save snapshot: %w", err)
 	}
 	loaded, err := plancache.LoadFile(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: load snapshot: %w", err)
+		return nil, nil, fmt.Errorf("load snapshot: %w", err)
 	}
 	if len(loaded.Entries) != len(snap.Entries) {
-		regressions = append(regressions, fmt.Sprintf(
-			"snapshot round-trip lost entries: saved %d, loaded %d", len(snap.Entries), len(loaded.Entries)))
+		fail("snapshot round-trip lost entries: saved %d, loaded %d", len(snap.Entries), len(loaded.Entries))
 	}
 	for i := range snap.Entries {
 		if i >= len(loaded.Entries) {
@@ -138,8 +91,7 @@ func RunPlanCacheSuite(quick bool, opts tune.Options) (*PlanCacheReport, []strin
 		want := plancache.ProgramFingerprint(snap.Entries[i].Program)
 		got := plancache.ProgramFingerprint(loaded.Entries[i].Program)
 		if want != got {
-			regressions = append(regressions, fmt.Sprintf(
-				"snapshot round-trip entry %d not bitwise-identical:\n  saved:  %s\n  loaded: %s", i, want, got))
+			fail("snapshot round-trip entry %d not bitwise-identical:\n  saved:  %s\n  loaded: %s", i, want, got)
 		}
 	}
 
@@ -148,40 +100,39 @@ func RunPlanCacheSuite(quick bool, opts tune.Options) (*PlanCacheReport, []strin
 	warm := core.NewCompilerFromLibrary(lib)
 	imported, err := warm.ImportSnapshot(loaded)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: import snapshot: %w", err)
+		return nil, nil, fmt.Errorf("import snapshot: %w", err)
 	}
-	rep.Imported = imported
+	var out []Case
 	for _, c := range cases {
 		shape := tensor.GemmShape{M: c.M, N: c.N, K: c.K}
 		before, _ := warm.PlanStats()
 		prog, err := warm.Plan(shape)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: warm plan %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("warm plan %s: %w", c.Name, err)
 		}
 		after, _ := warm.PlanStats()
-		res := PlanCacheCaseResult{
-			Name: c.Name, M: c.M, N: c.N, K: c.K,
-			ColdFP:      coldFP[c.Name],
-			WarmFP:      plancache.ProgramFingerprint(prog),
-			WarmPlanned: after > before,
+		warmFP := plancache.ProgramFingerprint(prog)
+		out = append(out, Case{Name: c.Name, Exact: map[string]string{
+			"cold_fp": coldFP[c.Name], "warm_fp": warmFP,
+		}})
+		if after > before {
+			fail("%s: warm replica planned online (want snapshot hit)", c.Name)
 		}
-		res.Bitwise = res.ColdFP == res.WarmFP
-		if res.WarmPlanned {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: warm replica planned online (want snapshot hit)", c.Name))
+		if warmFP != coldFP[c.Name] {
+			fail("%s: warm program not bitwise-identical to cold:\n  cold: %s\n  warm: %s",
+				c.Name, coldFP[c.Name], warmFP)
 		}
-		if !res.Bitwise {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: warm program not bitwise-identical to cold:\n  cold: %s\n  warm: %s",
-				c.Name, res.ColdFP, res.WarmFP))
-		}
-		rep.Cases = append(rep.Cases, res)
 	}
-	rep.WarmPlans, _ = warm.PlanStats()
-	if rep.WarmPlans != 0 {
-		regressions = append(regressions, fmt.Sprintf(
-			"warm replica performed %d online plans over the hot set, want 0", rep.WarmPlans))
+	warmPlans, _ := warm.PlanStats()
+	if warmPlans != 0 {
+		fail("warm replica performed %d online plans over the hot set, want 0", warmPlans)
 	}
+	out = append(out, Case{Name: "replicas", Exact: map[string]string{
+		"cold_plans":       itoa(coldPlans),
+		"snapshot_entries": itoa(len(snap.Entries)),
+		"imported":         itoa(imported),
+		"warm_plans":       itoa(warmPlans),
+	}})
 
 	// Invalidation: a snapshot from a retuned (different-hash) library must
 	// be rejected cleanly, and the replica must still plan online.
@@ -189,26 +140,22 @@ func RunPlanCacheSuite(quick bool, opts tune.Options) (*PlanCacheReport, []strin
 	tampered.LibraryHash = "deadbeef" + tampered.LibraryHash
 	stale := core.NewCompilerFromLibrary(lib)
 	if n, err := stale.ImportSnapshot(&tampered); err == nil {
-		regressions = append(regressions, fmt.Sprintf(
-			"tampered library-hash snapshot was accepted (%d entries), want rejection", n))
+		fail("tampered library-hash snapshot was accepted (%d entries), want rejection", n)
 	} else if !errors.Is(err, plancache.ErrIncompatible) {
-		regressions = append(regressions, fmt.Sprintf(
-			"tampered snapshot rejection is not ErrIncompatible: %v", err))
+		fail("tampered snapshot rejection is not ErrIncompatible: %v", err)
 	}
 	first := cases[0]
 	prog, err := stale.Plan(tensor.GemmShape{M: first.M, N: first.N, K: first.K})
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: replan after rejected snapshot: %w", err)
+		return nil, nil, fmt.Errorf("replan after rejected snapshot: %w", err)
 	}
 	if fp := plancache.ProgramFingerprint(prog); fp != coldFP[first.Name] {
-		regressions = append(regressions, fmt.Sprintf(
-			"%s: online replan after rejected snapshot diverged:\n  cold:   %s\n  replan: %s",
-			first.Name, coldFP[first.Name], fp))
+		fail("%s: online replan after rejected snapshot diverged:\n  cold:   %s\n  replan: %s",
+			first.Name, coldFP[first.Name], fp)
 	}
 	if n, _ := stale.PlanStats(); n != 1 {
-		regressions = append(regressions, fmt.Sprintf(
-			"replica with rejected snapshot performed %d online plans for one request, want 1", n))
+		fail("replica with rejected snapshot performed %d online plans for one request, want 1", n)
 	}
 
-	return rep, regressions, nil
+	return out, failed, nil
 }

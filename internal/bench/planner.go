@@ -1,20 +1,16 @@
 // Planner micro-benchmark harness: the online stage's hot-path trajectory.
 //
 // MikPoly's premise is that on-the-fly polymerization is cheap enough to run
-// at request time for every new shape, so planner latency is a product
-// number, not a curiosity. This file pins a suite of BERT-style dynamic
-// sequence-length and Llama-decode GEMM shapes, measures planner ns/op,
-// allocs/op and bytes/op with a self-contained measurement loop (no testing
-// flags required, so cmd/mikbench can drive it), records the chosen program
-// and its cycle costs bit-for-bit, and compares runs against a committed
-// baseline (BENCH_planner.json) with explicit tolerances — the CI perf gate.
+// at request time for every new shape. This file pins a suite of BERT-style
+// dynamic sequence-length and Llama-decode GEMM shapes and, for each, records
+// what the planner decided — the chosen program, its candidate count and its
+// cycle costs bit for bit (exact) — what it allocated per plan (no_grow), and
+// how long a plan took on this machine (info; end-to-end planner wall time is
+// mikload's poly.plan_us).
 package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
 	"time"
 
 	"mikpoly/internal/core"
@@ -24,30 +20,22 @@ import (
 	"mikpoly/internal/tune"
 )
 
-// PlannerBenchSchema versions the BENCH_planner.json layout.
-const PlannerBenchSchema = "mikpoly-bench-planner/v1"
-
-// PlannerCase is one pinned measurement: a shape planned on a device with a
-// given search configuration.
-type PlannerCase struct {
-	Name    string `json:"name"`
-	HW      string `json:"hw"` // "a100" or "ascend910"
-	M       int    `json:"m"`
-	N       int    `json:"n"`
-	K       int    `json:"k"`
-	Workers int    `json:"workers,omitempty"` // <= 1: sequential search
+// plannerCase is one pinned measurement: a shape planned on a device.
+type plannerCase struct {
+	Name    string
+	HW      hw.Hardware
+	M, N, K int
 }
 
-// PlannerSuite returns the pinned shape sweep. quick subsamples for tests.
+// plannerCases returns the pinned shape sweep. quick subsamples for tests.
 //
 // The suite is the contract with the committed baseline: adding, removing or
-// renaming cases requires refreshing BENCH_planner.json (mikbench -out).
-func PlannerSuite(quick bool) []PlannerCase {
-	var cases []PlannerCase
-	add := func(name, hwName string, m, n, k, workers int) {
-		cases = append(cases, PlannerCase{Name: name, HW: hwName, M: m, N: n, K: k, Workers: workers})
+// renaming cases requires refreshing it (make baseline).
+func plannerCases(quick bool) []plannerCase {
+	var cases []plannerCase
+	add := func(name string, h hw.Hardware, m, n, k int) {
+		cases = append(cases, plannerCase{Name: name, HW: h, M: m, N: n, K: k})
 	}
-
 	// BERT-base dynamic sequence lengths on the GPU (patterns I–II):
 	// QKV projection (seq, 768, 768) and FFN expansion (seq, 3072, 768).
 	bertSeq := []int{64, 128, 256, 384, 512}
@@ -55,8 +43,8 @@ func PlannerSuite(quick bool) []PlannerCase {
 		bertSeq = []int{128, 384}
 	}
 	for _, s := range bertSeq {
-		add(fmt.Sprintf("a100-bert-qkv-s%d", s), "a100", s, 768, 768, 0)
-		add(fmt.Sprintf("a100-bert-ffn-s%d", s), "a100", s, 3072, 768, 0)
+		add(fmt.Sprintf("a100-bert-qkv-s%d", s), hw.A100(), s, 768, 768)
+		add(fmt.Sprintf("a100-bert-ffn-s%d", s), hw.A100(), s, 3072, 768)
 	}
 
 	// Llama-7B decode on the GPU: batch-many single-token steps hit the
@@ -66,8 +54,8 @@ func PlannerSuite(quick bool) []PlannerCase {
 		llamaBatch = []int{8}
 	}
 	for _, b := range llamaBatch {
-		add(fmt.Sprintf("a100-llama-attn-b%d", b), "a100", b, 4096, 4096, 0)
-		add(fmt.Sprintf("a100-llama-ffn-b%d", b), "a100", b, 11008, 4096, 0)
+		add(fmt.Sprintf("a100-llama-attn-b%d", b), hw.A100(), b, 4096, 4096)
+		add(fmt.Sprintf("a100-llama-ffn-b%d", b), hw.A100(), b, 11008, 4096)
 	}
 
 	// NPU full nine-pattern search: the expensive end of the online stage.
@@ -84,302 +72,67 @@ func PlannerSuite(quick bool) []PlannerCase {
 		npuShapes = npuShapes[:2]
 	}
 	for _, s := range npuShapes {
-		add("a910-"+s.name, "ascend910", s.m, s.n, s.k, 0)
-	}
-
-	// Parallel candidate search on the NPU suite's heaviest shapes —
-	// chosen programs are asserted identical to sequential elsewhere; here
-	// the question is wall-clock.
-	par := []struct {
-		name    string
-		m, n, k int
-	}{
-		{"npu-bert-s384-w4", 384, 3072, 768},
-		{"npu-ragged-w4", 509, 3072, 768},
-	}
-	if quick {
-		par = par[:1]
-	}
-	for _, s := range par {
-		add("a910-"+s.name, "ascend910", s.m, s.n, s.k, 4)
+		add("a910-"+s.name, hw.Ascend910(), s.m, s.n, s.k)
 	}
 	return cases
 }
 
-// PlannerCaseResult is one measured case in the stable JSON schema. The
-// latency fields are machine-dependent and gated with a tolerance; the
-// allocation counts and the chosen-program fields (candidates, pattern,
-// program, cycle-cost bits) are deterministic and gated exactly.
-type PlannerCaseResult struct {
-	PlannerCase
-
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-
-	Candidates int    `json:"candidates"`
-	Pattern    string `json:"pattern"`
-	Regions    int    `json:"regions"`
-	Program    string `json:"program"`
-
-	// CycleCost is the planner's cost-model value for the chosen program;
-	// SimCycles is its simulated makespan. The *_bits fields carry the
-	// exact float64 bit patterns (IEEE-754, hex) for the bitwise CI gate.
-	CycleCost     float64 `json:"cycle_cost"`
-	CycleCostBits string  `json:"cycle_cost_bits"`
-	SimCycles     float64 `json:"sim_cycles"`
-	SimCyclesBits string  `json:"sim_cycles_bits"`
-}
-
-// PlannerBenchReport is the BENCH_planner.json document.
-type PlannerBenchReport struct {
-	Schema string `json:"schema"`
-	GoOS   string `json:"goos"`
-	GoArch string `json:"goarch"`
-	// TuneNGen/NMik record the library scale the suite planned against.
-	TuneNGen int                 `json:"tune_ngen"`
-	TuneNMik int                 `json:"tune_nmik"`
-	Cases    []PlannerCaseResult `json:"cases"`
-}
-
-// PlannerMeasureOpts controls the measurement loop.
-type PlannerMeasureOpts struct {
-	// MinTime is the minimum sampling window per repetition (default 150ms).
-	MinTime time.Duration
-	// Repeats is how many windows are sampled; the minimum ns/op across
-	// repeats is reported (most robust location statistic under CI noise).
-	// Default 3.
-	Repeats int
-	// Slowdown plans each shape this many times per reported op (>= 1).
-	// It exists to prove the CI gate trips: Slowdown=2 must fail a
-	// baseline recorded at Slowdown=1.
-	Slowdown int
-	// Tune selects the offline-library scale (zero value: paper defaults).
-	Tune tune.Options
-}
-
-func (o PlannerMeasureOpts) withDefaults() PlannerMeasureOpts {
-	if o.MinTime <= 0 {
-		o.MinTime = 150 * time.Millisecond
-	}
-	if o.Repeats < 1 {
-		o.Repeats = 3
-	}
-	if o.Slowdown < 1 {
-		o.Slowdown = 1
-	}
-	if o.Tune == (tune.Options{}) {
-		o.Tune = tune.DefaultOptions()
-	}
-	return o
-}
-
-// plannerHW resolves a suite hardware name.
-func plannerHW(name string) (hw.Hardware, error) {
-	switch name {
-	case "a100":
-		return hw.A100(), nil
-	case "ascend910":
-		return hw.Ascend910(), nil
-	default:
-		return hw.Hardware{}, fmt.Errorf("bench: unknown hardware %q", name)
-	}
-}
-
-// RunPlannerSuite measures every case and returns the report. Libraries are
-// generated once per device through the process-wide cache, so repeated runs
-// (tests, -count) pay the offline stage once.
-func RunPlannerSuite(cases []PlannerCase, opts PlannerMeasureOpts) (*PlannerBenchReport, error) {
-	opts = opts.withDefaults()
-	rep := &PlannerBenchReport{
-		Schema:   PlannerBenchSchema,
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		TuneNGen: opts.Tune.NGen,
-		TuneNMik: opts.Tune.NMik,
-	}
-	libs := map[string]*tune.Library{}
-	for _, c := range cases {
-		lib, ok := libs[c.HW]
-		if !ok {
-			h, err := plannerHW(c.HW)
-			if err != nil {
-				return nil, err
-			}
-			lib, err = core.SharedLibrary(h, opts.Tune)
-			if err != nil {
-				return nil, err
-			}
-			libs[c.HW] = lib
-		}
-		res, err := measurePlannerCase(c, lib, opts)
+// plannerSuite measures every case. Libraries are generated once per device
+// through the process-wide cache, so repeated runs pay the offline stage
+// once.
+func plannerSuite(quick bool, _ []uint64) ([]Case, []string, error) {
+	var out []Case
+	for _, c := range plannerCases(quick) {
+		lib, err := core.SharedLibrary(c.HW, tune.DefaultOptions())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		rep.Cases = append(rep.Cases, res)
+		res, err := measurePlannerCase(c, lib)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, res)
 	}
-	return rep, nil
+	return out, nil, nil
 }
 
-// measurePlannerCase times one case with a testing-free benchmark loop:
-// warm up (populating the skeleton memo and scratch pool, as a serving
-// process would be), then sample Repeats windows of at least MinTime and
-// report the fastest, with allocation deltas from runtime.MemStats.
-func measurePlannerCase(c PlannerCase, lib *tune.Library, opts PlannerMeasureOpts) (PlannerCaseResult, error) {
+// plannerMinTime is the minimum sampling window of one planner measurement.
+const plannerMinTime = 150 * time.Millisecond
+
+// measurePlannerCase records the planner's decision for one case, then times
+// it with a testing-free benchmark loop after a warmup that populates the
+// skeleton memo and scratch pool, as a serving process would be.
+func measurePlannerCase(c plannerCase, lib *tune.Library) (Case, error) {
 	p := poly.NewPlanner(lib)
-	p.Workers = c.Workers
 	shape := tensor.GemmShape{M: c.M, N: c.N, K: c.K}
 
 	prog, stats, err := p.Plan(shape)
 	if err != nil {
-		return PlannerCaseResult{}, fmt.Errorf("bench: case %s: %w", c.Name, err)
+		return Case{}, fmt.Errorf("case %s: %w", c.Name, err)
 	}
-	res := PlannerCaseResult{
-		PlannerCase: c,
-		Candidates:  stats.Candidates,
-		Pattern:     prog.Pattern.String(),
-		Regions:     len(prog.Regions),
-		Program:     prog.String(),
-		CycleCost:   prog.EstimatedCost,
-		SimCycles:   prog.Simulate(lib.HW).Cycles,
-	}
-	res.CycleCostBits = fmt.Sprintf("%016x", math.Float64bits(res.CycleCost))
-	res.SimCyclesBits = fmt.Sprintf("%016x", math.Float64bits(res.SimCycles))
+	res := Case{Name: c.Name, Exact: map[string]string{
+		"candidates":      itoa(stats.Candidates),
+		"pattern":         prog.Pattern.String(),
+		"regions":         itoa(len(prog.Regions)),
+		"program":         prog.String(),
+		"cycle_cost_bits": floatBits(prog.EstimatedCost),
+		"sim_cycles_bits": floatBits(prog.Simulate(lib.HW).Cycles),
+	}}
 
 	planOnce := func() error {
-		for s := 0; s < opts.Slowdown; s++ {
-			if _, _, err := p.Plan(shape); err != nil {
-				return err
-			}
-		}
-		return nil
+		_, _, err := p.Plan(shape)
+		return err
 	}
 	for i := 0; i < 16; i++ { // warmup
 		if err := planOnce(); err != nil {
 			return res, err
 		}
 	}
-
-	bestNs := math.Inf(1)
-	var bestAllocs, bestBytes int64
-	var ms0, ms1 runtime.MemStats
-	for r := 0; r < opts.Repeats; r++ {
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		iters := 0
-		start := time.Now()
-		var elapsed time.Duration
-		for elapsed < opts.MinTime || iters < 32 {
-			if err := planOnce(); err != nil {
-				return res, err
-			}
-			iters++
-			elapsed = time.Since(start)
-		}
-		runtime.ReadMemStats(&ms1)
-		ns := float64(elapsed.Nanoseconds()) / float64(iters)
-		allocs := int64(ms1.Mallocs-ms0.Mallocs) / int64(iters)
-		bytes := int64(ms1.TotalAlloc-ms0.TotalAlloc) / int64(iters)
-		if ns < bestNs {
-			bestNs = ns
-		}
-		if r == 0 || allocs < bestAllocs {
-			bestAllocs = allocs
-		}
-		if r == 0 || bytes < bestBytes {
-			bestBytes = bytes
-		}
+	allocs, bytes, ns, err := measureOp(plannerMinTime, 32, planOnce)
+	if err != nil {
+		return res, err
 	}
-	res.NsPerOp = bestNs
-	res.AllocsPerOp = bestAllocs
-	res.BytesPerOp = bestBytes
+	res.NoGrow = map[string]int64{"allocs_per_op": allocs, "bytes_per_op": bytes}
+	res.Info = map[string]float64{"ns_per_op": ns}
 	return res, nil
-}
-
-// PlannerCompareOpts are the CI gate tolerances.
-type PlannerCompareOpts struct {
-	// LatencyTolerance is the allowed fractional ns/op growth per case
-	// (0.15 = +15%). Latency is machine-dependent; everything else is
-	// gated exactly.
-	LatencyTolerance float64
-}
-
-// ComparePlanner checks a current run against a baseline and returns the
-// list of regressions (empty = gate passes) plus informational notes.
-//
-// Gate semantics:
-//   - case sets must match exactly (a changed suite requires an explicit
-//     baseline refresh);
-//   - chosen programs, candidate counts and both cycle-cost bit patterns
-//     must be bitwise identical — the planner's decisions are deterministic
-//     and any drift is a correctness change, not noise;
-//   - allocs/op may not increase at all;
-//   - ns/op may grow by at most LatencyTolerance.
-func ComparePlanner(baseline, current *PlannerBenchReport, opts PlannerCompareOpts) (regressions, notes []string) {
-	if opts.LatencyTolerance <= 0 {
-		opts.LatencyTolerance = 0.15
-	}
-	if baseline.Schema != current.Schema {
-		return []string{fmt.Sprintf("schema %q != baseline %q", current.Schema, baseline.Schema)}, nil
-	}
-	if baseline.TuneNGen != current.TuneNGen || baseline.TuneNMik != current.TuneNMik {
-		return []string{fmt.Sprintf("library scale ngen=%d,nmik=%d != baseline ngen=%d,nmik=%d (refresh baseline)",
-			current.TuneNGen, current.TuneNMik, baseline.TuneNGen, baseline.TuneNMik)}, nil
-	}
-
-	cur := make(map[string]PlannerCaseResult, len(current.Cases))
-	for _, c := range current.Cases {
-		cur[c.Name] = c
-	}
-	base := make(map[string]PlannerCaseResult, len(baseline.Cases))
-	for _, b := range baseline.Cases {
-		base[b.Name] = b
-	}
-	var names []string
-	for n := range base {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	for _, name := range names {
-		b := base[name]
-		c, ok := cur[name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: case missing from current run (suite changed? refresh baseline)", name))
-			continue
-		}
-		if c.Program != b.Program || c.Pattern != b.Pattern || c.Regions != b.Regions {
-			regressions = append(regressions, fmt.Sprintf("%s: chosen program changed:\n  baseline: %s\n  current:  %s", name, b.Program, c.Program))
-		}
-		if c.CycleCostBits != b.CycleCostBits {
-			regressions = append(regressions, fmt.Sprintf("%s: cycle cost bits %s != baseline %s (%.6g vs %.6g)",
-				name, c.CycleCostBits, b.CycleCostBits, c.CycleCost, b.CycleCost))
-		}
-		if c.SimCyclesBits != b.SimCyclesBits {
-			regressions = append(regressions, fmt.Sprintf("%s: simulated cycles bits %s != baseline %s (%.6g vs %.6g)",
-				name, c.SimCyclesBits, b.SimCyclesBits, c.SimCycles, b.SimCycles))
-		}
-		if c.Candidates != b.Candidates {
-			regressions = append(regressions, fmt.Sprintf("%s: candidates %d != baseline %d", name, c.Candidates, b.Candidates))
-		}
-		if c.AllocsPerOp > b.AllocsPerOp {
-			regressions = append(regressions, fmt.Sprintf("%s: allocs/op %d > baseline %d (no alloc regressions allowed)",
-				name, c.AllocsPerOp, b.AllocsPerOp))
-		}
-		limit := b.NsPerOp * (1 + opts.LatencyTolerance)
-		switch {
-		case c.NsPerOp > limit:
-			regressions = append(regressions, fmt.Sprintf("%s: ns/op %.0f > baseline %.0f +%.0f%% (limit %.0f)",
-				name, c.NsPerOp, b.NsPerOp, opts.LatencyTolerance*100, limit))
-		case c.NsPerOp < b.NsPerOp*0.80:
-			notes = append(notes, fmt.Sprintf("%s: ns/op improved %.0f -> %.0f; consider refreshing the baseline",
-				name, b.NsPerOp, c.NsPerOp))
-		}
-	}
-	for _, c := range current.Cases {
-		if _, ok := base[c.Name]; !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: case absent from baseline (suite changed? refresh baseline)", c.Name))
-		}
-	}
-	return regressions, notes
 }

@@ -4,24 +4,19 @@
 // paged KV cache (internal/kvcache) over deterministic Zipf/Poisson traces
 // (internal/workload), executing every prefill chunk and decode wave through
 // a real graph runtime on the simulated device. The clock is virtual —
-// executed device cycles — so goodput, latency quantiles, decode digests and
-// KV accounting are exact, machine-independent values: the committed
-// BENCH_serve.json baseline gates them in CI the way BENCH_planner.json
-// gates the planner.
+// executed device cycles — so goodput, decode digests and KV accounting are
+// exact, machine-independent values.
 //
-// Every case runs twice, prefix reuse on and off, and the report carries
-// both sides: the gate requires the decode digests to be bitwise identical
-// (reuse is a pure optimization), prefill cycles to shrink when the trace
-// shares prefixes, p99 decode-step latency to stay within the configured
-// SLO bound, zero leaked KV pages, and goodput-under-SLO within 10% of the
-// baseline.
+// Every case runs twice, prefix reuse on and off. The self-checks require
+// the decode digests to be bitwise identical (reuse is a pure optimization),
+// prefill cycles not to grow under reuse, shared-prefix traces to reuse
+// tokens, p99 decode-step latency to stay within the configured SLO bound,
+// and zero leaked KV pages.
 package bench
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"mikpoly/internal/core"
@@ -34,55 +29,52 @@ import (
 	"mikpoly/internal/workload"
 )
 
-// ServeBenchSchema versions the BENCH_serve.json layout.
-const ServeBenchSchema = "mikpoly-bench-serve/v1"
+// serveCase pins one trace-replay measurement on the simulated A100: a
+// synthetic workload, the scheduler/KV configuration it runs under, and the
+// SLO it is judged by.
+type serveCase struct {
+	Name string
 
-// ServeCase pins one trace-replay measurement: a synthetic workload, the
-// scheduler/KV configuration it runs under, and the SLO it is judged by.
-type ServeCase struct {
-	Name string `json:"name"`
-	HW   string `json:"hw"`
+	Seed            uint64
+	Requests        int
+	Tenants         int
+	ArrivalsPerSec  float64
+	PromptMin       int
+	PromptMax       int
+	DecodeMin       int
+	DecodeMax       int
+	GroupsPerTenant int // -1 disables shared prefixes
+	SharedFrac      float64
+	FanoutEvery     int // -1 disables fanout
 
-	Seed            uint64  `json:"seed"`
-	Requests        int     `json:"requests"`
-	Tenants         int     `json:"tenants"`
-	ArrivalsPerSec  float64 `json:"arrivals_per_sec"`
-	PromptMin       int     `json:"prompt_min"`
-	PromptMax       int     `json:"prompt_max"`
-	DecodeMin       int     `json:"decode_min"`
-	DecodeMax       int     `json:"decode_max"`
-	GroupsPerTenant int     `json:"groups_per_tenant"` // -1 disables shared prefixes
-	SharedFrac      float64 `json:"shared_frac,omitempty"`
-	FanoutEvery     int     `json:"fanout_every"` // -1 disables fanout
-
-	KVPages        int     `json:"kv_pages"`
-	PageTokens     int     `json:"page_tokens"`
-	PrefillChunk   int     `json:"prefill_chunk"`
-	MaxDecodeBatch int     `json:"max_decode_batch"`
-	StepSLOMs      float64 `json:"step_slo_ms"`
-	TTFTSLOMs      float64 `json:"ttft_slo_ms"`
-	InFlightTokens int64   `json:"inflight_tokens"`
+	KVPages        int
+	PageTokens     int
+	PrefillChunk   int
+	MaxDecodeBatch int
+	StepSLOMs      float64
+	TTFTSLOMs      float64
+	InFlightTokens int64
 }
 
-// ServeSuite returns the pinned serving workloads. quick subsamples the
+// serveCases returns the pinned serving workloads. quick subsamples the
 // traces for tests and smoke runs.
 //
 // The suite is the contract with the committed baseline: changing a case
-// requires refreshing BENCH_serve.json (mikbench -suite serve -out).
-func ServeSuite(quick bool) []ServeCase {
+// requires refreshing it (make baseline).
+func serveCases(quick bool) []serveCase {
 	// SLO bounds are calibrated to the simulated A100 under the pinned
 	// small library, where one 40-layer decode graph costs ~2-3ms: a
 	// decode wave of a few KV buckets plus one prefill chunk needs ~20ms.
-	shared := ServeCase{
-		Name: "a100-shared-prefix", HW: "a100",
+	shared := serveCase{
+		Name: "a100-shared-prefix",
 		Seed: 17, Requests: 64, Tenants: 4, ArrivalsPerSec: 100,
 		PromptMin: 64, PromptMax: 768, DecodeMin: 8, DecodeMax: 32,
 		GroupsPerTenant: 2, SharedFrac: 0.6, FanoutEvery: 6,
 		KVPages: 4096, PageTokens: 16, PrefillChunk: 256, MaxDecodeBatch: 8,
 		StepSLOMs: 35, TTFTSLOMs: 2000, InFlightTokens: 8192,
 	}
-	long := ServeCase{
-		Name: "a100-long-prompts", HW: "a100",
+	long := serveCase{
+		Name: "a100-long-prompts",
 		Seed: 23, Requests: 40, Tenants: 3, ArrivalsPerSec: 50,
 		PromptMin: 512, PromptMax: 2048, DecodeMin: 16, DecodeMax: 48,
 		GroupsPerTenant: -1, FanoutEvery: -1,
@@ -93,66 +85,13 @@ func ServeSuite(quick bool) []ServeCase {
 		shared.Requests = 20
 		long.Requests = 12
 	}
-	return []ServeCase{shared, long}
+	return []serveCase{shared, long}
 }
 
-// ServeCaseResult is one measured case. All gated fields are deterministic:
-// the replay clock is virtual, so they carry exact bit patterns.
-type ServeCaseResult struct {
-	ServeCase
-
-	// Reuse-on side (the production configuration).
-	GoodputTPS     float64 `json:"goodput_tps"`
-	GoodputTPSBits string  `json:"goodput_tps_bits"`
-	SLOGoodFrac    float64 `json:"slo_good_frac"`
-	Completed      int     `json:"completed"`
-	Failed         int     `json:"failed"`
-	P50StepMs      float64 `json:"p50_step_ms"`
-	P99StepMs      float64 `json:"p99_step_ms"`
-	P99TTFTMs      float64 `json:"p99_ttft_ms"`
-
-	PrefillCyclesOn  float64 `json:"prefill_cycles_on"`
-	PrefillCyclesOff float64 `json:"prefill_cycles_off"`
-	ReusedTokens     int64   `json:"reused_tokens"`
-	COWCopies        int64   `json:"cow_copies"`
-	KVSavedBytes     int64   `json:"kv_saved_bytes"`
-
-	// DigestBits folds every completed request's decode digest (reuse-on
-	// run); ReuseBitwiseEqual asserts the reuse-off run produced the same.
-	DigestBits        string `json:"digest_bits"`
-	ReuseBitwiseEqual bool   `json:"reuse_bitwise_equal"`
-	StepWithinSLO     bool   `json:"step_within_slo"`
-	LeakedPages       int    `json:"leaked_pages"`
-
-	WallSec float64 `json:"wall_sec"` // measurement wall clock (informational)
-}
-
-// ServeBenchReport is the BENCH_serve.json document.
-type ServeBenchReport struct {
-	Schema string `json:"schema"`
-	GoOS   string `json:"goos"`
-	GoArch string `json:"goarch"`
-	// TuneNGen/NMik record the library scale the suite executed against.
-	TuneNGen int               `json:"tune_ngen"`
-	TuneNMik int               `json:"tune_nmik"`
-	Cases    []ServeCaseResult `json:"cases"`
-}
-
-// ServeMeasureOpts controls the suite run.
-type ServeMeasureOpts struct {
-	// Tune selects the offline-library scale. The zero value uses a small
-	// pinned library (NGen 6, NSyn 9, NMik 10, NPred 256): the serve suite
-	// measures scheduler behavior, not planner scale, and the small library
-	// keeps the CI job minutes-cheap while staying fully deterministic.
-	Tune tune.Options
-}
-
-func (o ServeMeasureOpts) withDefaults() ServeMeasureOpts {
-	if o.Tune == (tune.Options{}) {
-		o.Tune = tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256}
-	}
-	return o
-}
+// serveTune is the offline-library scale the serve and overload suites
+// execute against: they measure scheduler behavior, not planner scale, and
+// the small library keeps them cheap while staying fully deterministic.
+var serveTune = tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256}
 
 // rtExecutor adapts a graph runtime to sched.Executor. The pool label is
 // ignored: the bench runs one simulated device for both phases.
@@ -166,41 +105,27 @@ func (e rtExecutor) ExecGraph(ctx context.Context, g nn.Graph, _ string) (float6
 	return rep.Cycles, nil
 }
 
-// RunServeSuite replays every case twice (prefix reuse on and off) through
-// a real graph runtime and returns the report.
-func RunServeSuite(cases []ServeCase, opts ServeMeasureOpts) (*ServeBenchReport, error) {
-	opts = opts.withDefaults()
-	rep := &ServeBenchReport{
-		Schema:   ServeBenchSchema,
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		TuneNGen: opts.Tune.NGen,
-		TuneNMik: opts.Tune.NMik,
+// serveSuite replays every case twice (prefix reuse on and off) through a
+// real graph runtime.
+func serveSuite(quick bool, _ []uint64) ([]Case, []string, error) {
+	lib, err := core.SharedLibrary(hw.A100(), serveTune)
+	if err != nil {
+		return nil, nil, err
 	}
-	libs := map[string]*tune.Library{}
-	for _, c := range cases {
-		lib, ok := libs[c.HW]
-		if !ok {
-			h, err := plannerHW(c.HW)
-			if err != nil {
-				return nil, err
-			}
-			lib, err = core.SharedLibrary(h, opts.Tune)
-			if err != nil {
-				return nil, err
-			}
-			libs[c.HW] = lib
-		}
-		res, err := measureServeCase(c, lib)
+	var out []Case
+	var failed []string
+	for _, c := range serveCases(quick) {
+		res, checks, err := measureServeCase(c, lib)
 		if err != nil {
-			return nil, fmt.Errorf("bench: case %s: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("case %s: %w", c.Name, err)
 		}
-		rep.Cases = append(rep.Cases, res)
+		out = append(out, res)
+		failed = append(failed, checks...)
 	}
-	return rep, nil
+	return out, failed, nil
 }
 
-func (c ServeCase) traceConfig(h hw.Hardware) workload.TraceConfig {
+func (c serveCase) traceConfig(h hw.Hardware) workload.TraceConfig {
 	return workload.TraceConfig{
 		Seed:            c.Seed,
 		Requests:        c.Requests,
@@ -217,7 +142,7 @@ func (c ServeCase) traceConfig(h hw.Hardware) workload.TraceConfig {
 	}
 }
 
-func (c ServeCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config {
+func (c serveCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config {
 	return sched.Config{
 		HW: h,
 		KV: kvcache.Config{
@@ -234,8 +159,9 @@ func (c ServeCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config 
 }
 
 // measureServeCase replays one case with prefix reuse on and off against a
-// fresh runtime each, then folds both sides into the gated result.
-func measureServeCase(c ServeCase, lib *tune.Library) (ServeCaseResult, error) {
+// fresh runtime each, then folds both sides into the case and its failed
+// self-checks.
+func measureServeCase(c serveCase, lib *tune.Library) (Case, []string, error) {
 	h := lib.HW
 	trace := workload.GenerateTrace(c.traceConfig(h))
 	start := time.Now()
@@ -249,122 +175,58 @@ func measureServeCase(c ServeCase, lib *tune.Library) (ServeCaseResult, error) {
 	}
 	on, err := runSide(false)
 	if err != nil {
-		return ServeCaseResult{}, err
+		return Case{}, nil, err
 	}
 	off, err := runSide(true)
 	if err != nil {
-		return ServeCaseResult{}, err
+		return Case{}, nil, err
 	}
 
-	res := ServeCaseResult{
-		ServeCase:         c,
-		GoodputTPS:        on.GoodputTokensPerSec,
-		GoodputTPSBits:    fmt.Sprintf("%016x", math.Float64bits(on.GoodputTokensPerSec)),
-		Completed:         on.Completed,
-		Failed:            on.Failed,
-		P50StepMs:         on.P50StepMs,
-		P99StepMs:         on.P99StepMs,
-		P99TTFTMs:         on.P99TTFTMs,
-		PrefillCyclesOn:   on.PrefillCycles,
-		PrefillCyclesOff:  off.PrefillCycles,
-		ReusedTokens:      on.ReusedTokens,
-		COWCopies:         on.KV.COWCopies,
-		KVSavedBytes:      on.KV.SavedBytes,
-		DigestBits:        fmt.Sprintf("%016x", on.DigestBits),
-		ReuseBitwiseEqual: on.DigestBits == off.DigestBits && on.Completed == off.Completed,
-		StepWithinSLO:     on.P99StepMs <= c.StepSLOMs,
-		LeakedPages:       on.LeakedPages + off.LeakedPages,
-		WallSec:           time.Since(start).Seconds(),
+	leaked := on.LeakedPages + off.LeakedPages
+	res := Case{
+		Name: c.Name,
+		Exact: map[string]string{
+			"goodput_tps_bits": floatBits(on.GoodputTokensPerSec),
+			"digest_bits":      fmt.Sprintf("%016x", on.DigestBits),
+			"completed":        itoa(on.Completed),
+			"failed":           itoa(on.Failed),
+			"reused_tokens":    itoa(on.ReusedTokens),
+			"cow_copies":       itoa(on.KV.COWCopies),
+			"leaked_pages":     itoa(leaked),
+		},
+		Info: map[string]float64{
+			"goodput_tps":        on.GoodputTokensPerSec,
+			"p50_step_ms":        on.P50StepMs,
+			"p99_step_ms":        on.P99StepMs,
+			"p99_ttft_ms":        on.P99TTFTMs,
+			"prefill_cycles_on":  on.PrefillCycles,
+			"prefill_cycles_off": off.PrefillCycles,
+			"kv_saved_bytes":     float64(on.KV.SavedBytes),
+			"wall_sec":           time.Since(start).Seconds(),
+		},
 	}
 	if on.Completed > 0 {
-		res.SLOGoodFrac = float64(on.SLOGood) / float64(on.Completed)
+		res.Info["slo_good_frac"] = float64(on.SLOGood) / float64(on.Completed)
 	}
-	return res, nil
-}
 
-// ServeCompareOpts are the serve-perf CI gate tolerances.
-type ServeCompareOpts struct {
-	// GoodputTolerance is the allowed fractional goodput-under-SLO drop vs
-	// the baseline (0.10 = -10%). Everything else is gated exactly.
-	GoodputTolerance float64
-}
-
-// CompareServe checks a current serve run against a baseline and returns
-// the regressions (empty = gate passes) plus informational notes.
-//
-// Gate semantics:
-//   - case sets and library scale must match exactly;
-//   - decode digests must be bitwise identical within the run (reuse on vs
-//     off) and against the baseline — prefix reuse and paging must never
-//     change decode results;
-//   - zero leaked KV pages, in every case;
-//   - p99 decode-step latency must sit within the case's SLO bound;
-//   - prefix reuse must not increase prefill cycles (and must decrease
-//     them when the trace shares prefixes);
-//   - goodput-under-SLO may drop at most GoodputTolerance vs the baseline.
-func CompareServe(baseline, current *ServeBenchReport, opts ServeCompareOpts) (regressions, notes []string) {
-	if opts.GoodputTolerance <= 0 {
-		opts.GoodputTolerance = 0.10
+	var failed []string
+	fail := func(format string, args ...any) {
+		failed = append(failed, c.Name+": "+fmt.Sprintf(format, args...))
 	}
-	if baseline.Schema != current.Schema {
-		return []string{fmt.Sprintf("schema %q != baseline %q", current.Schema, baseline.Schema)}, nil
+	if on.DigestBits != off.DigestBits || on.Completed != off.Completed {
+		fail("decode digests differ between reuse on and off — paging changed results")
 	}
-	if baseline.TuneNGen != current.TuneNGen || baseline.TuneNMik != current.TuneNMik {
-		return []string{fmt.Sprintf("library scale ngen=%d,nmik=%d != baseline ngen=%d,nmik=%d (refresh baseline)",
-			current.TuneNGen, current.TuneNMik, baseline.TuneNGen, baseline.TuneNMik)}, nil
+	if leaked != 0 {
+		fail("%d leaked KV pages (must be 0)", leaked)
 	}
-	cur := make(map[string]ServeCaseResult, len(current.Cases))
-	for _, c := range current.Cases {
-		cur[c.Name] = c
+	if on.P99StepMs > c.StepSLOMs {
+		fail("p99 decode step %.3fms exceeds the %.3fms SLO bound", on.P99StepMs, c.StepSLOMs)
 	}
-	for _, b := range baseline.Cases {
-		c, ok := cur[b.Name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("%s: case missing from current run (suite changed? refresh baseline)", b.Name))
-			continue
-		}
-		if !c.ReuseBitwiseEqual {
-			regressions = append(regressions, fmt.Sprintf("%s: decode digests differ between reuse on and off — paging changed results", c.Name))
-		}
-		if c.DigestBits != b.DigestBits {
-			regressions = append(regressions, fmt.Sprintf("%s: decode digest %s != baseline %s — serving results changed",
-				c.Name, c.DigestBits, b.DigestBits))
-		}
-		if c.LeakedPages != 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: %d leaked KV pages (must be 0)", c.Name, c.LeakedPages))
-		}
-		if !c.StepWithinSLO {
-			regressions = append(regressions, fmt.Sprintf("%s: p99 decode step %.3fms exceeds the %.3fms SLO bound",
-				c.Name, c.P99StepMs, c.StepSLOMs))
-		}
-		if c.PrefillCyclesOn > c.PrefillCyclesOff {
-			regressions = append(regressions, fmt.Sprintf("%s: prefix reuse increased prefill cycles (%.4g on vs %.4g off)",
-				c.Name, c.PrefillCyclesOn, c.PrefillCyclesOff))
-		}
-		if c.GroupsPerTenant > 0 && c.ReusedTokens == 0 {
-			regressions = append(regressions, fmt.Sprintf("%s: shared-prefix trace reused zero tokens", c.Name))
-		}
-		limit := b.GoodputTPS * (1 - opts.GoodputTolerance)
-		switch {
-		case c.GoodputTPS < limit:
-			regressions = append(regressions, fmt.Sprintf("%s: goodput %.1f tok/s < baseline %.1f -%.0f%% (limit %.1f)",
-				c.Name, c.GoodputTPS, b.GoodputTPS, opts.GoodputTolerance*100, limit))
-		case c.GoodputTPS > b.GoodputTPS*1.20:
-			notes = append(notes, fmt.Sprintf("%s: goodput improved %.1f -> %.1f tok/s; consider refreshing the baseline",
-				b.Name, b.GoodputTPS, c.GoodputTPS))
-		}
+	if on.PrefillCycles > off.PrefillCycles {
+		fail("prefix reuse increased prefill cycles (%.4g on vs %.4g off)", on.PrefillCycles, off.PrefillCycles)
 	}
-	for _, c := range current.Cases {
-		found := false
-		for _, b := range baseline.Cases {
-			if b.Name == c.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			regressions = append(regressions, fmt.Sprintf("%s: case absent from baseline (suite changed? refresh baseline)", c.Name))
-		}
+	if c.GroupsPerTenant > 0 && on.ReusedTokens == 0 {
+		fail("shared-prefix trace reused zero tokens")
 	}
-	return regressions, notes
+	return res, failed, nil
 }

@@ -1,92 +1,73 @@
 package bench
 
-import "testing"
+import (
+	"reflect"
+	"testing"
 
-// One quick-suite run must pass its own gate, and the gate must trip on a
-// perturbed baseline — the serve-perf CI job's self-check.
+	"mikpoly/internal/core"
+	"mikpoly/internal/hw"
+)
+
+// One quick-suite run must hold every self-check and pass the gate against
+// itself.
 func TestServeSuiteQuickAndGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve suite replays full traces; skipped in -short")
 	}
-	rep, err := RunServeSuite(ServeSuite(true), ServeMeasureOpts{})
+	rep, err := Run("serve", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Cases) != 2 {
 		t.Fatalf("got %d cases", len(rep.Cases))
 	}
+	for _, f := range rep.SelfChecks {
+		t.Errorf("self-check failed: %s", f)
+	}
 	for _, c := range rep.Cases {
-		if c.Completed == 0 {
+		if c.Exact["completed"] == "0" {
 			t.Fatalf("%s: nothing completed", c.Name)
 		}
-		if c.LeakedPages != 0 {
-			t.Fatalf("%s: leaked %d pages", c.Name, c.LeakedPages)
+		if c.Exact["leaked_pages"] != "0" {
+			t.Fatalf("%s: leaked %s pages", c.Name, c.Exact["leaked_pages"])
 		}
-		if !c.ReuseBitwiseEqual {
-			t.Fatalf("%s: reuse on/off digests differ", c.Name)
-		}
-		if !c.StepWithinSLO {
-			t.Fatalf("%s: p99 step %.3fms over the %.3fms bound", c.Name, c.P99StepMs, c.StepSLOMs)
-		}
-		if c.GroupsPerTenant > 0 {
-			if c.ReusedTokens == 0 {
-				t.Fatalf("%s: shared-prefix case reused no tokens", c.Name)
-			}
-			if c.PrefillCyclesOn >= c.PrefillCyclesOff {
-				t.Fatalf("%s: reuse did not cut prefill cycles: on=%g off=%g",
-					c.Name, c.PrefillCyclesOn, c.PrefillCyclesOff)
-			}
-		}
-		if c.GoodputTPS <= 0 {
+		if c.Info["goodput_tps"] <= 0 {
 			t.Fatalf("%s: zero goodput", c.Name)
 		}
 	}
-
-	// Self-compare passes.
-	if regs, _ := CompareServe(rep, rep, ServeCompareOpts{}); len(regs) != 0 {
+	shared := rep.Cases[0]
+	if shared.Exact["reused_tokens"] == "0" {
+		t.Fatalf("%s: shared-prefix case reused no tokens", shared.Name)
+	}
+	if shared.Info["prefill_cycles_on"] >= shared.Info["prefill_cycles_off"] {
+		t.Fatalf("%s: reuse did not cut prefill cycles: on=%g off=%g",
+			shared.Name, shared.Info["prefill_cycles_on"], shared.Info["prefill_cycles_off"])
+	}
+	if regs := Compare(rep, rep); len(regs) != 0 {
 		t.Fatalf("self-compare regressed: %v", regs)
-	}
-	// A goodput collapse beyond tolerance trips the gate.
-	bad := *rep
-	bad.Cases = append([]ServeCaseResult(nil), rep.Cases...)
-	bad.Cases[0].GoodputTPS *= 0.5
-	if regs, _ := CompareServe(rep, &bad, ServeCompareOpts{}); len(regs) == 0 {
-		t.Fatal("gate did not trip on a 50% goodput drop")
-	}
-	// A digest change trips the gate.
-	bad2 := *rep
-	bad2.Cases = append([]ServeCaseResult(nil), rep.Cases...)
-	bad2.Cases[1].DigestBits = "deadbeefdeadbeef"
-	if regs, _ := CompareServe(rep, &bad2, ServeCompareOpts{}); len(regs) == 0 {
-		t.Fatal("gate did not trip on a digest change")
-	}
-	// A leaked page trips the gate.
-	bad3 := *rep
-	bad3.Cases = append([]ServeCaseResult(nil), rep.Cases...)
-	bad3.Cases[0].LeakedPages = 1
-	if regs, _ := CompareServe(rep, &bad3, ServeCompareOpts{}); len(regs) == 0 {
-		t.Fatal("gate did not trip on a KV page leak")
 	}
 }
 
-// Two runs of the same case must produce bit-identical gated fields — the
-// property that makes BENCH_serve.json machine-independent.
+// Two runs of the same case must produce bit-identical exact fields — the
+// property that makes the committed baseline machine-independent.
 func TestServeSuiteDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serve suite replays full traces; skipped in -short")
 	}
-	cases := ServeSuite(true)[:1]
-	a, err := RunServeSuite(cases, ServeMeasureOpts{})
+	lib, err := core.SharedLibrary(hw.A100(), serveTune)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunServeSuite(cases, ServeMeasureOpts{})
+	c := serveCases(true)[0]
+	a, _, err := measureServeCase(c, lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := a.Cases[0], b.Cases[0]
-	if ca.GoodputTPSBits != cb.GoodputTPSBits || ca.DigestBits != cb.DigestBits {
-		t.Fatalf("replay not deterministic: goodput %s vs %s, digest %s vs %s",
-			ca.GoodputTPSBits, cb.GoodputTPSBits, ca.DigestBits, cb.DigestBits)
+	b, _, err := measureServeCase(c, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Exact, b.Exact) {
+		t.Fatalf("replay not deterministic:\n%v\n%v", a.Exact, b.Exact)
 	}
 }

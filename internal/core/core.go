@@ -128,16 +128,6 @@ func WithSnapshot(snap *plancache.Snapshot) Option {
 	return func(c *Compiler) { _, _ = c.ImportSnapshot(snap) }
 }
 
-// WithPlannerWorkers sets the online search's candidate-evaluation
-// parallelism (poly.Planner.Workers): n > 1 spreads (pattern, anchor) units
-// across n goroutines with a deterministic merge, so the chosen program is
-// identical to the sequential search. Worth it on NPU-style full pattern
-// sets; the GPU's two-pattern search is usually too short to amortize the
-// fan-out.
-func WithPlannerWorkers(n int) Option {
-	return func(c *Compiler) { c.planner.Workers = n }
-}
-
 // WithObs attaches an observability bundle: the planner records search spans
 // through o's tracer, and the compiler feeds the planner-latency histogram
 // and online-stage counters into o's registry. A nil o is a no-op, and all
@@ -241,7 +231,6 @@ func (c *Compiler) plannerForView(v health.View, fp string) *poly.Planner {
 	p.Cost = base.Cost
 	p.DisablePruning = base.DisablePruning
 	p.EnableSplitK = base.EnableSplitK
-	p.Workers = base.Workers
 	p.Trace = base.Trace
 	c.planners[fp] = p
 	return p

@@ -41,7 +41,6 @@ func (c *Compiler) SetLibrary(lib *tune.Library) {
 	p.Cost = base.Cost
 	p.DisablePruning = base.DisablePruning
 	p.EnableSplitK = base.EnableSplitK
-	p.Workers = base.Workers
 	p.Trace = base.Trace
 	c.lib = lib
 	c.libHash = lib.Hash()

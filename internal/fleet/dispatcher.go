@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mikpoly/internal/breaker"
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/obs"
@@ -115,7 +116,7 @@ type Dispatcher struct {
 	cfg     Config
 	o       *obs.Obs
 	events  *EventLog
-	brk     []*deviceBreaker
+	brk     []*breaker.Breaker
 	lat     []*ewma
 	maxPeak float64
 
@@ -155,13 +156,13 @@ func NewDispatcher(devices []*Device, cfg Config) *Dispatcher {
 		cfg:     cfg,
 		o:       cfg.Obs,
 		events:  ev,
-		brk:     make([]*deviceBreaker, len(devices)),
+		brk:     make([]*breaker.Breaker, len(devices)),
 		lat:     make([]*ewma, len(devices)),
 		quit:    make(chan struct{}),
 	}
 	for i, d := range devices {
 		f.idx[d] = i
-		f.brk[i] = newDeviceBreaker(cfg.BreakerThreshold)
+		f.brk[i] = breaker.New(cfg.BreakerThreshold)
 		f.lat[i] = &ewma{}
 		if d.events == nil {
 			d.events = ev
@@ -289,7 +290,7 @@ func (f *Dispatcher) pick(exclude map[*Device]bool, class string) *Device {
 			for i := 0; i < n; i++ {
 				k := (rot + i) % n
 				d := f.devices[k]
-				if exclude[d] || !d.Routable() || (!ignoreBreakers && !f.brk[k].allows()) {
+				if exclude[d] || !d.Routable() || (!ignoreBreakers && f.brk[k].State() != breaker.Closed) {
 					continue
 				}
 				if cl != "" && d.class != cl {
@@ -319,9 +320,9 @@ func (f *Dispatcher) strike(d *Device, err error) {
 	i := f.idx[d]
 	tripped := false
 	if errors.Is(err, ErrDeviceCrashed) || errors.Is(err, ErrDeviceDown) {
-		tripped = f.brk[i].forceOpen()
+		tripped = f.brk[i].ForceOpen()
 	} else {
-		tripped = f.brk[i].record(false)
+		tripped = f.brk[i].Record(false)
 	}
 	if tripped {
 		f.nBreakerTrips.Add(1)
@@ -341,7 +342,7 @@ func (f *Dispatcher) recordOutcome(d *Device, err error, dur time.Duration, pena
 	}
 	if err == nil {
 		f.lat[f.idx[d]].observe(dur)
-		f.brk[f.idx[d]].record(true)
+		f.brk[f.idx[d]].Record(true)
 		return
 	}
 	if errors.Is(err, ErrDeviceBusy) || !retryableOn(err) {
@@ -614,7 +615,7 @@ func (f *Dispatcher) ProbeNow(ctx context.Context) int {
 		if !d.Routable() {
 			continue
 		}
-		if !f.brk[i].beginProbe(f.cfg.BreakerCooldown) {
+		if !f.brk[i].BeginProbe(f.cfg.BreakerCooldown) {
 			continue
 		}
 		pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
@@ -622,7 +623,7 @@ func (f *Dispatcher) ProbeNow(ctx context.Context) int {
 		cancel()
 		f.nProbes.Add(1)
 		ok := err == nil
-		f.brk[i].probeResult(ok)
+		f.brk[i].ProbeResult(ok)
 		if ok {
 			readmitted++
 			f.nReadmissions.Add(1)
@@ -635,13 +636,13 @@ func (f *Dispatcher) ProbeNow(ctx context.Context) int {
 }
 
 // BreakerState returns the named device's breaker state (closed if unknown).
-func (f *Dispatcher) BreakerState(name string) BreakerState {
+func (f *Dispatcher) BreakerState(name string) breaker.State {
 	for i, d := range f.devices {
 		if d.name == name {
-			return f.brk[i].current()
+			return f.brk[i].State()
 		}
 	}
-	return BreakerClosed
+	return breaker.Closed
 }
 
 // Stats is the dispatcher's cumulative counter snapshot.
@@ -682,7 +683,7 @@ func (f *Dispatcher) Summaries() []DeviceSummary {
 			Name:        d.name,
 			Class:       d.class,
 			State:       d.State().String(),
-			Breaker:     f.brk[i].current().String(),
+			Breaker:     f.brk[i].State().String(),
 			Fingerprint: d.reg.View().Fingerprint(),
 			Outstanding: d.outstanding.Load(),
 			Started:     d.started.Load(),

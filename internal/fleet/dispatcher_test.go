@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mikpoly/internal/breaker"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
@@ -78,7 +79,7 @@ func TestDispatcherFailsOverOnCrash(t *testing.T) {
 	if crashed.State() != StateDead {
 		t.Fatalf("crash victim state = %s, want dead", crashed.State())
 	}
-	if st := f.BreakerState(crashed.name); st != BreakerOpen {
+	if st := f.BreakerState(crashed.name); st != breaker.Open {
 		t.Fatalf("crash victim breaker = %s, want open (forceOpen on crash)", st)
 	}
 	if stats := f.DispatchStats(); stats.Failovers == 0 {
@@ -109,7 +110,7 @@ func TestDispatcherHedgesAroundHangAndProberReadmits(t *testing.T) {
 		t.Fatalf("no hedges fired around the hung device: %+v", stats)
 	}
 	hung := f.devices[0]
-	if st := f.BreakerState(hung.name); st != BreakerOpen {
+	if st := f.BreakerState(hung.name); st != breaker.Open {
 		t.Fatalf("hung device breaker = %s, want open after a hedge strike", st)
 	}
 	if hung.State() == StateDead {
@@ -123,7 +124,7 @@ func TestDispatcherHedgesAroundHangAndProberReadmits(t *testing.T) {
 		if n := f.ProbeNow(context.Background()); n != 0 {
 			t.Fatalf("probe into the hang window readmitted %d devices, want 0", n)
 		}
-		if st := f.BreakerState(hung.name); st != BreakerOpen {
+		if st := f.BreakerState(hung.name); st != breaker.Open {
 			t.Fatalf("breaker after failed probe = %s, want open", st)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -132,7 +133,7 @@ func TestDispatcherHedgesAroundHangAndProberReadmits(t *testing.T) {
 	if n := f.ProbeNow(context.Background()); n != 1 {
 		t.Fatalf("ProbeNow readmitted %d devices, want 1", n)
 	}
-	if st := f.BreakerState(hung.name); st != BreakerClosed {
+	if st := f.BreakerState(hung.name); st != breaker.Closed {
 		t.Fatalf("breaker after successful probe = %s, want closed", st)
 	}
 	// The readmitted device receives traffic again. (Assert on ops started,
@@ -164,14 +165,14 @@ func TestProbeFailureKeepsBreakerOpen(t *testing.T) {
 		}
 		cancel()
 	}
-	if st := f.BreakerState(f.devices[0].name); st != BreakerOpen {
+	if st := f.BreakerState(f.devices[0].name); st != breaker.Open {
 		t.Skipf("hung device was never primary (breaker %s); nothing to probe", st)
 	}
 	time.Sleep(2 * time.Millisecond)
 	if n := f.ProbeNow(context.Background()); n != 0 {
 		t.Fatalf("ProbeNow readmitted %d devices, want 0 (still hanging)", n)
 	}
-	if st := f.BreakerState(f.devices[0].name); st != BreakerOpen {
+	if st := f.BreakerState(f.devices[0].name); st != breaker.Open {
 		t.Fatalf("breaker after failed probe = %s, want open", st)
 	}
 }

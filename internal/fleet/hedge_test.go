@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"mikpoly/internal/breaker"
 )
 
 // These tests pin the hedge double-booking fix: a request that hedges has ONE
@@ -55,10 +57,10 @@ func TestHedgeLateLoserSuccessExcluded(t *testing.T) {
 	if got := f.lat[f.idx[hedge]].get(); got != 0 {
 		t.Errorf("losing hedge fed the latency EWMA: %v (its duration includes losing the race)", got)
 	}
-	if st := f.BreakerState(primary.name); st != BreakerOpen {
+	if st := f.BreakerState(primary.name); st != breaker.Open {
 		t.Errorf("primary breaker = %s, want open (late success must not erase the hedge strike)", st)
 	}
-	if st := f.BreakerState(hedge.name); st != BreakerClosed {
+	if st := f.BreakerState(hedge.name); st != breaker.Closed {
 		t.Errorf("hedge breaker = %s, want closed (a late success is not a fault)", st)
 	}
 	stats := f.DispatchStats()
@@ -119,7 +121,7 @@ func TestHedgeLateLoserFaultStillStrikes(t *testing.T) {
 	close(release)
 
 	deadline := time.Now().Add(2 * time.Second)
-	for f.BreakerState(hedge.name) != BreakerOpen {
+	for f.BreakerState(hedge.name) != breaker.Open {
 		if time.Now().After(deadline) {
 			t.Fatal("late crash from the losing hedge never tripped its breaker")
 		}

@@ -5,31 +5,28 @@
 // serializes planned programs — together with everything that makes them
 // valid: the library content hash, the planner algorithm version, the target
 // hardware, and the health fingerprint each program was planned under — into
-// a crash-safe snapshot artifact (the tune.SaveFile idiom: temp file, fsync,
-// atomic rename, SHA-256 trailer). A new replica loads the snapshot and
+// a crash-safe snapshot artifact (the sealedfile format tune.SaveFile also
+// uses: temp file, fsync, atomic rename, SHA-256 trailer). A new replica loads the snapshot and
 // serves its first hot shapes with zero online plans; a snapshot whose
 // compatibility envelope mismatches is rejected wholesale and the replica
 // falls back to planning online, which is always correct, merely slower.
 //
 // Program identity is bitwise: an entry's fingerprint pairs the program's
 // region layout with the IEEE-754 bit pattern of its estimated cost, the same
-// convention as the BENCH_planner.json perf gate, so "the warm program equals
+// convention as the BENCH_gate.json benchmark gate, so "the warm program equals
 // the cold program" is checkable to the last bit.
 package plancache
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"mikpoly/internal/poly"
+	"mikpoly/internal/sealedfile"
 )
 
 // Schema names the snapshot wire format; FormatVersion guards structural
@@ -75,7 +72,7 @@ func ProgramFingerprint(p *poly.Program) string {
 }
 
 // CostBits is the IEEE-754 bit pattern of the program's estimated cost, hex
-// encoded — the BENCH_planner.json convention.
+// encoded — the BENCH_gate.json convention.
 func CostBits(p *poly.Program) string {
 	return fmt.Sprintf("%016x", math.Float64bits(p.EstimatedCost))
 }
@@ -145,12 +142,6 @@ func (s *Snapshot) Validate(libraryHash, hwName string) error {
 	return nil
 }
 
-// checksumPrefix introduces the integrity trailer appended after the JSON
-// document, mirroring the tune artifact format: json.Decoder stops at the end
-// of the first value, so the trailer is invisible to Load's decoder and
-// LoadFile verifies it explicitly.
-const checksumPrefix = "#mikpoly-sha256:"
-
 // Save writes the snapshot as indented JSON.
 func (s *Snapshot) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -171,67 +162,28 @@ func Load(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// SaveFile persists the snapshot to path crash-safely: written to a temporary
-// file in the same directory, fsynced, and atomically renamed over path, so a
-// crash mid-flush can never leave a torn snapshot where a complete one is
-// expected. A SHA-256 trailer over the JSON payload lets LoadFile detect bit
-// rot and partial copies.
+// SaveFile persists the snapshot to path in the crash-safe, checksummed
+// sealedfile format, so a crash mid-flush can never leave a torn snapshot
+// where a complete one is expected.
 func SaveFile(s *Snapshot, path string) error {
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	fmt.Fprintf(&buf, "%s%s\n", checksumPrefix, hex.EncodeToString(sum[:]))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := sealedfile.Write(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("plancache: saving snapshot: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("plancache: saving snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("plancache: saving snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("plancache: saving snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("plancache: saving snapshot: %w", err)
-	}
-	// Persist the rename itself: fsync the directory so the new name
-	// survives a crash. Some filesystems refuse directory syncs; the data
-	// is already durable, so that is not fatal.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
 
-// LoadFile restores a snapshot written by SaveFile, verifying the SHA-256
-// trailer before decoding. Any corruption — truncation, bit flips, a missing
-// trailer — is rejected with an error rather than silently loading a damaged
-// artifact; the caller falls back to online planning.
+// LoadFile restores a snapshot written by SaveFile. Any corruption —
+// truncation, bit flips, a missing trailer — is rejected with an error rather
+// than silently loading a damaged artifact; the caller falls back to online
+// planning.
 func LoadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
+	payload, err := sealedfile.Read(path)
 	if err != nil {
 		return nil, fmt.Errorf("plancache: loading snapshot: %w", err)
-	}
-	i := bytes.LastIndex(data, []byte(checksumPrefix))
-	if i < 0 {
-		return nil, fmt.Errorf("plancache: snapshot %s: missing integrity trailer (truncated or not written by SaveFile)", path)
-	}
-	payload, trailer := data[:i], data[i+len(checksumPrefix):]
-	want := string(bytes.TrimSpace(trailer))
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		return nil, fmt.Errorf("plancache: snapshot %s: checksum mismatch (artifact corrupted)", path)
 	}
 	s, err := Load(bytes.NewReader(payload))
 	if err != nil {

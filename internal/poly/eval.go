@@ -112,20 +112,6 @@ type winner struct {
 	candIdx   int
 }
 
-// ordinalLess orders winners by enumeration position (pattern-list index,
-// anchor, candidate) — the tie-break that makes the parallel merge agree with
-// the sequential first-strict-improvement rule. patIdx is the pattern's index
-// in the planner's pattern list (split-K sorts last via a sentinel).
-func ordinalLess(aPatIdx, aAnchor, aCand, bPatIdx, bAnchor, bCand int) bool {
-	if aPatIdx != bPatIdx {
-		return aPatIdx < bPatIdx
-	}
-	if aAnchor != bAnchor {
-		return aAnchor < bAnchor
-	}
-	return aCand < bCand
-}
-
 // skeletons returns the memoized boundary-candidate list for (pattern, shape,
 // anchor). The returned value is shared and must be treated as read-only.
 func (p *Planner) skeletons(pat PatternID, shape tensor.GemmShape, anchorIdx int) [][]rect {

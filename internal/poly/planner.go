@@ -19,7 +19,7 @@ import (
 // legitimately choose different programs for the same (shape, library) and a
 // snapshot must never pin a replica to a predecessor's decisions. Bump this
 // whenever a change alters which program the search selects or its estimated
-// cost bits (the BENCH_planner.json fingerprints are the oracle: if refreshing
+// cost bits (the BENCH_gate.json planner fingerprints are the oracle: if refreshing
 // the baseline is required, so is bumping the version).
 const PlannerVersion = 1
 
@@ -104,19 +104,9 @@ type Planner struct {
 	// for skinny outputs with deep reductions.
 	EnableSplitK bool
 
-	// Workers > 1 evaluates candidate (pattern, anchor) units across that
-	// many goroutines. The chosen program is identical to the sequential
-	// search — workers merge by (cost, enumeration-ordinal), matching the
-	// sequential first-strict-improvement rule — but PlanStats.Candidates
-	// and PrunedAnchors may differ, because branch-and-bound prunes
-	// against per-worker bounds. Ignored under CostOracle.
-	Workers int
-
 	// Trace, when non-nil and enabled, records hierarchical spans for the
 	// search (poly.plan → per-pattern enumeration → validate). It never
-	// affects which program is chosen. Per-pattern spans are recorded only
-	// by the sequential search; the parallel search records the outer
-	// poly.plan span alone.
+	// affects which program is chosen.
 	Trace *obs.Tracer
 }
 
@@ -202,8 +192,6 @@ func (p *Planner) PlanContext(ctx context.Context, shape tensor.GemmShape) (*Pro
 	switch {
 	case p.Cost == CostOracle:
 		best, err = p.planOracle(ctx, shape, &stats)
-	case p.Workers > 1:
-		best, err = p.planParallel(ctx, shape, &stats)
 	default:
 		best, err = p.planSequential(ctx, shape, &stats)
 	}

@@ -3,46 +3,22 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"mikpoly/internal/breaker"
 )
 
-// breakerState is the classic three-state circuit-breaker automaton.
-type breakerState int
-
-const (
-	breakerClosed breakerState = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// breaker is one model's circuit: consecutive unrecoverable failures open
-// it, opening sheds that model's traffic with 503 until the cooldown
-// elapses, then a single half-open probe decides between re-closing and
-// re-opening. Transient faults healed by the runtime's recovery ladder
-// never reach the breaker — only typed unrecoverable failures count, so a
+// breakerSet is the per-model-name breaker registry. One model's circuit:
+// consecutive unrecoverable failures open it, opening sheds that model's
+// traffic with 503 until the cooldown elapses, then a single half-open probe
+// — the next live request — decides between re-closing and re-opening.
+// Transient faults healed by the runtime's recovery ladder never reach the
+// breaker — only typed unrecoverable failures count, so a
 // degraded-but-functional device keeps serving.
-type breaker struct {
-	state    breakerState
-	failures int
-	openedAt time.Time
-}
-
-// breakerSet is the per-model-name breaker registry.
 type breakerSet struct {
 	mu        sync.Mutex
 	threshold int
 	cooldown  time.Duration
-	byModel   map[string]*breaker
+	byModel   map[string]*breaker.Breaker
 	now       func() time.Time // seam for deterministic tests
 }
 
@@ -50,7 +26,7 @@ func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
 	return &breakerSet{
 		threshold: threshold,
 		cooldown:  cooldown,
-		byModel:   make(map[string]*breaker),
+		byModel:   make(map[string]*breaker.Breaker),
 		now:       time.Now,
 	}
 }
@@ -62,25 +38,12 @@ func (bs *breakerSet) allow(model string) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.byModel[model]
-	if b == nil {
-		return true
-	}
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if bs.now().Sub(b.openedAt) >= bs.cooldown {
-			b.state = breakerHalfOpen
-			return true
-		}
-		return false
-	default: // half-open: one probe is already in flight
-		return false
-	}
+	return b == nil || b.State() == breaker.Closed || b.BeginProbe(bs.cooldown)
 }
 
 // record feeds one request outcome back. Returns true when this outcome
-// tripped the breaker open (for the trip counter).
+// tripped the breaker open (for the trip counter). While half-open the
+// outcome is the probe's verdict.
 func (bs *breakerSet) record(model string, ok bool) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
@@ -89,49 +52,39 @@ func (bs *breakerSet) record(model string, ok bool) bool {
 		// Register the model either way: the /metrics state gauge exports a
 		// series per model seen, and a closed series is what makes a later
 		// open transition legible as 0→1.
-		b = &breaker{}
+		b = breaker.New(bs.threshold)
+		b.Now = func() time.Time { return bs.now() }
 		bs.byModel[model] = b
 	}
-	if ok {
-		b.state = breakerClosed
-		b.failures = 0
-		return false
+	if b.State() == breaker.HalfOpen {
+		b.ProbeResult(ok)
+		return !ok
 	}
-	b.failures++
-	if b.state == breakerHalfOpen || b.failures >= bs.threshold {
-		tripped := b.state != breakerOpen
-		b.state = breakerOpen
-		b.openedAt = bs.now()
-		b.failures = 0
-		return tripped
-	}
-	return false
+	return b.Record(ok)
 }
 
 // states lists every model the breaker set has seen with its current state,
 // closed included — the /metrics gauge needs the full series so a breaker
 // re-closing is visible as a 1→0 transition, not a vanished series.
-func (bs *breakerSet) states() map[string]breakerState {
+func (bs *breakerSet) states() map[string]breaker.State {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	out := make(map[string]breakerState, len(bs.byModel))
+	out := make(map[string]breaker.State, len(bs.byModel))
 	for name, b := range bs.byModel {
-		out[name] = b.state
+		out[name] = b.State()
 	}
 	return out
 }
 
 // snapshot lists the non-closed breakers for /healthz.
 func (bs *breakerSet) snapshot() map[string]string {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
 	var out map[string]string
-	for name, b := range bs.byModel {
-		if b.state != breakerClosed {
+	for name, st := range bs.states() {
+		if st != breaker.Closed {
 			if out == nil {
 				out = make(map[string]string)
 			}
-			out[name] = b.state.String()
+			out[name] = st.String()
 		}
 	}
 	return out

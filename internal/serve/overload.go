@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"mikpoly/internal/breaker"
 	"mikpoly/internal/obs"
 )
 
@@ -82,7 +83,7 @@ func (s *Server) overloadSignal() float64 {
 	if states := s.breakers.states(); len(states) > 0 {
 		open := 0
 		for _, st := range states {
-			if st == breakerOpen {
+			if st == breaker.Open {
 				open++
 			}
 		}

@@ -2,79 +2,32 @@ package tune
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
+
+	"mikpoly/internal/sealedfile"
 )
 
-// checksumPrefix introduces the integrity trailer SaveFile appends after the
-// JSON document. json.Decoder stops at the end of the first value, so the
-// trailer is invisible to the stream-oriented Load; LoadFile verifies it.
-const checksumPrefix = "#mikpoly-sha256:"
-
-// SaveFile persists the library to path crash-safely: the artifact is
-// written to a temporary file in the same directory, fsynced, and atomically
-// renamed over path, so a crash mid-write can never leave a truncated
-// library where a complete one is expected. A SHA-256 trailer over the JSON
-// payload lets LoadFile detect bit rot and partial copies.
+// SaveFile persists the library to path in the crash-safe, checksummed
+// sealedfile format, so a crash mid-write can never leave a truncated
+// library where a complete one is expected.
 func SaveFile(l *Library, path string) error {
 	var buf bytes.Buffer
 	if err := l.Save(&buf); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	fmt.Fprintf(&buf, "%s%s\n", checksumPrefix, hex.EncodeToString(sum[:]))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
+	if err := sealedfile.Write(path, buf.Bytes()); err != nil {
 		return fmt.Errorf("tune: saving library: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tune: saving library: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("tune: saving library: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("tune: saving library: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("tune: saving library: %w", err)
-	}
-	// Persist the rename itself: fsync the directory so the new name
-	// survives a crash. Some filesystems refuse directory syncs; the data
-	// is already durable, so that is not fatal.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	return nil
 }
 
-// LoadFile restores a library written by SaveFile, verifying the SHA-256
-// trailer before decoding. Any corruption — truncation, bit flips, a missing
-// trailer — is rejected with an error rather than silently loading a
-// damaged artifact.
+// LoadFile restores a library written by SaveFile. Any corruption —
+// truncation, bit flips, a missing trailer — is rejected with an error
+// rather than silently loading a damaged artifact.
 func LoadFile(path string) (*Library, error) {
-	data, err := os.ReadFile(path)
+	payload, err := sealedfile.Read(path)
 	if err != nil {
 		return nil, fmt.Errorf("tune: loading library: %w", err)
-	}
-	i := bytes.LastIndex(data, []byte(checksumPrefix))
-	if i < 0 {
-		return nil, fmt.Errorf("tune: library %s: missing integrity trailer (truncated or not written by SaveFile)", path)
-	}
-	payload, trailer := data[:i], data[i+len(checksumPrefix):]
-	want := string(bytes.TrimSpace(trailer))
-	sum := sha256.Sum256(payload)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		return nil, fmt.Errorf("tune: library %s: checksum mismatch (artifact corrupted)", path)
 	}
 	lib, err := Load(bytes.NewReader(payload))
 	if err != nil {
