@@ -2,7 +2,7 @@
 // against the committed baseline (BENCH_gate.json). It is the CI gate job's
 // engine and the local tool for refreshing the baseline.
 //
-// Five suites are available via -suite (default all):
+// Six suites are available via -suite (default all):
 //
 //   - planner: the online planner's decisions, allocations and latency over
 //     BERT-style dynamic-sequence-length and Llama-decode GEMM shapes;
@@ -13,7 +13,9 @@
 //   - plancache: cold vs warm plans-before-first-hit through the persistent
 //     plan-cache tier;
 //   - overload: surge survival — the same Poisson burst replayed with the
-//     overload defenses on vs off; -seeds overrides the seed matrix.
+//     overload defenses on vs off; -seeds overrides the seed matrix;
+//   - graph: warm graph executions — cycles, zero simulator calls and the
+//     allocations of replaying a decode step graph and a BERT graph.
 //
 // Every suite emits the same report (internal/bench/gate.go): cases whose
 // fields are exact (must equal the baseline), no_grow (may not exceed it) or

@@ -61,6 +61,7 @@ var suites = []struct {
 	{"fusion", fusionSuite},
 	{"plancache", planCacheSuite},
 	{"overload", overloadSuite},
+	{"graph", graphSuite},
 }
 
 // SuiteNames lists the suites Run accepts besides "all".

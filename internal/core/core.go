@@ -474,6 +474,32 @@ func (c *Compiler) planIsolated(ctx context.Context, shape tensor.GemmShape, fp 
 	return prog, stats, err
 }
 
+// Lookup returns the program cached for shape under the current health view
+// and library, or nil. It is the hit path of PlanOrFallback and nothing else:
+// a hit refreshes recency, counts as a cache hit and feeds the traffic
+// tracker; an absent entry counts no miss (the caller goes on to
+// PlanOrFallback, which counts it) and starts no planning. Callers that can
+// do something useful with "not cached yet" — the graph runtime hands only
+// those ops to its plan-ahead pool — ask here first.
+func (c *Compiler) Lookup(shape tensor.GemmShape) *poly.Program {
+	prog, _, _ := c.lookup(shape)
+	return prog
+}
+
+// lookup is Lookup, also returning the view it probed so a miss plans against
+// the same one. Invalid shapes are never cached, so they always return nil.
+func (c *Compiler) lookup(shape tensor.GemmShape) (*poly.Program, health.View, string) {
+	v, fp := c.currentView()
+	c.maybeReplanOnChange(v, fp)
+	c.mu.Lock()
+	prog := c.cache.hit(cacheKey{shape: shape, lib: c.libHash, fp: fp})
+	c.mu.Unlock()
+	if prog != nil {
+		c.tracker.Observe(shape)
+	}
+	return prog, v, fp
+}
+
 // PlanOrFallback returns the optimized program for shape, degrading to the
 // always-legal single-kernel program (local padding makes it valid for every
 // positive shape, §3.4) when planning fails, panics, or exceeds ctx's
@@ -481,11 +507,13 @@ func (c *Compiler) planIsolated(ctx context.Context, shape tensor.GemmShape, fp 
 // programs are not cached, so a later request retries full polymerization.
 // Only an invalid shape or an unusable library yields an error.
 func (c *Compiler) PlanOrFallback(ctx context.Context, shape tensor.GemmShape) (prog *poly.Program, degraded bool, err error) {
+	prog, v, fp := c.lookup(shape)
+	if prog != nil {
+		return prog, false, nil
+	}
 	if shape.Valid() {
 		c.tracker.Observe(shape)
 	}
-	v, fp := c.currentView()
-	c.maybeReplanOnChange(v, fp)
 	prog, err = c.planForView(ctx, shape, v, fp)
 	if err == nil {
 		return prog, false, nil

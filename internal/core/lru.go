@@ -77,16 +77,25 @@ func newLRU(capacity int) *lruCache {
 	}
 }
 
-// get returns the cached program for key and refreshes its recency.
-func (c *lruCache) get(key cacheKey) (*poly.Program, bool) {
+// hit returns the cached program for key, counting the hit and refreshing its
+// recency; an absent key returns nil and changes nothing.
+func (c *lruCache) hit(key cacheKey) *poly.Program {
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
-		return nil, false
+		return nil
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).prog, true
+	return el.Value.(*lruEntry).prog
+}
+
+// get is hit for callers that plan on absence: the absent key counts a miss.
+func (c *lruCache) get(key cacheKey) (*poly.Program, bool) {
+	if prog := c.hit(key); prog != nil {
+		return prog, true
+	}
+	c.misses++
+	return nil, false
 }
 
 // peek reports whether key is cached without touching recency or counters.

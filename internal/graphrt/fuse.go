@@ -10,8 +10,14 @@ import (
 	"mikpoly/internal/tensor"
 )
 
-// chainEntry caches one fusion chain's planning decision, keyed by the chain
-// spec's content fingerprint. prog is nil when the cost model rejected fusion
+// chainKey identifies a fusion decision: the chain spec's content fingerprint
+// and the content hash of the kernel library the chain and its per-op
+// alternative were priced from, so a library swap re-prices every chain.
+type chainKey struct {
+	spec, lib string
+}
+
+// chainEntry caches one fusion chain's planning decision. prog is nil when the cost model rejected fusion
 // (or the fused plan failed): the member ops then stay on the per-op path,
 // and the rejection itself is remembered so repeated graphs do not re-pay the
 // comparison.
@@ -97,7 +103,7 @@ func (r *Runtime) planFusion(ctx context.Context, g nn.Graph, rep *Report) *fusi
 }
 
 // chainPlan resolves one chain's fusion decision, memoized by spec
-// fingerprint. A chain fuses only when the fused program's modeled cost beats
+// fingerprint and library hash. A chain fuses only when the fused program's modeled cost beats
 // the summed per-op alternative — the member GEMMs' planned programs plus the
 // folded elementwise middles' bandwidth-bound cycles. Fused strip tasks trade
 // output-tile parallelism for inter-stage traffic, so the comparison is
@@ -105,7 +111,7 @@ func (r *Runtime) planFusion(ctx context.Context, g nn.Graph, rep *Report) *fusi
 // A degraded or failed member plan rejects fusion outright (never fuse on top
 // of a fallback-quality estimate).
 func (r *Runtime) chainPlan(ctx context.Context, g nn.Graph, ch graphopt.Chain) chainEntry {
-	key := ch.Spec.String()
+	key := chainKey{spec: ch.Spec.String(), lib: r.comp.LibraryHash()}
 	r.mu.Lock()
 	if e, ok := r.chainCache[key]; ok {
 		r.mu.Unlock()
@@ -140,7 +146,7 @@ func (r *Runtime) chainPlan(ctx context.Context, g nn.Graph, ch graphopt.Chain) 
 	}
 	r.mu.Lock()
 	if len(r.chainCache) >= chainCacheCap {
-		r.chainCache = make(map[string]chainEntry)
+		r.chainCache = make(map[chainKey]chainEntry)
 	}
 	r.chainCache[key] = entry
 	r.mu.Unlock()

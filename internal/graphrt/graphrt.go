@@ -1,18 +1,24 @@
 // Package graphrt is the graph runtime: it executes whole model graphs
 // (nn.Graph) end to end on the simulator substrate, the missing layer
 // between per-operator planning (core.Compiler) and the end-to-end results
-// of §5.2.2–§5.2.4. It contributes four things the per-operator path lacks:
+// of §5.2.2–§5.2.4. It contributes five things the per-operator path lacks:
 //
 //   - a dependency-aware schedule: ops run in topological stages derived
 //     from the graph's edges; ops sharing a stage (and the Count instances
 //     of per-head GEMMs) co-schedule on the device in one simulator launch;
 //
-//   - an asynchronous plan-ahead pipeline: a bounded worker pool plans
-//     upcoming ops through the compiler's LRU/singleflight cache while the
-//     executor runs the current stage, hiding the online polymerization
-//     cost behind execution — the "on-the-fly" story at model granularity.
-//     Per-graph stats separate hidden planning time from planning stalls
-//     (wall time the executor waited on an unfinished plan);
+//   - an asynchronous plan-ahead pipeline: ops whose program the compiler
+//     already caches are answered by one lookup each; a bounded worker pool
+//     plans the other shapes, once each, while the executor runs the current
+//     stage, hiding the online polymerization cost behind execution — the
+//     "on-the-fly" story at model granularity. Per-graph stats separate
+//     hidden planning time from planning stalls (wall time the executor
+//     waited on an unfinished plan or planned on its own critical path);
+//
+//   - a stage memo asked before anything is lowered: a stage is identified
+//     by the content of its programs, their instance counts, the health
+//     view and the fault salt, and only a stage the memo has not seen is
+//     lowered to tasks and simulated (see key.go, pipeline.go);
 //
 //   - a global-memory planner: liveness-based first-fit assignment of
 //     inter-op tensors against H.M_global, reusing freed regions and
@@ -28,6 +34,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mikpoly/internal/core"
@@ -98,19 +105,25 @@ type Runtime struct {
 	// (salt and view ignored).
 	simFn func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result
 
-	mu         sync.Mutex
-	agg        Stats
-	simCache   map[string]simEntry
-	chainCache map[string]chainEntry
-}
+	// lowerFn turns a stage's programs into its task batch on a hardware
+	// view (lowerStage); a seam tests use to count lowerings and to see
+	// which view a batch was lowered on.
+	lowerFn func(ops []stageOp, h hw.Hardware) []sim.Task
 
-// simEntry caches one stage's simulated execution within a salt generation.
-// The full Result is retained: memoized replays still accumulate per-PE
-// utilization, and the recovery ladder needs the fault breakdown (faulted,
-// stranded, dead PEs) when a cached dirty stage replays.
-type simEntry struct {
-	salt uint64
-	res  sim.Result
+	// lookupFn is the hit-only plan-cache probe the pipeline asks before
+	// planFn (core.Compiler.Lookup); a test that replaces planFn and must
+	// see every plan request sets it to nil.
+	lookupFn func(shape tensor.GemmShape) *poly.Program
+
+	mu  sync.Mutex
+	agg Stats
+	// simCache memoizes stage executions. The full Result is retained:
+	// memoized replays still accumulate per-PE utilization, and the recovery
+	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
+	// cached dirty stage replays.
+	simCache   map[stageKey]sim.Result
+	digests    map[*poly.Program]digest
+	chainCache map[chainKey]chainEntry
 }
 
 // Stats are the runtime's cumulative counters, aggregated across Execute
@@ -243,8 +256,11 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		h:          comp.Hardware(),
 		cfg:        cfg,
 		o:          cfg.Obs,
-		simCache:   make(map[string]simEntry),
-		chainCache: make(map[string]chainEntry),
+		lowerFn:    lowerStage,
+		lookupFn:   comp.Lookup,
+		simCache:   make(map[stageKey]sim.Result),
+		digests:    make(map[*poly.Program]digest),
+		chainCache: make(map[chainKey]chainEntry),
 	}
 	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
 		pctx := ctx
@@ -299,13 +315,20 @@ func (r *Runtime) Stats() Stats {
 	return s
 }
 
-// ticket is one op's plan, produced by the pipeline or inline.
+// ticket is one op's plan: filled synchronously from the plan cache, by the
+// plan-ahead pool, or inline. done is non-nil only for a plan handed to the
+// pool; claimed is taken by whoever plans it, a pool worker or — when no
+// worker has started by the time the plan is needed — the executor itself.
+// repeat marks an op whose shape an earlier pooled op of the same execution
+// already covers.
 type ticket struct {
 	done     chan struct{}
 	prog     *poly.Program
-	degraded bool
 	err      error
 	wall     time.Duration
+	claimed  atomic.Bool
+	repeat   bool
+	degraded bool
 }
 
 // Execute runs the graph end to end and returns its report.
@@ -344,28 +367,30 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	}
 
 	// Flatten the stage schedule into the planning order and start the
-	// plan-ahead pipeline (nil tickets = inline planning).
+	// plan-ahead pipeline (nil = inline planning).
 	order := make([]int, 0, len(g.Ops))
 	for _, stage := range stages {
 		order = append(order, stage...)
 	}
-	pctx, stop := context.WithCancel(ctx)
-	defer stop()
-	pipe := r.startPipeline(pctx, g, order, fusion)
+	pipe := r.startPipeline(ctx, g, order, fusion)
+	defer pipe.stop()
 
 	// Spans cover novel work only: each memo-missing stage gets a
 	// graphrt.stage span inside runStageCached, while memoized replays —
 	// the bulk of a deep model's stages — ride on the enclosing execute
 	// span. Spanning all ~N stages of a decode graph would put hundreds of
 	// span commits on a ~ms execution, busting the <2% overhead contract.
+	var ops []stageOp
 	for si, stage := range stages {
-		var tasks []sim.Task
-		var ops []stageOp
-		stageKey := ""
+		// Only the stage's programs and its memo key are collected here;
+		// runStageCached lowers them to tasks when the memo misses.
+		ops = ops[:0]
+		numTasks := 0
 		// The health view is resolved per stage, not per graph: a PE
 		// quarantined while stage k executes shrinks the hardware stage
 		// k+1 runs on — mid-graph adaptation.
 		v, fp, hEff := r.healthView()
+		key := stageKey{fp: fp, salt: salt}
 		for _, i := range stage {
 			op := g.Ops[i]
 			if fusion != nil {
@@ -376,10 +401,10 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 					continue
 				}
 				if fprog := fusion.head[i]; fprog != nil {
-					tasks = append(tasks, fprog.Tasks(hEff)...)
 					ops = append(ops, stageOp{shape: op.Gemm, count: 1,
 						prog: fprog, chainShapes: fusion.shapes[i]})
-					stageKey += progKey(fprog, 1)
+					key.add(r.progDigest(fprog), 1)
+					numTasks += fprog.NumTasks()
 					continue
 				}
 			}
@@ -391,21 +416,18 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 			if err != nil {
 				return Report{}, fmt.Errorf("graphrt: graph %s op %s: %w", g.Name, op.Name, err)
 			}
-			single := t.prog.Tasks(hEff)
-			for c := 0; c < op.Count; c++ {
-				tasks = append(tasks, single...)
-			}
 			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: t.prog})
-			stageKey += progKey(t.prog, op.Count)
+			key.add(r.progDigest(t.prog), op.Count)
+			numTasks += t.prog.NumTasks() * op.Count
 		}
-		if len(tasks) > 0 {
-			res := r.runStageCached(ctx, si, stageKey, fp, hEff, v, tasks, salt)
+		if numTasks > 0 {
+			res := r.runStageCached(ctx, si, key, hEff, v, ops, hEff)
 			r.observe(v, res)
 			switch {
 			case res.Clean():
 				// Healthy stage.
 			case r.cfg.Health != nil:
-				recovered, err := r.recoverStage(ctx, g, si, ops, stageKey, tasks, salt, res, &rep)
+				recovered, err := r.recoverStage(ctx, g, si, ops, key, hEff, res, &rep)
 				if err != nil {
 					return Report{}, err
 				}

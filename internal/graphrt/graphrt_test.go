@@ -20,7 +20,13 @@ import (
 // shares the test-sized micro-kernel library across tests.
 func testRuntime(t *testing.T, cfg Config) *Runtime {
 	t.Helper()
-	lib, err := core.SharedLibrary(hw.A100(), tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256})
+	return runtimeOn(t, hw.A100(), cfg)
+}
+
+// runtimeOn is testRuntime for another device.
+func runtimeOn(t *testing.T, h hw.Hardware, cfg Config) *Runtime {
+	t.Helper()
+	lib, err := core.SharedLibrary(h, tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,10 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 // execution came back dirty (faulted or stranded tasks):
 //
 //	rung 1 — retry in place: identical task batch, fresh salt. Clears
-//	         transient faults at the cost of one stage re-execution.
+//	         transient faults at the cost of one stage re-execution. The
+//	         batch is lowered again rather than kept, on firstHW — the view
+//	         the stage first ran under, since task numbers depend on it —
+//	         even if a PE was quarantined in between.
 //	rung 2 — migrate: regenerate the same programs' tasks on the *current*
 //	         degraded view H' (the initial failure's observation may have
 //	         quarantined a PE) and run on the survivors.
@@ -86,7 +89,7 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 // executions. On success the healed result is returned; its cycles are
 // charged by the caller.
 func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []stageOp,
-	stageKey string, tasks []sim.Task, salt uint64, first sim.Result, rep *Report) (sim.Result, error) {
+	firstKey stageKey, firstHW hw.Hardware, first sim.Result, rep *Report) (sim.Result, error) {
 
 	res := first
 	for attempt := 1; ; attempt++ {
@@ -114,21 +117,20 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 		}
 
 		v, fp, hEff := r.healthView()
-		key := stageKey
-		runTasks := tasks
-		switch {
-		case attempt == 1:
-			// Retry in place: same batch, fresh salt.
-		case attempt == 2:
+		key := firstKey
+		key.fp, key.salt = fp, recoverySalt(firstKey.salt, attempt)
+		lowerOn := firstHW
+		if attempt >= 2 {
 			// Migrate: same programs, current survivor set.
-			runTasks = regenTasks(ops, hEff)
-		default:
+			lowerOn = hEff
+		}
+		if attempt >= 3 {
 			// Replan every op against the degraded view. The compiler's
 			// cache key carries fp, so this never dredges up a
 			// healthy-mode program — and a repeat failure re-plans
 			// against the then-current view.
 			newOps := make([]stageOp, 0, len(ops))
-			key = ""
+			key.ops = digest{}
 			for _, op := range ops {
 				// A fused chain dissolves into its member GEMMs here:
 				// each member replans individually against H'.
@@ -149,14 +151,13 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 						rep.Degraded++
 					}
 					newOps = append(newOps, stageOp{shape: s, count: op.count, prog: prog})
-					key += progKey(prog, op.count)
+					key.add(r.progDigest(prog), op.count)
 				}
 			}
 			ops = newOps
-			runTasks = regenTasks(ops, hEff)
 		}
 
-		res = r.runStageCached(ctx, si, key, fp, hEff, v, runTasks, recoverySalt(salt, attempt))
+		res = r.runStageCached(ctx, si, key, hEff, v, ops, lowerOn)
 		r.observe(v, res)
 		if res.Clean() {
 			rep.RecoveredStages++
@@ -173,17 +174,4 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 			return res, nil
 		}
 	}
-}
-
-// regenTasks materializes the stage's task batch from its programs on the
-// given hardware.
-func regenTasks(ops []stageOp, h hw.Hardware) []sim.Task {
-	var tasks []sim.Task
-	for _, op := range ops {
-		batch := op.prog.Tasks(h)
-		for i := 0; i < op.count; i++ {
-			tasks = append(tasks, batch...)
-		}
-	}
-	return tasks
 }

@@ -40,8 +40,8 @@ func Llama2Decode(batch, kvLen int) Graph {
 // GEMMs first, bandwidth-bound work after, the Table 8 convention — does
 // not reflect; graph-level schedulers and the memory planner rely on them.
 func llamaStep(name string, tokens, batch, kvLen int) Graph {
-	g := Graph{Name: name}
 	ops := workload.LlamaOps()
+	g := Graph{Name: name, Ops: make([]Op, 0, llamaLayers*(len(ops)+2))}
 	for l := 0; l < llamaLayers; l++ {
 		base := len(g.Ops)
 		for _, op := range ops {

@@ -35,7 +35,8 @@ func Transformer(cfg TransformerConfig, seq, batch int) Graph {
 	if seq < 1 || batch < 1 {
 		panic(fmt.Sprintf("nn: invalid transformer input seq=%d batch=%d", seq, batch))
 	}
-	g := Graph{Name: fmt.Sprintf("%s@seq%d_b%d", cfg.Name, seq, batch)}
+	// Six GEMMs and one elementwise op per layer.
+	g := Graph{Name: fmt.Sprintf("%s@seq%d_b%d", cfg.Name, seq, batch), Ops: make([]Op, 0, cfg.Layers*7)}
 	rows := seq * batch
 	headDim := cfg.Hidden / cfg.Heads
 	for l := 0; l < cfg.Layers; l++ {

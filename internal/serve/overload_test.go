@@ -3,14 +3,18 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mikpoly/internal/health"
+	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
 	"mikpoly/internal/sched"
+	"mikpoly/internal/sim"
 )
 
 // TestBrownoutLadderHysteresis drives the pure automaton through a load
@@ -191,7 +195,19 @@ func TestGenerateDeadline504(t *testing.T) {
 		SchedInFlightTokens: 600,
 	})
 
-	// Fill the budget with a long-running request so the victim queues.
+	// Fill the budget with a request that is held inside its first stage's
+	// simulator call until the victim sits in the queue behind it: the
+	// victim then waits out the rest of that wave on the scheduler's clock
+	// and is shed at the next one, however fast or slow the host is.
+	admitted, release := make(chan struct{}), make(chan struct{})
+	var gate sync.Once
+	srv.runtime.Load().SetSimulator(func(h hw.Hardware, _ health.View, tasks []sim.Task, _ uint64) sim.Result {
+		gate.Do(func() {
+			close(admitted)
+			<-release
+		})
+		return sim.Run(h, tasks)
+	})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	var firstStatus int
@@ -201,7 +217,13 @@ func TestGenerateDeadline504(t *testing.T) {
 			generateRequest{PromptLen: 512, Steps: 32})
 		firstStatus = resp.StatusCode
 	}()
-	time.Sleep(50 * time.Millisecond) // let the occupier be admitted
+	<-admitted
+	go func() {
+		defer close(release)
+		for srv.sched.Load().Scheduler().Stats().Queued == 0 {
+			runtime.Gosched()
+		}
+	}()
 
 	resp, data := postTenant(t, ts.URL+"/generate", "acme",
 		generateRequest{PromptLen: 512, Steps: 1, DeadlineMs: 0.0001})
