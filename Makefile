@@ -29,10 +29,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing burst against the serving layer's input handling.
+# Short fuzzing burst against the serving layer's input handling and the
+# planner's sweep ≡ reference oracle.
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
+	$(GO) test ./internal/poly/ -run '^$$' -fuzz FuzzPlanEquivalence -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -6,11 +6,15 @@
 // what the planner decided — the chosen program, its candidate count and its
 // cycle costs bit for bit (exact) — what it allocated per plan (no_grow), and
 // how long a plan took on this machine (info; end-to-end planner wall time is
-// mikload's poly.plan_us).
+// mikload's poly.plan_us). A pinned shape says nothing about per-candidate
+// churn on shapes the process has not seen, so each device also plans a
+// seeded stream of distinct shapes (the cold-stream cases).
 package bench
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"time"
 
 	"mikpoly/internal/core"
@@ -93,6 +97,23 @@ func plannerSuite(quick bool, _ []uint64) ([]Case, []string, error) {
 		}
 		out = append(out, res)
 	}
+	for _, c := range []struct {
+		name string
+		hw   hw.Hardware
+	}{
+		{"ascend910-cold-stream", hw.Ascend910()},
+		{"a100-cold-stream", hw.A100()},
+	} {
+		lib, err := core.SharedLibrary(c.hw, tune.DefaultOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := measureColdStream(c.name, lib)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, res)
+	}
 	return out, nil, nil
 }
 
@@ -101,7 +122,7 @@ const plannerMinTime = 150 * time.Millisecond
 
 // measurePlannerCase records the planner's decision for one case, then times
 // it with a testing-free benchmark loop after a warmup that populates the
-// skeleton memo and scratch pool, as a serving process would be.
+// scratch pool, as a serving process would be.
 func measurePlannerCase(c plannerCase, lib *tune.Library) (Case, error) {
 	p := poly.NewPlanner(lib)
 	shape := tensor.GemmShape{M: c.M, N: c.N, K: c.K}
@@ -129,6 +150,53 @@ func measurePlannerCase(c plannerCase, lib *tune.Library) (Case, error) {
 		}
 	}
 	allocs, bytes, ns, err := measureOp(plannerMinTime, 32, planOnce)
+	if err != nil {
+		return res, err
+	}
+	res.NoGrow = map[string]int64{"allocs_per_op": allocs, "bytes_per_op": bytes}
+	res.Info = map[string]float64{"ns_per_op": ns}
+	return res, nil
+}
+
+// coldStreamLen is the number of distinct shapes in a cold-stream case, and
+// the exact length of its measured window.
+const coldStreamLen = 512
+
+// measureColdStream plans a fixed seeded stream of distinct shapes. Its exact
+// fields fold every decision of the stream — total candidates, and a 64-bit
+// hash over each winner's program string and cost bits; its no_grow fields are
+// the allocations of one cold plan, averaged over a window that covers the
+// stream exactly once (measureOp with no time floor and coldStreamLen
+// iterations), so they are as machine-independent as the pinned cases'.
+func measureColdStream(name string, lib *tune.Library) (Case, error) {
+	rng := rand.New(rand.NewSource(22))
+	shapes := make([]tensor.GemmShape, coldStreamLen)
+	for i := range shapes {
+		shapes[i] = tensor.GemmShape{M: 1 + rng.Intn(8192), N: 1 + rng.Intn(8192), K: 1 + rng.Intn(16384)}
+	}
+	p := poly.NewPlanner(lib)
+
+	candidates := 0
+	fold := fnv.New64a()
+	for _, s := range shapes {
+		prog, stats, err := p.Plan(s)
+		if err != nil {
+			return Case{}, fmt.Errorf("case %s: %w", name, err)
+		}
+		candidates += stats.Candidates
+		fmt.Fprintf(fold, "%s %s\n", prog, floatBits(prog.EstimatedCost))
+	}
+	res := Case{Name: name, Exact: map[string]string{
+		"candidates":    itoa(candidates),
+		"programs_fold": fmt.Sprintf("%016x", fold.Sum64()),
+	}}
+
+	next := 0
+	allocs, bytes, ns, err := measureOp(0, coldStreamLen, func() error {
+		_, _, err := p.Plan(shapes[next%coldStreamLen])
+		next++
+		return err
+	})
 	if err != nil {
 		return res, err
 	}

@@ -60,3 +60,27 @@ func TestPlannerSuiteDeterministicAndSelfConsistent(t *testing.T) {
 		t.Fatalf("self-comparison reported regressions: %v", regs)
 	}
 }
+
+// TestColdStreamCaseDeterministic: the cold-stream case folds the same
+// decisions on every run and holds the per-plan allocation budget on shapes
+// the planner has never seen.
+func TestColdStreamCaseDeterministic(t *testing.T) {
+	lib, err := core.SharedLibrary(hw.Ascend910(), serveTune)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := measureColdStream("a910-cold", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := measureColdStream("a910-cold", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Exact, b.Exact) || a.Exact["programs_fold"] == "" || a.Exact["candidates"] == "" {
+		t.Fatalf("exact fields differ across runs or are missing:\n%v\n%v", a.Exact, b.Exact)
+	}
+	if a.NoGrow["allocs_per_op"] > 8 {
+		t.Fatalf("%d allocs per cold plan", a.NoGrow["allocs_per_op"])
+	}
+}

@@ -12,7 +12,7 @@ import (
 // cost-model quality, far too slow for runtime use (§5.3.2). It never prunes
 // (its score scale is simulated cycles, not comparable to the cost-model
 // bound) and is exempt from the allocation-free fast path by design.
-func (p *Planner) planOracle(ctx context.Context, shape tensor.GemmShape, stats *PlanStats) (*Program, error) {
+func (p *Planner) planOracle(ctx context.Context, sc *scratch, shape tensor.GemmShape, stats *PlanStats) (*Program, error) {
 	var best *Program
 	bestCost := 0.0
 	consider := func(prog *Program, cost float64) {
@@ -23,30 +23,23 @@ func (p *Planner) planOracle(ctx context.Context, shape tensor.GemmShape, stats 
 		}
 	}
 
+	var bs boundarySet
 	for _, pat := range p.patterns() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("poly: planning aborted: %w", err)
 		}
 		_, psp := p.Trace.Start(ctx, patternSpanName(pat))
 		before := stats.Candidates
-		for _, anchor := range p.Lib.Kernels {
+		for ai, anchor := range p.Lib.Kernels {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("poly: planning aborted: %w", err)
 			}
-			for _, geoms := range cachedBoundaryCandidates(pat, shape.M, shape.N, anchor, p.Lib.HW.NumPEs) {
-				prog := &Program{Shape: shape, Pattern: pat}
-				for gi, g := range geoms {
-					var reg Region
-					// The oracle enumerates the primary kernel explicitly
-					// even for Pattern I, so every single-kernel program
-					// is simulated.
-					if gi == 0 {
-						reg = Region{M0: g.m0, N0: g.n0, M: g.m, N: g.n, K: shape.K, Kern: anchor}
-					} else {
-						reg, _ = p.bestKernelFor(g, shape.K)
-					}
-					prog.Regions = append(prog.Regions, reg)
-				}
+			bs.enumerate(pat, shape.M, shape.N, anchor.UM, anchor.UN, p.Lib.HW.NumPEs)
+			for ci := 0; ci < bs.n; ci++ {
+				// The oracle enumerates the primary kernel explicitly even
+				// for Pattern I, so every single-kernel program is
+				// simulated.
+				prog := p.assemble(sc, shape, pat, bs.cand(ci), ai)
 				total := prog.Simulate(p.Lib.HW).Cycles
 				prog.EstimatedCost = total
 				consider(prog, total)

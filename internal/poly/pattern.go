@@ -1,10 +1,6 @@
 package poly
 
-import (
-	"fmt"
-
-	"mikpoly/internal/kernel"
-)
+import "fmt"
 
 // PatternID names the nine representative polymerization patterns retained
 // from the seven-block skeleton of Fig. 5(b). Pattern I keeps the template
@@ -138,207 +134,190 @@ func roundDown(n, align int) int {
 // generated micro-kernel tile is a multiple of it.
 const tileGrid = 16
 
-// splitPointsM returns the candidate first-split rows for anchor kernel a:
-// the maximal a-aligned prefix plus the wave-aligned prefixes, i.e. row
-// counts whose task count fills an integral number of waves on numPEs PEs —
-// the choice that removes the underfull last wave of the case study (§6).
-func splitPointsM(M, N int, a kernel.MicroKernel, numPEs int) []int {
-	t1max := M / a.UM
+const (
+	// maxSplits bounds the primary split points of one enumeration: the
+	// maximal anchor-aligned prefix plus up to eight wave-aligned prefixes.
+	maxSplits = 9
+	// maxRegions is the largest region count of any pattern (VI and IX).
+	maxRegions = 4
+)
+
+// splitPoints returns the candidate first-split rows for an anchor tile
+// (um, un): the maximal um-aligned prefix of M plus the wave-aligned prefixes,
+// i.e. row counts whose task count fills an integral number of waves on
+// numPEs PEs — the choice that removes the underfull last wave of the case
+// study (§6). Vertical splits are the same computation with the axes swapped:
+// splitPoints(N, M, un, um, numPEs).
+func splitPoints(M, N, um, un, numPEs int) (pts [maxSplits]int, n int) {
+	t1max := M / um
 	if t1max < 1 {
-		return nil
+		return pts, 0
 	}
-	t2 := (N + a.UN - 1) / a.UN
-	seen := map[int]bool{}
-	var out []int
+	t2 := (N + un - 1) / un
 	add := func(t1 int) {
 		if t1 < 1 || t1 > t1max {
 			return
 		}
-		mA := t1 * a.UM
+		mA := t1 * um
 		if mA >= M {
 			// Full coverage degenerates to Pattern I unless a ragged
 			// remainder exists.
-			if M%a.UM == 0 {
+			if M%um == 0 {
 				return
 			}
-			mA = t1max * a.UM
+			mA = t1max * um
 		}
-		if !seen[mA] {
-			seen[mA] = true
-			out = append(out, mA)
+		for _, seen := range pts[:n] {
+			if seen == mA {
+				return
+			}
 		}
+		pts[n] = mA
+		n++
 	}
 	add(t1max)
 	maxWaves := (t1max*t2 + numPEs - 1) / numPEs
-	for w := 1; w <= maxWaves && w <= 8; w++ {
+	for w := 1; w <= maxWaves && w < maxSplits; w++ {
 		add(w * numPEs / t2)
 	}
-	return out
+	return pts, n
 }
 
-// splitPointsN mirrors splitPointsM for vertical splits.
-func splitPointsN(M, N int, a kernel.MicroKernel, numPEs int) []int {
-	t2max := N / a.UN
-	if t2max < 1 {
-		return nil
-	}
-	t1 := (M + a.UM - 1) / a.UM
-	seen := map[int]bool{}
-	var out []int
-	add := func(t2 int) {
-		if t2 < 1 || t2 > t2max {
-			return
-		}
-		nA := t2 * a.UN
-		if nA >= N {
-			if N%a.UN == 0 {
-				return
-			}
-			nA = t2max * a.UN
-		}
-		if !seen[nA] {
-			seen[nA] = true
-			out = append(out, nA)
-		}
-	}
-	add(t2max)
-	maxWaves := (t2max*t1 + numPEs - 1) / numPEs
-	for w := 1; w <= maxWaves && w <= 8; w++ {
-		add(w * numPEs / t1)
-	}
-	return out
+// boundarySet is caller-owned storage for the boundary candidates one pattern
+// yields for a shape and an anchor tile. Candidate i is
+// rects[end[i-1]:end[i]] with its zero-area rects already dropped, so the
+// first rect of a candidate is its primary (anchored) region. The set lives on
+// the caller's stack: enumerating allocates nothing.
+type boundarySet struct {
+	rects [maxSplits * maxRegions]rect
+	end   [maxSplits]uint8
+	n     int
 }
 
-// dropEmpty filters zero-area rects; a candidate with no rects left is
-// meaningless and the caller skips it.
-func dropEmpty(rs []rect) []rect {
-	out := rs[:0]
+// cand returns the rects of candidate i.
+func (b *boundarySet) cand(i int) []rect {
+	lo := 0
+	if i > 0 {
+		lo = int(b.end[i-1])
+	}
+	return b.rects[lo:b.end[i]]
+}
+
+// total is the number of rects over all candidates.
+func (b *boundarySet) total() int {
+	if b.n == 0 {
+		return 0
+	}
+	return int(b.end[b.n-1])
+}
+
+// add appends one candidate, dropping zero-area rects; a candidate that loses
+// every rect is meaningless and is not recorded.
+func (b *boundarySet) add(rs ...rect) {
+	lo := b.total()
+	hi := lo
 	for _, r := range rs {
 		if r.m > 0 && r.n > 0 {
-			out = append(out, r)
+			b.rects[hi] = r
+			hi++
 		}
 	}
-	return out
+	if hi > lo {
+		b.end[b.n] = uint8(hi)
+		b.n++
+	}
 }
 
-// boundaryCandidates enumerates the region geometries a pattern yields for
-// the given shape and anchor kernel. The anchor sizes the primary split; the
-// secondary splits snap to the 16-wide tile grid so that any library kernel
-// can serve the remaining regions.
-func boundaryCandidates(pat PatternID, M, N int, anchor kernel.MicroKernel, numPEs int) [][]rect {
-	var out [][]rect
+// enumerate fills b with the region geometries pattern pat yields for an
+// (M, N) output and an anchor tile (um, un). The anchor sizes the primary
+// split; the secondary splits snap to the 16-wide tile grid so that any
+// library kernel can serve the remaining regions. Geometry depends on the
+// anchor only through its output tile — uK never moves a split point — which
+// is what lets the search price a tile class once for all its anchors.
+func (b *boundarySet) enumerate(pat PatternID, M, N, um, un, numPEs int) {
+	b.n = 0
+	// The vertical-first patterns are their horizontal counterparts on the
+	// transposed problem.
+	transposed := true
+	switch pat {
+	case PatternIII:
+		pat = PatternII
+	case PatternV:
+		pat = PatternIV
+	case PatternVIII:
+		pat = PatternVII
+	default:
+		transposed = false
+	}
+	if transposed {
+		M, N, um, un = N, M, un, um
+	}
+
 	switch pat {
 	case PatternI:
-		out = append(out, []rect{{0, 0, M, N}})
+		b.add(rect{0, 0, M, N})
 
 	case PatternII:
-		for _, mA := range splitPointsM(M, N, anchor, numPEs) {
-			out = append(out, dropEmpty([]rect{
-				{0, 0, mA, N},
-				{mA, 0, M - mA, N},
-			}))
-		}
-
-	case PatternIII:
-		for _, nA := range splitPointsN(M, N, anchor, numPEs) {
-			out = append(out, dropEmpty([]rect{
-				{0, 0, M, nA},
-				{0, nA, M, N - nA},
-			}))
+		pts, np := splitPoints(M, N, um, un, numPEs)
+		for _, mA := range pts[:np] {
+			b.add(rect{0, 0, mA, N}, rect{mA, 0, M - mA, N})
 		}
 
 	case PatternIV:
-		nSplit := roundDown(N, max(anchor.UN, tileGrid))
+		nSplit := roundDown(N, max(un, tileGrid))
 		if nSplit <= 0 || nSplit >= N {
 			nSplit = roundDown(N/2, tileGrid)
 		}
-		for _, mA := range splitPointsM(M, N, anchor, numPEs) {
-			out = append(out, dropEmpty([]rect{
-				{0, 0, mA, N},
-				{mA, 0, M - mA, nSplit},
-				{mA, nSplit, M - mA, N - nSplit},
-			}))
-		}
-
-	case PatternV:
-		mSplit := roundDown(M, max(anchor.UM, tileGrid))
-		if mSplit <= 0 || mSplit >= M {
-			mSplit = roundDown(M/2, tileGrid)
-		}
-		for _, nA := range splitPointsN(M, N, anchor, numPEs) {
-			out = append(out, dropEmpty([]rect{
-				{0, 0, M, nA},
-				{0, nA, mSplit, N - nA},
-				{mSplit, nA, M - mSplit, N - nA},
-			}))
+		pts, np := splitPoints(M, N, um, un, numPEs)
+		for _, mA := range pts[:np] {
+			b.add(rect{0, 0, mA, N},
+				rect{mA, 0, M - mA, nSplit},
+				rect{mA, nSplit, M - mA, N - nSplit})
 		}
 
 	case PatternVI:
-		nA := roundDown(N, anchor.UN)
+		nA := roundDown(N, un)
 		if nA <= 0 || nA >= N {
-			return nil // no ragged right edge: covered by II
+			return // no ragged right edge: covered by II
 		}
-		for _, mA := range splitPointsM(M, nA, anchor, numPEs) {
-			out = append(out, dropEmpty([]rect{
-				{0, 0, mA, nA},
-				{0, nA, mA, N - nA},
-				{mA, 0, M - mA, nA},
-				{mA, nA, M - mA, N - nA},
-			}))
+		pts, np := splitPoints(M, nA, um, un, numPEs)
+		for _, mA := range pts[:np] {
+			b.add(rect{0, 0, mA, nA},
+				rect{0, nA, mA, N - nA},
+				rect{mA, 0, M - mA, nA},
+				rect{mA, nA, M - mA, N - nA})
 		}
 
 	case PatternVII:
-		for _, mA := range splitPointsM(M, N, anchor, numPEs) {
+		pts, np := splitPoints(M, N, um, un, numPEs)
+		for _, mA := range pts[:np] {
 			rest := M - mA
 			mB := roundDown(rest/2, tileGrid)
-			out = append(out, dropEmpty([]rect{
-				{0, 0, mA, N},
-				{mA, 0, mB, N},
-				{mA + mB, 0, rest - mB, N},
-			}))
-		}
-
-	case PatternVIII:
-		for _, nA := range splitPointsN(M, N, anchor, numPEs) {
-			rest := N - nA
-			nB := roundDown(rest/2, tileGrid)
-			out = append(out, dropEmpty([]rect{
-				{0, 0, M, nA},
-				{0, nA, M, nB},
-				{0, nA + nB, M, rest - nB},
-			}))
+			b.add(rect{0, 0, mA, N},
+				rect{mA, 0, mB, N},
+				rect{mA + mB, 0, rest - mB, N})
 		}
 
 	case PatternIX:
-		for _, mA := range splitPointsM(M, N, anchor, numPEs) {
+		n1 := roundDown(N/3, tileGrid)
+		n2 := roundDown(2*N/3, tileGrid)
+		if n1 <= 0 || n2 <= n1 || n2 >= N {
+			return
+		}
+		pts, np := splitPoints(M, N, um, un, numPEs)
+		for _, mA := range pts[:np] {
 			rest := M - mA
-			n1 := roundDown(N/3, tileGrid)
-			n2 := roundDown(2*N/3, tileGrid)
-			if n1 <= 0 || n2 <= n1 || n2 >= N {
-				continue
-			}
-			out = append(out, dropEmpty([]rect{
-				{0, 0, mA, N},
-				{mA, 0, rest, n1},
-				{mA, n1, rest, n2 - n1},
-				{mA, n2, rest, N - n2},
-			}))
+			b.add(rect{0, 0, mA, N},
+				rect{mA, 0, rest, n1},
+				rect{mA, n1, rest, n2 - n1},
+				rect{mA, n2, rest, N - n2})
 		}
 	}
 
-	// Drop candidates that lost all regions.
-	kept := out[:0]
-	for _, rs := range out {
-		if len(rs) > 0 {
-			kept = append(kept, rs)
+	if transposed {
+		for i := range b.rects[:b.total()] {
+			r := &b.rects[i]
+			r.m0, r.n0, r.m, r.n = r.n0, r.m0, r.n, r.m
 		}
 	}
-	return kept
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,11 +3,9 @@ package poly
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"mikpoly/internal/hw"
-	"mikpoly/internal/kernel"
 	"mikpoly/internal/obs"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
@@ -123,36 +121,6 @@ func (p *Planner) patterns() []PatternID {
 	return gpuPatternSet
 }
 
-// regionCost evaluates one (R_i, K̃_i) term of Eq. 2 under the active cost
-// model: f_wave = WaveCount(f_parallel, |P_multi|), f_pipe = g_predict(f_num).
-func (p *Planner) regionCost(r Region) float64 {
-	t1, t2, t3 := r.Tiles()
-	waves := WaveCount(t1*t2, p.Lib.HW.NumPEs)
-	switch p.Cost {
-	case CostWaveOnly:
-		return waves
-	case CostPipeOnly:
-		return p.Lib.PredictTask(r.Kern, t3)
-	default:
-		return waves * p.Lib.PredictTask(r.Kern, t3)
-	}
-}
-
-// bestKernelFor picks the library kernel minimizing the region cost — exact
-// for Eq. 2 because region terms are independent given boundaries.
-func (p *Planner) bestKernelFor(geom rect, K int) (Region, float64) {
-	best := Region{}
-	bestCost := math.Inf(1)
-	for _, k := range p.Lib.Kernels {
-		r := Region{M0: geom.m0, N0: geom.n0, M: geom.m, N: geom.n, K: K, Kern: k}
-		if c := p.regionCost(r); c < bestCost {
-			bestCost = c
-			best = r
-		}
-	}
-	return best, bestCost
-}
-
 // Plan produces the optimized tensor program S* for the runtime shape
 // (Algorithm 1, On-the-Fly Polymerization).
 func (p *Planner) Plan(shape tensor.GemmShape) (*Program, PlanStats, error) {
@@ -165,9 +133,10 @@ func (p *Planner) Plan(shape tensor.GemmShape) (*Program, PlanStats, error) {
 // always-legal single-kernel program (FallbackProgram) instead of blocking.
 //
 // The search itself is allocation-free on the hot path: candidates are costed
-// from pooled scratch tables and memoized pattern skeletons, and only the
-// winning program is materialized (the losing candidates — including the
-// single-kernel fallback-shaped Pattern-I ones — are never built).
+// from pooled scratch tables, boundaries are enumerated into stack storage,
+// and only the winning program is materialized (the losing candidates —
+// including the single-kernel fallback-shaped Pattern-I ones — are never
+// built).
 func (p *Planner) PlanContext(ctx context.Context, shape tensor.GemmShape) (*Program, PlanStats, error) {
 	start := time.Now()
 	var stats PlanStats
@@ -187,13 +156,15 @@ func (p *Planner) PlanContext(ctx context.Context, shape tensor.GemmShape) (*Pro
 		sp.End()
 	}()
 
+	sc := getScratch()
+	defer putScratch(sc)
+	p.prepare(sc, shape.K)
 	var best *Program
 	var err error
-	switch {
-	case p.Cost == CostOracle:
-		best, err = p.planOracle(ctx, shape, &stats)
-	default:
-		best, err = p.planSequential(ctx, shape, &stats)
+	if p.Cost == CostOracle {
+		best, err = p.planOracle(ctx, sc, shape, &stats)
+	} else {
+		best, err = p.planSequential(ctx, sc, shape, &stats)
 	}
 	if err != nil {
 		return nil, stats, err
@@ -213,13 +184,11 @@ func (p *Planner) PlanContext(ctx context.Context, shape tensor.GemmShape) (*Pro
 }
 
 // planSequential is the default online search: one pass over the pattern ×
-// anchor × boundary space, scoring candidates in place and materializing only
-// the winner.
-func (p *Planner) planSequential(ctx context.Context, shape tensor.GemmShape, stats *PlanStats) (*Program, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	pipe := p.pipeTable(sc, shape.K)
-	pes := p.Lib.HW.NumPEs
+// anchor × boundary space in a fixed order, scoring candidates from the
+// per-class price tables (see eval.go) and materializing only the winner. sc
+// must be prepared for shape.K.
+func (p *Planner) planSequential(ctx context.Context, sc *scratch, shape tensor.GemmShape, stats *PlanStats) (*Program, error) {
+	var bs boundarySet
 
 	var win winner
 	for _, pat := range p.patterns() {
@@ -230,31 +199,16 @@ func (p *Planner) planSequential(ctx context.Context, shape tensor.GemmShape, st
 		// short by cancellation is simply never recorded.
 		_, psp := p.Trace.Start(ctx, patternSpanName(pat))
 		before := stats.Candidates
-		for ai := range p.Lib.Kernels {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("poly: planning aborted: %w", err)
+		if pat == PatternI {
+			// Pattern I has no anchor: one argmin over the whole output
+			// covers every kernel.
+			c := p.regionArgmin(sc, shape.M, shape.N)
+			stats.Candidates++
+			if total := 0.0 + c; !win.valid || total < win.cost {
+				win = winner{valid: true, cost: total, pat: pat}
 			}
-			// Branch-and-bound: if the anchor's best possible main
-			// region alone already exceeds the current best program,
-			// every strategy built on this anchor loses too (§3.5).
-			if !p.DisablePruning && win.valid && pat != PatternI {
-				if p.anchorLowerBoundAt(pipe, ai) >= win.cost {
-					stats.PrunedAnchors++
-					continue
-				}
-			}
-			for ci, geoms := range p.skeletons(pat, shape, ai) {
-				total := p.evalCandidate(pipe, geoms, ai, pat != PatternI, pes)
-				stats.Candidates++
-				if !win.valid || total < win.cost {
-					win = winner{valid: true, cost: total, pat: pat, anchorIdx: ai, candIdx: ci}
-				}
-			}
-			if pat == PatternI {
-				// Pattern I ignores the anchor beyond region kernel
-				// choice; a single argmin pass covers all kernels.
-				break
-			}
+		} else if err := p.sweepAnchors(ctx, sc, &bs, pat, shape, stats, &win); err != nil {
+			return nil, err
 		}
 		psp.Attr("candidates", float64(stats.Candidates-before)).End()
 	}
@@ -268,27 +222,60 @@ func (p *Planner) planSequential(ctx context.Context, shape tensor.GemmShape, st
 	if !win.valid {
 		return nil, nil
 	}
-	return p.buildWinner(pipe, shape, win), nil
+	return p.buildWinner(sc, shape, win), nil
 }
 
-// anchorLowerBoundAt is an optimistic cost for any program whose primary
-// region uses anchor i: at least one wave of one pipelined task with a single
+// sweepAnchors scores every candidate of an anchored pattern, anchors in
+// library order. A candidate's cost is the anchored primary region's
+// waves × the anchor's f_pipe plus the remainder regions' argmin costs, added
+// in region order starting from 0 — the same floats in the same order as
+// summing the materialized program's regions, so the total is bitwise
+// ProgramCost of the program buildWinner would build.
+func (p *Planner) sweepAnchors(ctx context.Context, sc *scratch, bs *boundarySet, pat PatternID, shape tensor.GemmShape, stats *PlanStats, win *winner) error {
+	for ai := range p.Lib.Kernels {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("poly: planning aborted: %w", err)
+		}
+		// Branch-and-bound: if the anchor's best possible main region
+		// alone already exceeds the current best program, every strategy
+		// built on this anchor loses too (§3.5).
+		if !p.DisablePruning && win.valid && p.anchorLowerBound(sc.pipe, ai) >= win.cost {
+			stats.PrunedAnchors++
+			continue
+		}
+		cl := &sc.classes[sc.class[ai]]
+		if cl.pat != pat {
+			p.price(sc, bs, cl, pat, shape)
+		}
+		pipe := sc.pipe[ai]
+		if p.Cost == CostWaveOnly {
+			pipe = 1 // the primary term is the wave count alone; x·1 is exact
+		}
+		lo := 0
+		for ci, end := range cl.end[:cl.n] {
+			total := 0.0
+			total += cl.vals[lo] * pipe
+			for _, rem := range cl.vals[lo+1 : end] {
+				total += rem
+			}
+			lo = int(end)
+			stats.Candidates++
+			if !win.valid || total < win.cost {
+				*win = winner{valid: true, cost: total, pat: pat, anchorIdx: ai, candIdx: ci}
+			}
+		}
+	}
+	return nil
+}
+
+// anchorLowerBound is an optimistic cost for any program whose primary region
+// uses anchor i: at least one wave of one pipelined task with a single
 // reduction instance.
-func (p *Planner) anchorLowerBoundAt(pipe []float64, i int) float64 {
+func (p *Planner) anchorLowerBound(pipe []float64, i int) float64 {
 	if p.Cost == CostWaveOnly {
 		return 1
 	}
 	return pipe[i]
-}
-
-// anchorLowerBound is the kernel-keyed form of anchorLowerBoundAt, kept for
-// the oracle path and tests.
-func (p *Planner) anchorLowerBound(shape tensor.GemmShape, anchor kernel.MicroKernel) float64 {
-	if p.Cost == CostWaveOnly {
-		return 1
-	}
-	t3 := (shape.K + anchor.UK - 1) / anchor.UK
-	return p.Lib.PredictTask(anchor, t3)
 }
 
 // splitKFactors is the reduction-split fan the split-K extension explores.
@@ -383,34 +370,11 @@ func (p *Planner) buildSplitK(shape tensor.GemmShape, ki, ks int) *Program {
 	return prog
 }
 
-// splitKCost scores a materialized split-K program (oracle path and tests).
-func (p *Planner) splitKCost(prog *Program) float64 {
-	total := 0
-	maxPipe := 0.0
-	for _, r := range prog.Regions {
-		total += r.Tasks()
-		_, _, t3 := r.Tiles()
-		if c := p.Lib.PredictTask(r.Kern, t3); c > maxPipe {
-			maxPipe = c
-		}
-	}
-	waves := WaveCount(total, p.Lib.HW.NumPEs)
-	switch p.Cost {
-	case CostWaveOnly:
-		return waves
-	case CostPipeOnly:
-		return maxPipe
-	default:
-		return waves * maxPipe
-	}
-}
-
 // PlanPatternI builds the best single-kernel program — the structure every
 // baseline library routine uses, and the comparison point of the case study.
 func (p *Planner) PlanPatternI(shape tensor.GemmShape) (*Program, error) {
-	saved := p.Patterns
-	p.Patterns = []PatternID{PatternI}
-	prog, _, err := p.Plan(shape)
-	p.Patterns = saved
+	q := *p // the planner may be shared with concurrent plans: never mutate it
+	q.Patterns = []PatternID{PatternI}
+	prog, _, err := q.Plan(shape)
 	return prog, err
 }

@@ -132,7 +132,10 @@ func TestBoundaryCandidatesCoverage(t *testing.T) {
 		for _, a := range anchors {
 			for _, s := range shapes {
 				M, N := s[0], s[1]
-				for _, geoms := range boundaryCandidates(pat, M, N, a, 108) {
+				var bs boundarySet
+				bs.enumerate(pat, M, N, a.UM, a.UN, 108)
+				for ci := 0; ci < bs.n; ci++ {
+					geoms := bs.cand(ci)
 					var area int64
 					for i, g := range geoms {
 						if g.m <= 0 || g.n <= 0 {
@@ -165,8 +168,8 @@ func TestSplitPointsWaveAligned(t *testing.T) {
 	// t2 = 8, so one full wave is 13 rows of tiles (13*8=104 ≤ 108);
 	// wave-aligned split candidates must include 13*256=3328 and the
 	// maximal split 4096 is excluded (M divisible → Pattern I).
-	a := kernel.New(256, 128, 32, kernel.DefaultConfig())
-	pts := splitPointsM(4096, 1024, a, 108)
+	all, n := splitPoints(4096, 1024, 256, 128, 108)
+	pts := all[:n]
 	has := func(v int) bool {
 		for _, p := range pts {
 			if p == v {
@@ -361,8 +364,11 @@ func TestRegionCostMatchesEquationTwo(t *testing.T) {
 	t1, t2, t3 := r.Tiles()
 	waves := math.Ceil(float64(t1*t2) / float64(gpu.HW.NumPEs))
 	want := waves * gpu.PredictTask(k, t3)
-	if got := pl.regionCost(r); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("regionCost = %g, want %g", got, want)
+	sc := getScratch()
+	defer putScratch(sc)
+	pl.prepare(sc, r.K)
+	if got := pl.kernelRegionCost(sc.pipe, 0, r.M, r.N); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("kernelRegionCost = %g, want %g", got, want)
 	}
 }
 
@@ -548,8 +554,9 @@ func TestPlanDeterministic(t *testing.T) {
 
 func TestSplitPointsNWaveAligned(t *testing.T) {
 	// Mirror of the M-split test: N=4096, M=1024, kernel 128x256.
-	a := kernel.New(128, 256, 32, kernel.DefaultConfig())
-	pts := splitPointsN(1024, 4096, a, 108)
+	// Vertical splits are splitPoints on the transposed problem.
+	all, n := splitPoints(4096, 1024, 256, 128, 108)
+	pts := all[:n]
 	for _, p := range pts {
 		if p%256 != 0 || p <= 0 || p >= 4096 {
 			t.Fatalf("split %d not an aligned interior point", p)
@@ -568,13 +575,14 @@ func TestSplitPointsProperty(t *testing.T) {
 		n := int(seed/8000%8000) + 1
 		um := 16 * (int(seed/64000000%16) + 1)
 		un := 16 * (int(seed/1024000000%16) + 1)
-		a := kernel.New(um, un, 32, kernel.DefaultConfig())
-		for _, p := range splitPointsM(m, n, a, 108) {
+		rows, nr := splitPoints(m, n, um, un, 108)
+		for _, p := range rows[:nr] {
 			if p <= 0 || p >= m || p%um != 0 {
 				return false
 			}
 		}
-		for _, p := range splitPointsN(m, n, a, 108) {
+		cols, nc := splitPoints(n, m, un, um, 108)
+		for _, p := range cols[:nc] {
 			if p <= 0 || p >= n || p%un != 0 {
 				return false
 			}
