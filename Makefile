@@ -29,12 +29,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing burst against the serving layer's input handling and the
-# planner's sweep ≡ reference oracle.
+# Short fuzzing burst against the serving layer's input handling, the
+# planner's sweep ≡ reference oracle, and the graph digest the compiled table
+# is keyed by (equal digest ⇒ equal content).
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
 	$(GO) test ./internal/poly/ -run '^$$' -fuzz FuzzPlanEquivalence -fuzztime 10s
+	$(GO) test ./internal/graphrt/ -run '^$$' -fuzz FuzzGraphDigest -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

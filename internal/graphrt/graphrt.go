@@ -1,7 +1,7 @@
 // Package graphrt is the graph runtime: it executes whole model graphs
 // (nn.Graph) end to end on the simulator substrate, the missing layer
 // between per-operator planning (core.Compiler) and the end-to-end results
-// of §5.2.2–§5.2.4. It contributes five things the per-operator path lacks:
+// of §5.2.2–§5.2.4. It contributes six things the per-operator path lacks:
 //
 //   - a dependency-aware schedule: ops run in topological stages derived
 //     from the graph's edges; ops sharing a stage (and the Count instances
@@ -19,6 +19,11 @@
 //     by the content of its programs, their instance counts, the health
 //     view and the fault salt, and only a stage the memo has not seen is
 //     lowered to tasks and simulated (see key.go, pipeline.go);
+//
+//   - compiled executions: a graph that has run cleanly before is identified
+//     by the content of its ops and replayed — after one plan-cache lookup
+//     per distinct shape confirms its programs — without deriving schedule,
+//     memory plan or stage keys again (see compiled.go);
 //
 //   - a global-memory planner: liveness-based first-fit assignment of
 //     inter-op tensors against H.M_global, reusing freed regions and
@@ -121,9 +126,18 @@ type Runtime struct {
 	// memoized replays still accumulate per-PE utilization, and the recovery
 	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
 	// cached dirty stage replays.
-	simCache   map[stageKey]sim.Result
+	simCache   map[stageKey]*sim.Result
 	digests    map[*poly.Program]digest
 	chainCache map[chainKey]chainEntry
+	// compiled holds whole clean executions by graph content (compiled.go).
+	compiled map[compiledKey]compiledExec
+
+	// noCompile switches the compiled table off and interpreted counts the
+	// executions that went through the interpreter: the seams the tests that
+	// hold compiled ≡ interpreted, and that a stale entry is never replayed,
+	// are built on.
+	noCompile   bool
+	interpreted atomic.Int64
 }
 
 // Stats are the runtime's cumulative counters, aggregated across Execute
@@ -258,9 +272,10 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		o:          cfg.Obs,
 		lowerFn:    lowerStage,
 		lookupFn:   comp.Lookup,
-		simCache:   make(map[stageKey]sim.Result),
+		simCache:   make(map[stageKey]*sim.Result),
 		digests:    make(map[*poly.Program]digest),
 		chainCache: make(map[chainKey]chainEntry),
+		compiled:   make(map[compiledKey]compiledExec),
 	}
 	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
 		pctx := ctx
@@ -339,12 +354,23 @@ func (r *Runtime) Execute(ctx context.Context, g nn.Graph) (Report, error) {
 // ExecuteSalted is Execute with a fault-injection salt distinguishing retry
 // attempts (forwarded to the simulator seam).
 func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (Report, error) {
-	if err := g.Validate(); err != nil {
-		return Report{}, err
+	// Ask the compiled table first; failing that the interpreter below is the
+	// compile step, recording what it does as it goes.
+	rec := recording{off: r.noCompile || r.lookupFn == nil}
+	if !rec.off {
+		_, fp, _ := r.healthView()
+		rec.key = compiledKey{graph: digestGraph(g), fp: fp, salt: salt}
+		if rep, ok := r.replay(ctx, g, rec.key); ok {
+			return rep, nil
+		}
 	}
-	stages, err := g.Stages()
+	r.interpreted.Add(1)
+	stages, err := g.Schedule()
 	if err != nil {
 		return Report{}, err
+	}
+	if !rec.off {
+		rec.exec.stages = make([]uint8, 0, len(stages))
 	}
 	rep := Report{Graph: g.Name, Ops: len(g.Ops), Stages: len(stages)}
 	ctx, esp := r.o.T().Start(ctx, "graphrt.execute")
@@ -418,10 +444,13 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 			}
 			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: t.prog})
 			key.add(r.progDigest(t.prog), op.Count)
+			rec.planned(op.Gemm, t.prog)
 			numTasks += t.prog.NumTasks() * op.Count
 		}
 		if numTasks > 0 {
-			res := r.runStageCached(ctx, si, key, hEff, v, ops, hEff)
+			memo := r.runStageCached(ctx, si, key, hEff, v, ops, hEff)
+			rec.launched(key, memo)
+			res := *memo
 			r.observe(v, res)
 			switch {
 			case res.Clean():
@@ -446,6 +475,15 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	rep.Cycles = rep.GemmCycles + rep.OtherCycles + rep.SpillCycles
 
 	r.mu.Lock()
+	r.accumulateReportLocked(rep)
+	r.storeLocked(&rec, rep)
+	r.mu.Unlock()
+	return rep, nil
+}
+
+// accumulateReportLocked folds one completed execution's report into the
+// cumulative counters. Callers hold r.mu.
+func (r *Runtime) accumulateReportLocked(rep Report) {
 	r.agg.Graphs++
 	r.agg.Stages += int64(rep.Stages)
 	r.agg.Plans += int64(rep.Plans)
@@ -460,6 +498,4 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	r.agg.FusedSavedBytes += rep.FusedSavedBytes
 	r.agg.Cycles += rep.Cycles
 	r.agg.SpillBytes += rep.Mem.SpillBytes
-	r.mu.Unlock()
-	return rep, nil
 }

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
+	"math/bits"
 
+	"mikpoly/internal/nn"
 	"mikpoly/internal/poly"
 )
 
@@ -26,6 +28,70 @@ type stageKey struct {
 func (k *stageKey) add(d digest, count int) {
 	k.ops.lo = mix64(k.ops.lo ^ d.lo ^ uint64(count))
 	k.ops.hi = mix64(k.ops.hi + d.hi + uint64(count)<<32)
+}
+
+// word absorbs one 64-bit word into both lanes. A graph digest absorbs ten
+// words per op, so a lane's step is one multiplication, not a full mix64:
+// lo is multiply-xorshift (a bijection of the word for a given state), hi
+// rotate-add-multiply, and digestGraph finishes both with mix64. The lanes
+// combine the word differently, so two inputs must collide in both at once.
+func (d *digest) word(x uint64) {
+	lo := (d.lo ^ x) * 0x9e3779b97f4a7c15
+	d.lo = lo ^ lo>>32
+	d.hi = (bits.RotateLeft64(d.hi, 27) + x) * 0xbf58476d1ce4e5b9
+}
+
+// str absorbs a string, length first so that consecutive strings cannot trade
+// bytes.
+func (d *digest) str(s string) {
+	d.word(uint64(len(s)))
+	for len(s) > 0 {
+		var w uint64
+		n := min(len(s), 8)
+		for i := 0; i < n; i++ {
+			w |= uint64(s[i]) << (8 * i)
+		}
+		d.word(w)
+		s = s[n:]
+	}
+}
+
+// digestGraph is the content identity of a graph for the compiled-execution
+// table: every field Execute, planMemory, Graph.Validate and the fusion pass
+// read, absorbed as a uniquely decodable word sequence (Kind says whether the
+// conv geometry follows, strings and edge lists carry their length, and nil
+// Inputs — the chain default — is told apart from an explicit empty list), so
+// two graphs share a digest only if they are equal in all of them or the hash
+// itself collides. Graph and op names are left out: they label reports and
+// errors and change nothing that executes.
+func digestGraph(g nn.Graph) digest {
+	d := digest{lo: uint64(len(g.Ops))}
+	for i := range g.Ops {
+		op := &g.Ops[i]
+		d.word(uint64(op.Kind))
+		d.word(uint64(op.Gemm.M))
+		d.word(uint64(op.Gemm.N))
+		d.word(uint64(op.Gemm.K))
+		if op.Kind == nn.OpConv {
+			c := &op.Conv
+			for _, v := range [...]int{c.Batch, c.InC, c.InH, c.InW, c.OutC, c.KH, c.KW, c.Stride, c.Pad} {
+				d.word(uint64(v))
+			}
+		}
+		d.word(uint64(op.Count))
+		d.word(math.Float64bits(op.OtherBytes))
+		d.str(op.Elementwise)
+		d.str(op.DType)
+		if op.Inputs == nil {
+			d.word(^uint64(0))
+			continue
+		}
+		d.word(uint64(len(op.Inputs)))
+		for _, in := range op.Inputs {
+			d.word(uint64(in))
+		}
+	}
+	return digest{lo: mix64(d.lo), hi: mix64(d.hi)}
 }
 
 // mix64 is the splitmix64 finalizer, a bijection on uint64.

@@ -56,17 +56,19 @@ func planMemory(g nn.Graph, stages [][]int, h hw.Hardware) MemReport {
 
 	// lastUse resolves demand through OpOther forwarding: a consumer that
 	// is itself an OpOther extends the buffer's life to that op's own
-	// consumers, transitively.
-	var lastUse func(i int, seen []bool) (last, reads int)
-	lastUse = func(i int, seen []bool) (int, int) {
+	// consumers, transitively. seen[c] == mark says c was already visited on
+	// behalf of the buffer marked `mark`, so one slice serves every buffer.
+	seen := make([]int, len(g.Ops))
+	var lastUse func(i, mark int) (last, reads int)
+	lastUse = func(i, mark int) (int, int) {
 		last, reads := pos[i], 0
 		for _, c := range consumers[i] {
-			if seen[c] {
+			if seen[c] == mark {
 				continue
 			}
-			seen[c] = true
+			seen[c] = mark
 			if g.Ops[c].Kind == nn.OpOther {
-				l, n := lastUse(c, seen)
+				l, n := lastUse(c, mark)
 				if l > last {
 					last = l
 				}
@@ -81,14 +83,15 @@ func planMemory(g nn.Graph, stages [][]int, h hw.Hardware) MemReport {
 		return last, reads
 	}
 
-	var bufs []*buffer
-	for i, op := range g.Ops {
+	bufs := make([]buffer, 0, len(g.Ops))
+	for i := range g.Ops {
+		op := &g.Ops[i]
 		if op.Kind == nn.OpOther {
 			continue
 		}
 		size := int64(op.Gemm.M) * int64(op.Gemm.N) * int64(h.OutputBytes) * int64(op.Count)
-		b := &buffer{op: i, size: size, birth: pos[i]}
-		b.last, b.reads = lastUse(i, make([]bool, len(g.Ops)))
+		b := buffer{op: i, size: size, birth: pos[i]}
+		b.last, b.reads = lastUse(i, i+1)
 		if b.reads == 0 {
 			// A graph output: stays resident until the run completes.
 			b.last = len(stages) - 1
@@ -97,10 +100,21 @@ func planMemory(g nn.Graph, stages [][]int, h hw.Hardware) MemReport {
 	}
 	rep.Buffers = len(bufs)
 
-	// Birth events per stage, in op order (deterministic).
-	byBirth := make([][]*buffer, len(stages))
-	for _, b := range bufs {
-		byBirth[b.birth] = append(byBirth[b.birth], b)
+	// Birth events per stage, in op order (deterministic): bufs sorted stably
+	// by birth stage, born[from[s]:from[s+1]] being the buffers stage s
+	// produces.
+	from := make([]int, len(stages)+1)
+	for i := range bufs {
+		from[bufs[i].birth]++
+	}
+	for s := 1; s <= len(stages); s++ {
+		from[s] += from[s-1]
+	}
+	born := make([]*buffer, len(bufs))
+	for i := len(bufs) - 1; i >= 0; i-- {
+		b := &bufs[i]
+		from[b.birth]--
+		born[from[b.birth]] = b
 	}
 
 	alloc := newArena(h.GlobalMemBytes)
@@ -121,7 +135,7 @@ func planMemory(g nn.Graph, stages [][]int, h hw.Hardware) MemReport {
 		}
 		live = keep
 
-		for _, b := range byBirth[s] {
+		for _, b := range born[from[s]:from[s+1]] {
 			liveBytes += b.size
 			off, ok := alloc.alloc(b.size)
 			if ok {

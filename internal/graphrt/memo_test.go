@@ -218,40 +218,41 @@ func countingRuntime(t *testing.T, cfg Config) (*Runtime, *counts) {
 	return rt, c
 }
 
-// sampledCtx reports the goroutine count every time Execute polls it for
-// cancellation — once per stage, i.e. while the execution is in flight.
-type sampledCtx struct {
-	context.Context
-	max *int
-}
-
-func (c sampledCtx) Err() error {
-	if n := runtime.NumGoroutine(); n > *c.max {
-		*c.max = n
-	}
-	return c.Context.Err()
-}
-
+// TestWarmExecuteOnlyLooksUp states what a warm execution costs: one
+// plan-cache probe per distinct shape — the guard of the compiled execution —
+// and no planning, lowering, simulation, goroutine or allocation.
 func TestWarmExecuteOnlyLooksUp(t *testing.T) {
 	rt, c := countingRuntime(t, Config{PlanAhead: 2})
+	var probes atomic.Int64
+	lookup := rt.lookupFn
+	rt.lookupFn = func(s tensor.GemmShape) *poly.Program {
+		probes.Add(1)
+		return lookup(s)
+	}
 	g := nn.Llama2Decode(4, 256)
-	cold, err := rt.Execute(context.Background(), g)
+	distinct := int64(len(g.GemmShapes()))
+	ctx := context.Background()
+	cold, err := rt.Execute(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.sims.Load() == 0 || c.lowerings.Load() != c.sims.Load() || c.plans.Load() == 0 {
 		t.Fatalf("cold run: %d sims, %d lowerings, %d plans", c.sims.Load(), c.lowerings.Load(), c.plans.Load())
 	}
-	if _, err := rt.Execute(context.Background(), g); err != nil { // lets the cold run's pool exit
-		t.Fatal(err)
-	}
 	sims, lowerings, plans := c.sims.Load(), c.lowerings.Load(), c.plans.Load()
-	hitsBefore := rt.comp.CacheStats().Hits
+	probes.Store(0)
+	hitsBefore, interpretedBefore := rt.comp.CacheStats().Hits, rt.interpreted.Load()
 
-	before, during := runtime.NumGoroutine(), 0
-	warm, err := rt.Execute(sampledCtx{context.Background(), &during}, g)
+	before := runtime.NumGoroutine()
+	warm, err := rt.Execute(ctx, g)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the warm run, %d after", before, after)
+	}
+	if d := rt.interpreted.Load() - interpretedBefore; d != 0 {
+		t.Errorf("warm run went through the interpreter %d times", d)
 	}
 	if d := c.sims.Load() - sims; d != 0 {
 		t.Errorf("warm run made %d simulator calls", d)
@@ -260,20 +261,27 @@ func TestWarmExecuteOnlyLooksUp(t *testing.T) {
 		t.Errorf("warm run lowered %d stages", d)
 	}
 	if d := c.plans.Load() - plans; d != 0 {
-		t.Errorf("warm run sent %d plans through the pool", d)
+		t.Errorf("warm run sent %d plans to the planner", d)
 	}
-	if during == 0 || during > before {
-		t.Errorf("goroutines: %d before, up to %d while the warm run executed", before, during)
+	if got := probes.Load(); got != distinct {
+		t.Errorf("warm run probed the plan cache %d times for %d distinct shapes", got, distinct)
+	}
+	if got := rt.comp.CacheStats().Hits - hitsBefore; got != distinct {
+		t.Errorf("warm run counted %d plan-cache hits for %d distinct shapes", got, distinct)
 	}
 	if warm.Plans != cold.Plans || warm.Stalls != 0 || warm.StallWall != 0 || warm.PlanWall != 0 {
 		t.Errorf("warm report: plans %d (cold %d) stalls %d stall wall %v plan wall %v",
 			warm.Plans, cold.Plans, warm.Stalls, warm.StallWall, warm.PlanWall)
 	}
-	if got := rt.comp.CacheStats().Hits - hitsBefore; got != int64(warm.Plans) {
-		t.Errorf("warm run counted %d plan-cache hits for %d plans", got, warm.Plans)
-	}
 	if math.Float64bits(warm.Cycles) != math.Float64bits(cold.Cycles) {
 		t.Errorf("warm cycles %v, cold %v", warm.Cycles, cold.Cycles)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := rt.Execute(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm Execute allocates %.0f times", allocs)
 	}
 }
 
@@ -314,12 +322,13 @@ func TestColdGraphPlansEachShapeOnce(t *testing.T) {
 }
 
 // TestWarmExecuteAllocBudget keeps lowering from creeping back in front of
-// the memo: a warm Llama2Decode(4,256) execution measured 1 722 allocations,
-// all but a handful of them nn.Graph.Validate/Stages and planMemory
-// re-deriving the schedule; lowering its 160 GEMM stages before asking the
-// memo, as Execute used to, measured 4 066.
+// the memo in the interpreter — what a graph that cannot be compiled (a fused
+// chain, a degraded plan) pays on every run: interpreting a warm
+// Llama2Decode(4,256) measured 22 allocations; lowering its 160 GEMM stages
+// before asking the memo, as Execute used to, measured 4 066.
 func TestWarmExecuteAllocBudget(t *testing.T) {
 	rt := testRuntime(t, Config{PlanAhead: 2})
+	rt.noCompile = true
 	g := nn.Llama2Decode(4, 256)
 	ctx := context.Background()
 	if _, err := rt.Execute(ctx, g); err != nil {
@@ -330,9 +339,9 @@ func TestWarmExecuteAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 2000
+	const budget = 100
 	if allocs > budget {
-		t.Fatalf("warm Execute allocates %.0f times, budget %d", allocs, budget)
+		t.Fatalf("interpreted warm Execute allocates %.0f times, budget %d", allocs, budget)
 	}
 }
 

@@ -206,7 +206,7 @@ func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape 
 // cross-contamination), and recovery attempts miss because their salts
 // differ. Only the miss earns a span; replays are aggregated into the parent
 // graphrt.execute span's counters.
-func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h hw.Hardware, v health.View, ops []stageOp, lowerOn hw.Hardware) sim.Result {
+func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h hw.Hardware, v health.View, ops []stageOp, lowerOn hw.Hardware) *sim.Result {
 	r.mu.Lock()
 	if res, ok := r.simCache[key]; ok {
 		r.accumulateStageLocked(res)
@@ -217,7 +217,8 @@ func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h
 
 	tasks := r.lowerFn(ops, lowerOn)
 	_, sp := r.o.T().Start(ctx, "graphrt.stage")
-	res := r.simFn(h, v, tasks, key.salt)
+	res := new(sim.Result)
+	*res = r.simFn(h, v, tasks, key.salt)
 	sp.Attr("stage", float64(stage)).Attr("tasks", float64(len(tasks))).
 		Attr("cycles", res.Cycles).End()
 
@@ -225,7 +226,7 @@ func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h
 	if len(r.simCache) >= simCacheCap {
 		// The cache is per-process scratch, not a correctness structure:
 		// dropping it wholesale keeps memory flat under shape churn.
-		r.simCache = make(map[stageKey]sim.Result)
+		r.simCache = make(map[stageKey]*sim.Result)
 	}
 	r.simCache[key] = res
 	r.accumulateStageLocked(res)
@@ -251,12 +252,13 @@ func lowerStage(ops []stageOp, h hw.Hardware) []sim.Task {
 }
 
 // accumulateStageLocked folds one executed (or memo-replayed) stage into the
-// cumulative utilization counters. Callers hold r.mu. The cached PEBusy
-// slice is only read, never aliased into agg.PEBusy. Degraded stages report
+// cumulative utilization counters. Callers hold r.mu. The memoized result is
+// shared with the compiled executions that replay it and only ever read; its
+// PEBusy slice is never aliased into agg.PEBusy. Degraded stages report
 // fewer PEs than healthy ones; the shorter series folds into the prefix, so
 // cumulative utilization reflects survivor positions — an accepted
 // approximation while quarantines are live.
-func (r *Runtime) accumulateStageLocked(res sim.Result) {
+func (r *Runtime) accumulateStageLocked(res *sim.Result) {
 	r.agg.GemmStageCycles += res.Cycles
 	if len(res.PEBusy) == 0 {
 		return

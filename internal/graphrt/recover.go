@@ -157,7 +157,7 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 			ops = newOps
 		}
 
-		res = r.runStageCached(ctx, si, key, hEff, v, ops, lowerOn)
+		res = *r.runStageCached(ctx, si, key, hEff, v, ops, lowerOn)
 		r.observe(v, res)
 		if res.Clean() {
 			rep.RecoveredStages++

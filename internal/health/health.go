@@ -226,6 +226,31 @@ func (r *Registry) ObserveResult(v View, res sim.Result) Classification {
 	}
 }
 
+// ObserveClean folds n observations of pristine results (no faulted or
+// stranded task, no dead PE, no per-PE fault, no bandwidth derate) in one
+// locked step, under whichever views they ran. It does so only while the
+// registry holds no pending evidence — every live PE's streak zero (a
+// quarantined PE's is frozen, ObserveResult skips it), no derate accruing or
+// adopted: one such ObserveResult then resets streaks that are already zero
+// and compares a bandwidth factor that is already 1, so n of them change
+// exactly the observation and clean-run counters. Otherwise it reports false
+// and has changed nothing; the caller observes its results one by one.
+func (r *Registry) ObserveClean(n int) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.bwStreak != 0 || r.bwFactor != 1 {
+		return false
+	}
+	for pe, s := range r.streak {
+		if s != 0 && !r.quarantined[pe] {
+			return false
+		}
+	}
+	r.stats.Observations += uint64(n)
+	r.bwClear += n
+	return true
+}
+
 // quarantineLocked marks a base PE quarantined, refusing to take the last
 // live PE offline (a 0-PE view is unplannable; the planner's job is to
 // degrade gracefully, not to halt). Returns whether the view changed.

@@ -265,6 +265,7 @@ func TestConcurrentObserveAndView(t *testing.T) {
 					_ = v.Fingerprint()
 					_ = v.Apply(hw.A100())
 					_ = reg.Stats()
+					_ = reg.ObserveClean(g)
 				}
 			}
 		}(g)

@@ -127,30 +127,50 @@ type Graph struct {
 
 // Validate checks every operator and the dependency structure.
 func (g Graph) Validate() error {
+	_, err := g.Schedule()
+	return err
+}
+
+// Schedule is Validate and Stages in one pass: the stage schedule of a graph
+// whose operators and dependency structure are all valid, or the error
+// Validate reports. An executor needs both answers and derives the schedule
+// once.
+func (g Graph) Schedule() ([][]int, error) {
 	if len(g.Ops) == 0 {
-		return fmt.Errorf("nn: graph %q has no operators", g.Name)
+		return nil, fmt.Errorf("nn: graph %q has no operators", g.Name)
 	}
-	for _, o := range g.Ops {
-		if err := o.Validate(); err != nil {
-			return fmt.Errorf("graph %q: %w", g.Name, err)
+	for i := range g.Ops {
+		if err := g.Ops[i].Validate(); err != nil {
+			return nil, fmt.Errorf("graph %q: %w", g.Name, err)
 		}
 	}
-	if _, err := g.Stages(); err != nil {
-		return fmt.Errorf("graph %q: %w", g.Name, err)
+	stages, err := g.Stages()
+	if err != nil {
+		return nil, fmt.Errorf("graph %q: %w", g.Name, err)
 	}
-	return nil
+	return stages, nil
 }
 
 // Deps returns the effective dependency list of op i: its explicit Inputs
 // edges, or — when Inputs is nil — the chain default (the preceding op).
 func (g Graph) Deps(i int) []int {
-	if o := g.Ops[i]; o.Inputs != nil {
-		return o.Inputs
+	if in := g.Ops[i].Inputs; in != nil || i == 0 {
+		return in
+	}
+	return []int{i - 1}
+}
+
+// deps is Deps with the chain default written into caller-owned storage, so
+// walking every op's dependencies allocates nothing.
+func (g Graph) deps(i int, chain *[1]int) []int {
+	if in := g.Ops[i].Inputs; in != nil {
+		return in
 	}
 	if i == 0 {
 		return nil
 	}
-	return []int{i - 1}
+	chain[0] = i - 1
+	return chain[:]
 }
 
 // Stages returns the topological schedule of the graph: stage s holds the
@@ -160,59 +180,91 @@ func (g Graph) Deps(i int) []int {
 // out of range, a self-edge, or a dependency cycle is an error.
 func (g Graph) Stages() ([][]int, error) {
 	n := len(g.Ops)
+	var chain [1]int
 	indeg := make([]int, n)
-	succ := make([][]int, n)
 	for i := 0; i < n; i++ {
-		for _, d := range g.Deps(i) {
+		for _, d := range g.deps(i, &chain) {
 			if d < 0 || d >= n {
 				return nil, fmt.Errorf("nn: op %q input %d out of range [0,%d)", g.Ops[i].Name, d, n)
 			}
 			if d == i {
 				return nil, fmt.Errorf("nn: op %q depends on itself", g.Ops[i].Name)
 			}
-			succ[d] = append(succ[d], i)
 			indeg[i]++
 		}
 	}
-	// Kahn's algorithm by levels, visiting ready ops in index order so the
-	// schedule is deterministic.
-	var stages [][]int
-	ready := make([]int, 0, n)
+	start, succ := g.consumerRows()
+	// Kahn's algorithm by levels: the first stage holds the sources in index
+	// order, every later one its ops in the order their last dependency
+	// completed, so the schedule is deterministic. The stages returned are
+	// consecutive runs of one slice.
+	order := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			ready = append(ready, i)
+			order = append(order, i)
 		}
 	}
-	placed := 0
-	for len(ready) > 0 {
-		stage := ready
-		stages = append(stages, stage)
-		placed += len(stage)
-		ready = nil
-		for _, i := range stage {
-			for _, s := range succ[i] {
+	stages := make([][]int, 0, n)
+	for lo := 0; lo < len(order); {
+		hi := len(order)
+		stages = append(stages, order[lo:hi:hi])
+		for _, i := range order[lo:hi] {
+			for _, s := range succ[start[i]:start[i+1]] {
 				indeg[s]--
 				if indeg[s] == 0 {
-					ready = append(ready, s)
+					order = append(order, s)
 				}
 			}
 		}
+		lo = hi
 	}
-	if placed != n {
-		return nil, fmt.Errorf("nn: graph has a dependency cycle (%d of %d ops unreachable)", n-placed, n)
+	if len(order) != n {
+		return nil, fmt.Errorf("nn: graph has a dependency cycle (%d of %d ops unreachable)", n-len(order), n)
 	}
 	return stages, nil
+}
+
+// consumerRows is the reverse adjacency of Deps in compressed rows:
+// succ[start[d]:start[d+1]] lists, in index order, the ops that read op d's
+// output (once per edge). Dependencies out of range are skipped. Two
+// allocations however many edges there are.
+func (g Graph) consumerRows() (start, succ []int) {
+	n := len(g.Ops)
+	var chain [1]int
+	// Counted two slots to the right, summed, then used as fill cursors one
+	// slot to the right, the offsets end up in place: at[d] is where row d
+	// begins and at[n] the number of edges.
+	at := make([]int, n+2)
+	for i := 0; i < n; i++ {
+		for _, d := range g.deps(i, &chain) {
+			if d >= 0 && d < n {
+				at[d+2]++
+			}
+		}
+	}
+	for d := 2; d < n+2; d++ {
+		at[d] += at[d-1]
+	}
+	succ = make([]int, at[n+1])
+	for i := 0; i < n; i++ {
+		for _, d := range g.deps(i, &chain) {
+			if d >= 0 && d < n {
+				succ[at[d+1]] = i
+				at[d+1]++
+			}
+		}
+	}
+	return at[:n+1], succ
 }
 
 // Consumers returns, per op, the indices of the ops that read its output —
 // the reverse adjacency of Deps, used for buffer liveness.
 func (g Graph) Consumers() [][]int {
+	start, succ := g.consumerRows()
 	out := make([][]int, len(g.Ops))
-	for i := range g.Ops {
-		for _, d := range g.Deps(i) {
-			if d >= 0 && d < len(g.Ops) {
-				out[d] = append(out[d], i)
-			}
+	for d := range out {
+		if lo, hi := start[d], start[d+1]; hi > lo {
+			out[d] = succ[lo:hi:hi]
 		}
 	}
 	return out

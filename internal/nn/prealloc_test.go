@@ -65,8 +65,27 @@ func TestPreallocatedBuildersBuildTheSameGraphs(t *testing.T) {
 		check(Llama2Decode(n, kv), llamaStepGrown(fmt.Sprintf("llama2-13b-decode@b%d_kv%d", n, kv), n, n, kv))
 		check(Llama2Prefill(n, kv), llamaStepGrown(fmt.Sprintf("llama2-13b-prefill@b%d_s%d", n, kv), n*kv, n, kv))
 	}
+	// llamaStep fills a copy of a skeleton built once; the loop it replaced
+	// is the reference over the whole (tokens, batch, kv) cube.
+	sizes := []int{1, 2, 7, 128, 2048}
+	for _, tokens := range sizes {
+		for _, batch := range sizes {
+			for _, kv := range sizes {
+				name := fmt.Sprintf("t%d_b%d_kv%d", tokens, batch, kv)
+				check(llamaStep(name, tokens, batch, kv), llamaStepGrown(name, tokens, batch, kv))
+			}
+		}
+	}
 	for _, seq := range []int{1, 37, 128, 512} {
 		check(Transformer(BERTBaseConfig, seq, 1), transformerGrown(BERTBaseConfig, seq, 1))
 		check(Transformer(ALBERTXLargeConfig, seq, 2), transformerGrown(ALBERTXLargeConfig, seq, 2))
+	}
+}
+
+// TestLlamaStepAllocations: a step graph is its op slice and its name.
+func TestLlamaStepAllocations(t *testing.T) {
+	Llama2Decode(1, 1) // builds the skeleton
+	if allocs := testing.AllocsPerRun(50, func() { Llama2Decode(2, 256) }); allocs > 2 {
+		t.Fatalf("Llama2Decode allocates %.0f times, want at most 2", allocs)
 	}
 }

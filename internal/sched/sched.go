@@ -319,6 +319,10 @@ type Scheduler struct {
 	running  []*reqState
 	parked   []*reqState // preempted requests awaiting restore (FIFO)
 
+	// lastDecode is the decode wave before this one, whose step graphs
+	// decodeGraphLocked reuses.
+	lastDecode []decodeJob
+
 	chunk         int     // last prefill budget granted (stats)
 	chunkCap      int     // brownout cap on the prefill chunk (0 = none)
 	cyclesPerTk   float64 // EWMA prefill cycles per token
@@ -568,7 +572,21 @@ type prefillJob struct {
 
 type decodeJob struct {
 	entries []decodeEntry
+	kv      int // padded KV length the step graph was built for
 	g       nn.Graph
+}
+
+// decodeGraphLocked returns the step graph for n branches at padded KV length
+// kv. A sequence decodes at one padded length for up to DecodeBucket waves, so
+// the wave before this one has usually built the same graph: it is looked for
+// among that wave's jobs first, and nothing older is kept.
+func (s *Scheduler) decodeGraphLocked(n, kv int) nn.Graph {
+	for _, job := range s.lastDecode {
+		if len(job.entries) == n && job.kv == kv {
+			return job.g
+		}
+	}
+	return nn.Llama2Decode(n, kv)
 }
 
 // buildDecodeLocked forms the decode wave: every running branch with
@@ -608,13 +626,11 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 			if n > s.cfg.MaxDecodeBatch {
 				n = s.cfg.MaxDecodeBatch
 			}
-			decode = append(decode, decodeJob{
-				entries: group[:n],
-				g:       nn.Llama2Decode(n, kv),
-			})
+			decode = append(decode, decodeJob{entries: group[:n], kv: kv, g: s.decodeGraphLocked(n, kv)})
 			group = group[n:]
 		}
 	}
+	s.lastDecode = decode
 	return decode
 }
 
@@ -955,6 +971,9 @@ func (s *Scheduler) finishLocked(st *reqState, err error) {
 			s.running = append(s.running[:i], s.running[i+1:]...)
 			break
 		}
+	}
+	if len(s.running) == 0 {
+		s.lastDecode = nil // an idle scheduler keeps no step graph alive
 	}
 	var digest uint64
 	decoded := 0

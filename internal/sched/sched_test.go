@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -382,5 +383,36 @@ func TestLoopConcurrentSubmits(t *testing.T) {
 	st := s.Stats()
 	if st.Completed != 40 {
 		t.Fatalf("completed %d, want 40", st.Completed)
+	}
+}
+
+// TestDecodeWavesReuseStepGraphs: consecutive decode waves at one (batch,
+// padded KV length) hand the executor the same step graph rather than build it
+// again, and every graph handed over is the one a fresh build would be.
+func TestDecodeWavesReuseStepGraphs(t *testing.T) {
+	var decodes, reused int
+	last := make(map[string]*nn.Op) // graph name → first op of the graph last seen under it
+	exec := newFakeExec()
+	s := New(ExecutorFunc(func(ctx context.Context, g nn.Graph, pool string) (float64, error) {
+		if pool == PoolDecode {
+			var b, kv int
+			if _, err := fmt.Sscanf(g.Name, "llama2-13b-decode@b%d_kv%d", &b, &kv); err != nil {
+				t.Errorf("decode graph named %q", g.Name)
+			} else if fresh := nn.Llama2Decode(b, kv); !reflect.DeepEqual(g, fresh) {
+				t.Errorf("%s differs from a fresh build", g.Name)
+			}
+			decodes++
+			if last[g.Name] == &g.Ops[0] {
+				reused++
+			}
+			last[g.Name] = &g.Ops[0]
+		}
+		return exec.ExecGraph(ctx, g, pool)
+	}), testCfg())
+	if _, _, err := s.Replay(context.Background(), testTrace(5, 40)); err != nil {
+		t.Fatal(err)
+	}
+	if decodes == 0 || reused*2 < decodes {
+		t.Fatalf("%d of %d decode graphs were the previous wave's", reused, decodes)
 	}
 }
