@@ -30,14 +30,15 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzzing burst against the serving layer's input handling, the
-# planner's sweep ≡ reference oracle, the NPU allocator ≡ its reference, and
-# the graph digest the compiled table is keyed by (equal digest ⇒ equal
-# content).
+# planner's sweep ≡ reference oracle, the NPU allocator and the simulator's
+# cohort event loop ≡ their references, and the graph digest the compiled
+# table is keyed by (equal digest ⇒ equal content).
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
 	$(GO) test ./internal/poly/ -run '^$$' -fuzz FuzzPlanEquivalence -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticAssign -fuzztime 10s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSimRun -fuzztime 10s
 	$(GO) test ./internal/graphrt/ -run '^$$' -fuzz FuzzGraphDigest -fuzztime 10s
 
 bench:

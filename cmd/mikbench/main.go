@@ -2,10 +2,12 @@
 // against the committed baseline (BENCH_gate.json). It is the CI gate job's
 // engine and the local tool for refreshing the baseline.
 //
-// Six suites are available via -suite (default all):
+// Seven suites are available via -suite (default all):
 //
 //   - planner: the online planner's decisions, allocations and latency over
 //     BERT-style dynamic-sequence-length and Llama-decode GEMM shapes;
+//   - sim: the simulator's results, allocations and latency on the programs
+//     the planner chooses for never-seen shapes;
 //   - serve: goodput-under-SLO on synthetic multi-tenant LLM traffic through
 //     the paged KV cache and scheduler;
 //   - fusion: whole-graph polymerization — fused GEMM→epilogue→GEMM chain

@@ -57,6 +57,7 @@ var suites = []struct {
 	run  func(quick bool, seeds []uint64) ([]Case, []string, error)
 }{
 	{"planner", plannerSuite},
+	{"sim", simSuite},
 	{"serve", serveSuite},
 	{"fusion", fusionSuite},
 	{"plancache", planCacheSuite},

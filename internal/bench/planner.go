@@ -164,6 +164,17 @@ func measurePlannerCase(c plannerCase, lib *tune.Library) (Case, error) {
 // the exact length of its measured window.
 const coldStreamLen = 512
 
+// coldStreamShapes is the seeded stream of distinct shapes the cold-stream
+// cases plan (and the sim suite simulates the winners of).
+func coldStreamShapes() []tensor.GemmShape {
+	rng := rand.New(rand.NewSource(22))
+	shapes := make([]tensor.GemmShape, coldStreamLen)
+	for i := range shapes {
+		shapes[i] = tensor.GemmShape{M: 1 + rng.Intn(8192), N: 1 + rng.Intn(8192), K: 1 + rng.Intn(16384)}
+	}
+	return shapes
+}
+
 // measureColdStream plans a fixed seeded stream of distinct shapes. Its exact
 // fields fold every decision of the stream — total candidates costed and
 // bound-rejected, and a 64-bit hash over each winner's program string and
@@ -172,11 +183,7 @@ const coldStreamLen = 512
 // no time floor and coldStreamLen iterations), so they are as
 // machine-independent as the pinned cases'.
 func measureColdStream(name string, lib *tune.Library) (Case, error) {
-	rng := rand.New(rand.NewSource(22))
-	shapes := make([]tensor.GemmShape, coldStreamLen)
-	for i := range shapes {
-		shapes[i] = tensor.GemmShape{M: 1 + rng.Intn(8192), N: 1 + rng.Intn(8192), K: 1 + rng.Intn(16384)}
-	}
+	shapes := coldStreamShapes()
 	p := poly.NewPlanner(lib)
 
 	candidates, rejected := 0, 0

@@ -59,9 +59,11 @@ type Compiler struct {
 	cache    *lruCache
 	inflight map[cacheKey]*planCall
 
-	// parked counts callers waiting on another caller's in-flight plan —
-	// what tests gate on instead of sleeping.
-	parked atomic.Int32
+	// parked counts callers waiting on another caller's in-flight plan, and
+	// replanning tracks background replans — what tests wait on instead of
+	// sleeping.
+	parked     atomic.Int32
+	replanning sync.WaitGroup
 
 	// planners maps health fingerprints to planners targeting the
 	// corresponding H' (sharing the offline library's kernels and fitted
@@ -442,7 +444,9 @@ func (c *Compiler) maybeReplanOnChange(v health.View, fp string) {
 	if len(shapes) == 0 {
 		return
 	}
+	c.replanning.Add(1)
 	go func() {
+		defer c.replanning.Done()
 		for _, s := range shapes {
 			ctx, cancel := context.WithTimeout(context.Background(), replanTimeout)
 			_, err := c.planForView(ctx, s, v, fp)

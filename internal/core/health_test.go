@@ -103,21 +103,11 @@ func TestHealthViewChangeTriggersBackgroundReplan(t *testing.T) {
 	if _, err := c.Plan(tensor.GemmShape{M: 48, N: 48, K: 48}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		done := true
-		for _, s := range shapes {
-			if !c.Cached(s, fp) {
-				done = false
-			}
+	c.replanning.Wait()
+	for _, s := range shapes {
+		if !c.Cached(s, fp) {
+			t.Fatalf("hot shape %v not replanned under %q", s, fp)
 		}
-		if done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hot shapes not replanned under %q within deadline", fp)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	if h := c.Health(); h.Replans == 0 {
 		t.Fatalf("Replans = %d, want > 0", h.Replans)

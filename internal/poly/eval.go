@@ -32,6 +32,11 @@ type scratch struct {
 	classes []tileClass // one per distinct (UM, UN) in the library
 	memo    []argminSlot
 
+	// Reciprocal division of wave counts (see divides): the cap on m·n,
+	// NumPEs and its reciprocal.
+	divCap    uint64
+	pes, rpes uint64
+
 	// Remainder-region lower bound of this plan, max(floor, m·n·rate); see
 	// remainderBound. bounded is false when the bound is off: pruning
 	// disabled, or a pipe value the bound cannot trust.
@@ -68,6 +73,7 @@ func (sc *scratch) chainStrips(n int) []chainStrip {
 // lower bounds before. ext keeps the remainder extents for pricing them late.
 type tileClass struct {
 	um, un int
+	rm, rn uint64    // reciprocals of um and un (see recip)
 	pat    PatternID // pattern vals is priced for; 0 = none yet this plan
 	n      int
 	priced uint16 // candidates whose remainder argmins are in vals
@@ -139,9 +145,18 @@ func (p *Planner) prepare(sc *scratch, K int) {
 		sc.classes = make([]tileClass, nc)
 	}
 	sc.classes = sc.classes[:nc]
+	pes := p.Lib.HW.NumPEs
+	addend := pes - 1 // the largest a ceiling division adds to its dividend
 	for i := range ks {
 		cl := &sc.classes[sc.class[i]]
 		cl.um, cl.un, cl.pat = ks[i].UM, ks[i].UN, 0
+		cl.rm, cl.rn = recip(cl.um), recip(cl.un)
+		addend = max(addend, cl.um-1, cl.un-1)
+	}
+	sc.pes, sc.rpes = uint64(pes), recip(pes)
+	sc.divCap = 0
+	if p.Cost == CostFull && addend < 1<<31 {
+		sc.divCap = 1<<32 - 1 - uint64(addend)
 	}
 
 	for j := range ks {
@@ -251,12 +266,56 @@ func (p *Planner) kernelRegionCost(pipe []float64, i, m, n int) float64 {
 	}
 }
 
+// recip returns the reciprocal r = ⌊(2⁶⁴−1)/d⌋ + 1 = ⌈2⁶⁴/d⌉ of a divisor
+// d ≥ 1, with which divr divides by d (Granlund & Montgomery, PLDI 1994). For
+// d = 1 it wraps to 0, which divr treats as the identity.
+func recip(d int) uint64 { return math.MaxUint64/uint64(d) + 1 }
+
+// divr returns x / d for the reciprocal r = recip(d), exactly whenever x and
+// d are below 2³²: with r = (2⁶⁴ + e)/d, 0 ≤ e < d, the high word of x·r is
+// ⌊x/d + x·e/(d·2⁶⁴)⌋, and x·e < 2⁶⁴ keeps the error term below the 1/d gap
+// between x/d's fraction and the next integer.
+func divr(x, r uint64) uint64 {
+	if r == 0 {
+		return x
+	}
+	q, _ := bits.Mul64(x, r)
+	return q
+}
+
+// divides reports whether waves may price an (m, n) region: under CostFull,
+// when m·n ≤ divCap, so that every dividend of its wave count — ⌈m/UM⌉·⌈n/UN⌉
+// ≤ m·n included — stays below 2³² after its ceiling addend.
+func (sc *scratch) divides(m, n int) bool {
+	um, un := uint64(m), uint64(n)
+	return um|un < 1<<32 && um*un <= sc.divCap
+}
+
+// waves is WaveCount(⌈m/UM⌉·⌈n/UN⌉, NumPEs) for cl's tile by reciprocal
+// multiplication: the same quotients, hence the same bits. The caller checks
+// divides(m, n).
+func (sc *scratch) waves(cl *tileClass, m, n int) float64 {
+	t1 := divr(uint64(m+cl.um-1), cl.rm)
+	t2 := divr(uint64(n+cl.un-1), cl.rn)
+	return float64(int64(divr(t1*t2+sc.pes-1, sc.rpes))) // < 2³²: int64 converts in one instruction
+}
+
 // frontArgmin picks the library kernel minimizing the cost of an (m, n)
 // region — exact for Eq. 2 because region terms are independent given
 // boundaries. Scanning the front gives the same cost bits and the same index
-// as scanning the whole library (see neverWins).
+// as scanning the whole library (see neverWins). Where divides allows, each
+// kernel's wave count is taken by reciprocal multiplication; past the cap and
+// under the other cost models the argmin calls kernelRegionCost.
 func (p *Planner) frontArgmin(sc *scratch, m, n int) (float64, int) {
 	best, arg := math.Inf(1), 0
+	if sc.divides(m, n) {
+		for _, i := range sc.front {
+			if c := sc.waves(&sc.classes[sc.class[i]], m, n) * sc.pipe[i]; c < best {
+				best, arg = c, int(i)
+			}
+		}
+		return best, arg
+	}
 	for _, i := range sc.front {
 		if c := p.kernelRegionCost(sc.pipe, int(i), m, n); c < best {
 			best, arg = c, int(i)
@@ -305,8 +364,12 @@ func (p *Planner) price(sc *scratch, bs *boundarySet, cl *tileClass, pat Pattern
 	lo := 0
 	for ci, end := range bs.end[:bs.n] {
 		g := bs.rects[lo]
-		cl.vals[lo] = 1
-		if p.Cost != CostPipeOnly {
+		switch {
+		case p.Cost == CostPipeOnly:
+			cl.vals[lo] = 1
+		case sc.divides(g.m, g.n):
+			cl.vals[lo] = sc.waves(cl, g.m, g.n)
+		default:
 			cl.vals[lo] = WaveCount(((g.m+cl.um-1)/cl.um)*((g.n+cl.un-1)/cl.un), pes)
 		}
 		for j := lo + 1; j < int(end); j++ {

@@ -122,17 +122,18 @@ func randomFaults(rng *rand.Rand, h hw.Hardware) sim.Faults {
 
 // Kinds of synthetic task list.
 const (
-	manyCosts = iota // more distinct costs than the counting order takes
-	allEqual         // one cost
-	nearTies         // costs within the allocator's eps of each other
-	withNaN          // some NaN costs (lists only: a NaN task never retires)
-	fewCosts         // a handful of costs, zeros of both signs among them
+	manyCosts  = iota // more distinct costs than the counting order takes
+	allEqual          // one cost
+	nearTies          // costs within the allocator's eps of each other
+	withNaN           // some NaN costs (lists only: a NaN task never retires)
+	fewCosts          // a handful of costs, zeros of both signs among them
+	neighbours        // tasks one field apart, in runs of 8 per tag
 	numKinds
 )
 
-// synthTasks draws an n-task list of the given kind. Every task carries its
-// index as its tag, so the per-PE lists show whether equal-cost tasks kept
-// their list order.
+// synthTasks draws an n-task list of the given kind. Every task but the
+// neighbours carries its index as its tag, so the per-PE lists show whether
+// equal-cost tasks kept their list order.
 func synthTasks(rng *rand.Rand, kind, n int) []sim.Task {
 	tasks := make([]sim.Task, n)
 	negZero := math.Copysign(0, -1)
@@ -150,6 +151,19 @@ func synthTasks(rng *rand.Rand, kind, n int) []sim.Task {
 			if rng.Intn(4) == 0 {
 				t.MemBytes = math.NaN()
 			}
+		case neighbours:
+			// Every field that shapes an in-flight task's timeline, varied
+			// alone: a later stream start that completes at the same
+			// cycle, a longer stream, a compute one ulp longer.
+			t = sim.Task{StartupCycles: 8, ComputeCycles: 500, MemBytes: 1 << 15, Tag: i / 8 % 2}
+			switch rng.Intn(5) {
+			case 0:
+				t.StartupCycles, t.ComputeCycles = 16, 492
+			case 1:
+				t.MemBytes += 4096
+			case 2:
+				t.ComputeCycles = math.Nextafter(t.ComputeCycles, 501)
+			}
 		default:
 			switch r := rng.Intn(5); r {
 			case 0:
@@ -165,16 +179,16 @@ func synthTasks(rng *rand.Rand, kind, n int) []sim.Task {
 	return tasks
 }
 
-// randomLibrary is a small model-less Ascend 910 library (g_predict falls back
-// to the analytic task cost).
-func randomLibrary(rng *rand.Rand) *tune.Library {
+// randomLibrary is a small model-less library for h (g_predict falls back to
+// the analytic task cost).
+func randomLibrary(rng *rand.Rand, h hw.Hardware) *tune.Library {
 	tiles := []int{16, 32, 48, 64, 128, 256}
 	ks := make([]kernel.MicroKernel, 4+rng.Intn(6))
 	for i := range ks {
 		ks[i] = kernel.New(tiles[rng.Intn(len(tiles))], tiles[rng.Intn(len(tiles))], 16<<rng.Intn(4),
 			kernel.Config{Stages: 1 + rng.Intn(4), Vec: 1 << rng.Intn(4)})
 	}
-	return &tune.Library{HW: hw.Ascend910(), Kernels: ks}
+	return &tune.Library{HW: h, Kernels: ks}
 }
 
 // TestStaticAssignMatchesReference: over task lists lowered from random
@@ -184,7 +198,7 @@ func TestStaticAssignMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	h := hw.Ascend910()
 	for i := 0; i < 120; i++ {
-		lib := randomLibrary(rng)
+		lib := randomLibrary(rng, h)
 		shape := tensor.GemmShape{M: 1 + rng.Intn(1536), N: 1 + rng.Intn(1536), K: 1 + rng.Intn(4096)}
 		prog, _, err := poly.NewPlanner(lib).Plan(shape)
 		if err != nil {
@@ -206,6 +220,7 @@ func FuzzStaticAssign(f *testing.F) {
 	f.Add(int64(3), uint16(64), uint8(nearTies), uint32(0x00ff00ff))
 	f.Add(int64(4), uint16(17), uint8(withNaN), uint32(0xfffffffe))
 	f.Add(int64(5), uint16(200), uint8(fewCosts), uint32(0x10))
+	f.Add(int64(6), uint16(96), uint8(neighbours), uint32(0))
 	h := hw.Ascend910()
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, kind uint8, dead uint32) {
 		if n > 2000 {

@@ -273,9 +273,9 @@ func RunWithFaults(h hw.Hardware, tasks []Task, f Faults) (Result, error) {
 	var res Result
 	switch h.Scheduler {
 	case hw.ScheduleStaticMaxMin:
-		res = runEventLoopInner(h, staticAssign(h, tasks, fs.dead), nil, fs)
+		res = runEventLoop(h, staticAssign(h, tasks, fs.dead), nil, fs)
 	default:
-		res = runEventLoopInner(h, dynamicQueue(tasks), nil, fs)
+		res = runEventLoop(h, dynamicQueue(tasks), nil, fs)
 	}
 	return res, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"mikpoly/internal/hw"
@@ -26,21 +27,6 @@ func perTaskBandwidthCap(h hw.Hardware) float64 {
 	return math.Max(h.FairShareBandwidth(), h.GlobalBytesPerCycle/16)
 }
 
-// running tracks one in-flight task on a PE.
-type running struct {
-	task          Task
-	pe            int
-	start         float64 // dispatch time (for tracing)
-	memStartAt    float64 // startup completes, streaming may begin
-	computeDoneAt float64 // startup + compute fully elapsed
-	memLeft       float64 // bytes still to stream
-	faulted       bool    // injected fault: output must be discarded
-}
-
-func (r *running) done(now float64) bool {
-	return now+timeEps(now) >= r.computeDoneAt && r.memLeft <= memEps
-}
-
 // Run executes the task list on hardware h and returns the makespan and
 // per-PE utilization. Placement follows h.Scheduler: GPUs hand each ready
 // task to the first idle PE (hardware dynamic scheduling, so regions of a
@@ -58,9 +44,9 @@ func Run(h hw.Hardware, tasks []Task) Result {
 	}
 	switch h.Scheduler {
 	case hw.ScheduleStaticMaxMin:
-		return runEventLoop(h, staticAssign(h, tasks, nil))
+		return runEventLoop(h, staticAssign(h, tasks, nil), nil, nil)
 	default:
-		return runEventLoop(h, dynamicQueue(tasks))
+		return runEventLoop(h, dynamicQueue(tasks), nil, nil)
 	}
 }
 
@@ -226,14 +212,25 @@ func staticAssign(h hw.Hardware, tasks []Task, dead []bool) *staticFeeder {
 	load := make([]float64, h.NumPEs)
 	count := make([]int, h.NumPEs)
 	owner := make([]int32, len(order)) // PE of the k-th task in LPT order
+	var groups loadGroups
+	grouped := groups.init(live, h.NumPEs)
 	for k, i := range order {
-		best := live[0]
-		for _, pe := range live[1:] {
-			if load[pe] < load[best]-eps {
-				best = pe
+		var best int
+		if grouped {
+			best = groups.best(load)
+		} else {
+			best = live[0]
+			for _, pe := range live[1:] {
+				if load[pe] < load[best]-eps {
+					best = pe
+				}
 			}
 		}
+		from := load[best]
 		load[best] += costs[i]
+		if grouped {
+			grouped = groups.move(best, from, load[best])
+		}
 		count[best]++
 		owner[k] = int32(best)
 	}
@@ -251,6 +248,81 @@ func staticAssign(h hw.Hardware, tasks []Task, dead []bool) *staticFeeder {
 		perPE[owner[k]] = append(perPE[owner[k]], tasks[i])
 	}
 	return &staticFeeder{perPE: perPE, left: len(tasks)}
+}
+
+// maxLoadGroups is the most distinct PE loads loadGroups tracks. LPT over a
+// lowered program's handful of costs keeps few distinct loads; past the cap
+// the allocator goes back to scanning every PE.
+const maxLoadGroups = 8
+
+// loadGroups partitions the live PEs by load value so that the allocator's
+// ε-scan (`load[pe] < load[best]-eps` over the live PEs in index order) visits
+// one PE per distinct load. A PE whose load equals an earlier PE's can never
+// become best: when the earlier PE was visited it either became best or had a
+// load ≥ load[best]-ε; best's load only decreases after that, and float
+// subtraction is monotone, so the later PE's comparison is false as well.
+// Scanning only each group's lowest PE, in index order, therefore picks the
+// same PE. Groups need PE indices below 64 and loads that equal themselves
+// (not NaN).
+type loadGroups struct {
+	n    int
+	load [maxLoadGroups]float64
+	pes  [maxLoadGroups]uint64 // bit pe set: PE pe holds load[g]
+}
+
+// init puts every live PE in one group of load 0 and reports whether grouping
+// applies.
+func (g *loadGroups) init(live []int, numPEs int) bool {
+	if numPEs > 64 {
+		return false
+	}
+	g.n = 1
+	for _, pe := range live {
+		g.pes[0] |= 1 << pe
+	}
+	return true
+}
+
+// best is the PE the full ε-scan would pick.
+func (g *loadGroups) best(load []float64) int {
+	var lowest uint64 // each group's lowest PE
+	for _, m := range g.pes[:g.n] {
+		lowest |= m & -m
+	}
+	best := bits.TrailingZeros64(lowest)
+	for lowest &= lowest - 1; lowest != 0; lowest &= lowest - 1 {
+		if pe := bits.TrailingZeros64(lowest); load[pe] < load[best]-eps {
+			best = pe
+		}
+	}
+	return best
+}
+
+// move regroups pe from load from to load to. It reports false — grouping no
+// longer applies — when to is NaN or would be one distinct load too many.
+func (g *loadGroups) move(pe int, from, to float64) bool {
+	bit := uint64(1) << pe
+	for i := range g.n {
+		if g.load[i] == from {
+			if g.pes[i] &^= bit; g.pes[i] == 0 {
+				g.n--
+				g.load[i], g.pes[i] = g.load[g.n], g.pes[g.n]
+			}
+			break
+		}
+	}
+	for i := range g.n {
+		if g.load[i] == to {
+			g.pes[i] |= bit
+			return true
+		}
+	}
+	if to != to || g.n == maxLoadGroups {
+		return false
+	}
+	g.load[g.n], g.pes[g.n] = to, bit
+	g.n++
+	return true
 }
 
 // maxCountedCosts is the most distinct task costs lptOrder orders by counting;
@@ -317,133 +389,131 @@ func lptOrder(costs []float64) []int32 {
 	return order
 }
 
-// runEventLoop is the event-driven core without tracing.
-func runEventLoop(h hw.Hardware, f feeder) Result {
-	return runEventLoopInner(h, f, nil, nil)
+// PE states held in eventLoop.link beside a busy PE's next cohort member.
+const (
+	peLast = -1 - iota // busy, the last member of its cohort
+	peFree             // idle, offered work on the next fill pass
+	peIdle             // idle for good: its feeder has no more work for it
+	peOff              // dead, takes no work
+)
+
+// cohort is a run of identical in-flight tasks started on one fill pass: the
+// same Task bit for bit, start, memStartAt, computeDoneAt, memLeft and fault
+// flag. Everything the event loop derives from an in-flight task is a function
+// of these, so the members reach every event together and the loop pays once
+// per cohort what it would otherwise pay once per task. The member PEs, in
+// increasing order, chain through eventLoop.link from head to tail.
+type cohort struct {
+	task          Task
+	start         float64 // dispatch time (for tracing)
+	memStartAt    float64 // startup completes, streaming may begin
+	computeDoneAt float64 // startup + compute fully elapsed
+	memLeft       float64 // bytes each member still has to stream
+	faulted       bool    // injected fault: outputs must be discarded
+	head, tail, n int32
 }
 
-// runEventLoopInner is the event-driven core. At every event boundary it
-// recomputes the equal bandwidth share among streaming tasks (capped per
-// task), advances streaming progress, retires finished tasks (reporting them
-// to collect when tracing), and starts new ones on idle PEs. fs, when
+// done and streaming take nowEps = now + timeEps(now).
+func (c *cohort) done(nowEps float64) bool { return nowEps >= c.computeDoneAt && c.memLeft <= memEps }
+
+func (c *cohort) streaming(nowEps float64) bool { return nowEps >= c.memStartAt && c.memLeft > memEps }
+
+// joins reports whether task t, started now with the given completion time
+// and fault flag, may join c. start, memStartAt and memLeft follow from the
+// task and the clock, equal within a fill pass; computeDoneAt differs on a
+// slowed PE.
+func (c *cohort) joins(t *Task, computeDoneAt float64, faulted bool) bool {
+	return c.faulted == faulted && sameBits(c.computeDoneAt, computeDoneAt) &&
+		sameBits(c.task.ComputeCycles, t.ComputeCycles) && sameBits(c.task.MemBytes, t.MemBytes) &&
+		sameBits(c.task.StartupCycles, t.StartupCycles) && c.task.Tag == t.Tag
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// eventLoop is the state of one simulated run.
+type eventLoop struct {
+	f       feeder
+	collect func(TraceEvent)
+	fs      *faultState
+
+	now       float64
+	cohorts   []cohort // in start order, at most one per PE
+	link      []int32  // per PE: the next member of its cohort, or a pe* state
+	peBusy    []float64
+	streaming int // members of streaming cohorts
+	nTasks    int
+	faulted   int
+	streamed  float64
+}
+
+// runEventLoop is the event-driven core. At every event boundary it retires
+// finished tasks (reporting them to collect when tracing), starts new ones on
+// idle PEs, recomputes the equal bandwidth share among streaming tasks (capped
+// per task) and advances streaming progress to the next event. fs, when
 // non-nil, injects deterministic hardware faults (dead PEs, per-PE compute
 // slowdown, mid-run PE death, brownout windows, transient and sticky task
 // faults); run-long bandwidth degradation is applied by the caller through h.
-func runEventLoopInner(h hw.Hardware, f feeder, collect func(TraceEvent), fs *faultState) Result {
-	var (
-		now      float64
-		active   []*running
-		peBusy   = make([]float64, h.NumPEs)
-		peFree   = make([]bool, h.NumPEs)
-		nTasks   int
-		faulted  int
-		streamed float64
-	)
-	for i := range peFree {
-		peFree[i] = fs == nil || !fs.dead[i]
+//
+// In-flight tasks are held as cohorts, by value, so a run allocates its
+// per-PE state once and each event costs one pass per cohort, not per task.
+// The builtin min and max it uses agree with math.Min and math.Max on every
+// operand the loop can produce (they differ only on a NaN against −Inf for
+// min or +Inf for max).
+func runEventLoop(h hw.Hardware, f feeder, collect func(TraceEvent), fs *faultState) Result {
+	l := eventLoop{
+		f: f, collect: collect, fs: fs,
+		cohorts: make([]cohort, 0, h.NumPEs),
+		link:    make([]int32, h.NumPEs),
+		peBusy:  make([]float64, h.NumPEs),
 	}
-
-	start := func(pe int, t Task) {
-		compute := t.ComputeCycles
-		fault := false
-		if fs != nil {
-			compute *= fs.slow[pe]
-			if fs.sticky[pe] > 0 {
-				fs.sticky[pe]--
-				fault = true
-			} else if fs.taskFault(nTasks) {
-				fault = true
-			}
-		}
-		nTasks++
-		streamed += t.MemBytes
-		active = append(active, &running{
-			task:          t,
-			pe:            pe,
-			start:         now,
-			memStartAt:    now + t.StartupCycles,
-			computeDoneAt: now + t.StartupCycles + compute,
-			memLeft:       t.MemBytes,
-			faulted:       fault,
-		})
-		peFree[pe] = false
-		peBusy[pe] -= now // completed at retire time below
-	}
-
-	retire := func(r *running) {
-		peBusy[r.pe] += now
-		if r.faulted {
-			faulted++
-			if fs != nil {
-				fs.peFaults[r.pe]++
-			}
-		}
-		if collect != nil {
-			collect(TraceEvent{PE: r.pe, Tag: r.task.Tag, Start: r.start, End: now})
+	for pe := range l.link {
+		l.link[pe] = peFree
+		if fs != nil && fs.dead[pe] {
+			l.link[pe] = peOff
 		}
 	}
-
+	bwCap := perTaskBandwidthCap(h)
+	fill := true // some PE is peFree
 	for {
-		// Retire finished tasks.
-		keep := active[:0]
-		for _, r := range active {
-			if r.done(now) {
-				peFree[r.pe] = true
-				retire(r)
-			} else {
-				keep = append(keep, r)
-			}
+		nowEps := l.now + timeEps(l.now)
+		if l.retire(nowEps) {
+			fill = true
 		}
-		active = keep
 
 		// Process PE deaths due by now: the in-flight task (if any) is
 		// lost, the PE accepts no further work, and statically assigned
 		// residual work strands. Runs after retirement so a task finishing
 		// exactly at the death cycle still completes.
 		if fs != nil {
-			for pe := 0; pe < h.NumPEs; pe++ {
-				if fs.dead[pe] || now+timeEps(now) < fs.deathAt[pe] {
+			for pe := range l.link {
+				if fs.dead[pe] || nowEps < fs.deathAt[pe] {
 					continue
 				}
 				fs.dead[pe] = true
 				fs.diedMid[pe] = true
-				peFree[pe] = false
-				keep := active[:0]
-				for _, r := range active {
-					if r.pe == pe {
-						r.faulted = true
-						retire(r)
-					} else {
-						keep = append(keep, r)
-					}
+				if l.link[pe] >= peLast {
+					l.kill(int32(pe), nowEps)
 				}
-				active = keep
+				l.link[pe] = peOff
 				fs.stranded += f.drain(pe)
 			}
 		}
 
-		// Fill idle PEs.
-		for pe := 0; pe < h.NumPEs; pe++ {
-			if !peFree[pe] {
-				continue
-			}
-			t, ok := f.next(pe)
-			if !ok {
-				continue
-			}
-			start(pe, t)
+		if fill {
+			l.fill(nowEps)
+			fill = false
 		}
 
-		if len(active) == 0 {
+		if len(l.cohorts) == 0 {
 			if f.remaining() == 0 {
 				break
 			}
 			// Remaining work with nothing runnable: either every PE died
 			// mid-run (the shared queue's leftovers strand), or the
 			// static feeder misassigned — the latter cannot happen, so
-			// any free PE here means a bug.
-			for pe := 0; pe < h.NumPEs; pe++ {
-				if peFree[pe] {
+			// any idle live PE here means a bug.
+			for _, s := range l.link {
+				if s == peFree || s == peIdle {
 					panic("sim: no runnable tasks but work remains")
 				}
 			}
@@ -457,21 +527,15 @@ func runEventLoopInner(h hw.Hardware, f feeder, collect func(TraceEvent), fs *fa
 		// Current bandwidth: the caller-scaled device total, derated by an
 		// active brownout window, shared equally among streaming tasks and
 		// capped per task.
-		hNow := h
+		total := h.GlobalBytesPerCycle
 		if fs != nil {
-			hNow.GlobalBytesPerCycle *= fs.bwFactor(now)
-		}
-		bwCap := perTaskBandwidthCap(hNow)
-		tEps := timeEps(now)
-		streaming := 0
-		for _, r := range active {
-			if now+tEps >= r.memStartAt && r.memLeft > memEps {
-				streaming++
-			}
+			hNow := h
+			hNow.GlobalBytesPerCycle *= fs.bwFactor(l.now)
+			total, bwCap = hNow.GlobalBytesPerCycle, perTaskBandwidthCap(hNow)
 		}
 		share := bwCap
-		if streaming > 0 {
-			share = math.Min(bwCap, hNow.GlobalBytesPerCycle/float64(streaming))
+		if l.streaming > 0 {
+			share = min(bwCap, total/float64(l.streaming))
 		}
 
 		// Next event: a startup completing, a compute finishing, a stream
@@ -479,23 +543,28 @@ func runEventLoopInner(h hw.Hardware, f feeder, collect func(TraceEvent), fs *fa
 		// boundary changing the bandwidth share. Streaming steps never
 		// cross any of these boundaries.
 		next := math.Inf(1)
-		for _, r := range active {
-			if r.memStartAt > now+tEps {
-				next = math.Min(next, r.memStartAt)
-			} else if r.memLeft > memEps {
-				next = math.Min(next, now+r.memLeft/share)
+		for i := range l.cohorts {
+			c := &l.cohorts[i]
+			if c.memStartAt > nowEps {
+				next = min(next, c.memStartAt)
+			} else if c.memLeft > memEps {
+				next = min(next, l.now+c.memLeft/share)
 			}
-			if r.computeDoneAt > now+tEps {
-				next = math.Min(next, r.computeDoneAt)
+			if c.computeDoneAt > nowEps {
+				next = min(next, c.computeDoneAt)
 			}
-			if fs != nil && !math.IsInf(fs.deathAt[r.pe], 1) && fs.deathAt[r.pe] > now+tEps {
-				next = math.Min(next, fs.deathAt[r.pe])
+			if fs != nil {
+				for pe := c.head; pe >= 0; pe = l.link[pe] {
+					if d := fs.deathAt[pe]; !math.IsInf(d, 1) && d > nowEps {
+						next = min(next, d)
+					}
+				}
 			}
 		}
 		if fs != nil && fs.brown != nil {
-			for _, b := range []float64{fs.brown.StartCycle, fs.brown.StartCycle + fs.brown.Duration} {
-				if b > now+tEps {
-					next = math.Min(next, b)
+			for _, b := range [2]float64{fs.brown.StartCycle, fs.brown.StartCycle + fs.brown.Duration} {
+				if b > nowEps {
+					next = min(next, b)
 				}
 			}
 		}
@@ -503,26 +572,26 @@ func runEventLoopInner(h hw.Hardware, f feeder, collect func(TraceEvent), fs *fa
 			// Every active task is already finishable; loop retires them.
 			continue
 		}
-		if next < now+tEps {
+		if next < nowEps {
 			// Force progress past float rounding.
-			next = now + tEps
+			next = nowEps
 		}
 
 		// Advance streaming progress to the event time.
-		dt := next - now
-		for _, r := range active {
-			if now+tEps >= r.memStartAt && r.memLeft > memEps {
-				r.memLeft = math.Max(0, r.memLeft-share*dt)
+		dt := next - l.now
+		for i := range l.cohorts {
+			if c := &l.cohorts[i]; c.streaming(nowEps) {
+				c.memLeft = max(0, c.memLeft-share*dt)
 			}
 		}
-		now = next
+		l.now = next
 	}
 
 	var busy float64
-	for _, b := range peBusy {
+	for _, b := range l.peBusy {
 		busy += b
 	}
-	res := Result{Cycles: now, BusyPECycles: busy, NumTasks: nTasks, FaultedTasks: faulted, MemBytesStreamed: streamed, PEBusy: peBusy}
+	res := Result{Cycles: l.now, BusyPECycles: busy, NumTasks: l.nTasks, FaultedTasks: l.faulted, MemBytesStreamed: l.streamed, PEBusy: l.peBusy}
 	if fs != nil {
 		res.StrandedTasks = fs.stranded
 		res.DeadPEs = fs.deadPEs()
@@ -532,11 +601,142 @@ func runEventLoopInner(h hw.Hardware, f feeder, collect func(TraceEvent), fs *fa
 				break
 			}
 		}
-		if fs.brown != nil && fs.brown.StartCycle < now {
+		if fs.brown != nil && fs.brown.StartCycle < l.now {
 			res.BandwidthDerate = fs.brown.Factor
 		}
 	}
 	return res
+}
+
+// retire retires every finished cohort, member by member in PE order, and
+// counts the members of the remaining cohorts that stream. It reports whether
+// any PE was freed.
+func (l *eventLoop) retire(nowEps float64) bool {
+	kept, freed := 0, false
+	l.streaming = 0
+	for i := range l.cohorts {
+		c := &l.cohorts[i]
+		if c.done(nowEps) {
+			for pe := c.head; pe >= 0; {
+				next := l.link[pe]
+				l.link[pe] = peFree
+				l.finish(pe, c, c.faulted)
+				pe = next
+			}
+			freed = true
+			continue
+		}
+		if c.streaming(nowEps) {
+			l.streaming += int(c.n)
+		}
+		if kept != i {
+			l.cohorts[kept] = *c
+		}
+		kept++
+	}
+	l.cohorts = l.cohorts[:kept]
+	return freed
+}
+
+// kill removes busy PE pe from its cohort and retires its task as faulted.
+func (l *eventLoop) kill(pe int32, nowEps float64) {
+	for i := range l.cohorts {
+		c := &l.cohorts[i]
+		prev := int32(peLast)
+		for m := c.head; m >= 0; prev, m = m, l.link[m] {
+			if m != pe {
+				continue
+			}
+			if prev == peLast {
+				c.head = l.link[pe]
+			} else {
+				l.link[prev] = l.link[pe]
+			}
+			if c.tail == pe {
+				c.tail = prev
+			}
+			c.n--
+			if c.streaming(nowEps) {
+				l.streaming--
+			}
+			l.finish(pe, c, true)
+			if c.n == 0 {
+				l.cohorts = append(l.cohorts[:i], l.cohorts[i+1:]...)
+			}
+			return
+		}
+	}
+}
+
+// finish books one retired task of cohort c on PE pe.
+func (l *eventLoop) finish(pe int32, c *cohort, faulted bool) {
+	l.peBusy[pe] += l.now
+	if faulted {
+		l.faulted++
+		if l.fs != nil {
+			l.fs.peFaults[pe]++
+		}
+	}
+	if l.collect != nil {
+		l.collect(TraceEvent{PE: int(pe), Tag: c.task.Tag, Start: c.start, End: l.now})
+	}
+}
+
+// fill offers work to every free PE in index order. A PE the feeder has
+// nothing for never gets any later: both feeders only ever shrink.
+func (l *eventLoop) fill(nowEps float64) {
+	pass := len(l.cohorts) // cohorts from here on started in this pass
+	for pe := range l.link {
+		if l.link[pe] != peFree {
+			continue
+		}
+		t, ok := l.f.next(pe)
+		if !ok {
+			l.link[pe] = peIdle
+			continue
+		}
+		l.start(int32(pe), t, pass, nowEps)
+	}
+}
+
+// start dispatches t on PE pe, joining the last cohort when that cohort was
+// started in this fill pass (index ≥ pass) with identical state.
+func (l *eventLoop) start(pe int32, t Task, pass int, nowEps float64) {
+	compute := t.ComputeCycles
+	fault := false
+	if fs := l.fs; fs != nil {
+		compute *= fs.slow[pe]
+		if fs.sticky[pe] > 0 {
+			fs.sticky[pe]--
+			fault = true
+		} else if fs.taskFault(l.nTasks) {
+			fault = true
+		}
+	}
+	l.nTasks++
+	l.streamed += t.MemBytes
+	l.peBusy[pe] -= l.now // completed at retirement
+	l.link[pe] = peLast
+	computeDoneAt := l.now + t.StartupCycles + compute
+	if last := len(l.cohorts) - 1; last >= pass && l.cohorts[last].joins(&t, computeDoneAt, fault) {
+		c := &l.cohorts[last]
+		l.link[c.tail] = pe
+		c.tail = pe
+		c.n++
+	} else {
+		l.cohorts = append(l.cohorts, cohort{
+			task:          t,
+			start:         l.now,
+			memStartAt:    l.now + t.StartupCycles,
+			computeDoneAt: computeDoneAt,
+			memLeft:       t.MemBytes,
+			faulted:       fault,
+			head:          pe, tail: pe, n: 1,
+		})
+	}
+	if l.cohorts[len(l.cohorts)-1].streaming(nowEps) {
+		l.streaming++
+	}
 }
 
 // TransferCycles returns the M_global cycles needed to stream n bytes at

@@ -359,7 +359,7 @@ func TestFastPathAgreesWithEventLoopProperty(t *testing.T) {
 		if !ok {
 			return false
 		}
-		ev := runEventLoop(h, dynamicQueue(tasks))
+		ev := runEventLoop(h, dynamicQueue(tasks), nil, nil)
 		return math.Abs(fast.Cycles-ev.Cycles)/ev.Cycles < 0.01
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

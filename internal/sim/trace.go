@@ -35,9 +35,9 @@ func RunTrace(h hw.Hardware, tasks []Task) (Result, []TraceEvent) {
 	var res Result
 	switch h.Scheduler {
 	case hw.ScheduleStaticMaxMin:
-		res = runEventLoopTraced(h, staticAssign(h, tasks, nil), collect)
+		res = runEventLoop(h, staticAssign(h, tasks, nil), collect, nil)
 	default:
-		res = runEventLoopTraced(h, dynamicQueue(tasks), collect)
+		res = runEventLoop(h, dynamicQueue(tasks), collect, nil)
 	}
 	return res, events
 }
@@ -105,9 +105,4 @@ func Timeline(events []TraceEvent, numPEs, width, maxPEs int) string {
 		fmt.Fprintf(&b, "PE%-4d |%s|\n", pe, row)
 	}
 	return strings.TrimRight(b.String(), "\n")
-}
-
-// runEventLoopTraced wraps the event loop with a completion callback.
-func runEventLoopTraced(h hw.Hardware, f feeder, collect func(TraceEvent)) Result {
-	return runEventLoopInner(h, f, collect, nil)
 }
