@@ -29,13 +29,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzzing burst against the serving layer's input handling, the
-# planner's sweep ≡ reference oracle, the NPU allocator and the simulator's
-# cohort event loop ≡ their references, and the graph digest the compiled
-# table is keyed by (equal digest ⇒ equal content).
+# Short fuzzing burst against the serving layer's input handling (/plan,
+# /execute and /model bodies, GEMM shapes), the planner's sweep ≡ reference
+# oracle, the NPU allocator and the simulator's cohort event loop ≡ their
+# references, and the graph digest the compiled table is keyed by (equal
+# digest ⇒ equal content).
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzModelRequest -fuzztime 10s
 	$(GO) test ./internal/poly/ -run '^$$' -fuzz FuzzPlanEquivalence -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticAssign -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSimRun -fuzztime 10s

@@ -16,8 +16,8 @@
 // timeouts and size limits, panic recovery, planner deadlines with graceful
 // degradation to an always-legal fallback program, and — when fault injection
 // is enabled — re-planning with exponential backoff. Model graphs run with
-// asynchronous plan-ahead (-plan-ahead) and, for llama2-decode, continuous
-// batching (-decode-batch). With -sched, POST /generate runs requests through
+// asynchronous plan-ahead (-plan-ahead); llama2-decode runs its steps as
+// successive step graphs. With -sched, POST /generate runs requests through
 // the SLO-aware generation scheduler: paged KV cache with prefix reuse,
 // chunked prefill interleaved with decode waves, and token-budget admission
 // (429 + Retry-After when the in-flight token budget is exhausted).
@@ -73,7 +73,6 @@ func main() {
 		library     = flag.String("library", "", "load the micro-kernel library from this file instead of tuning (falls back to tuning if unreadable)")
 		saveLibrary = flag.String("save-library", "", "after tuning, save the micro-kernel library to this file")
 		planAhead   = flag.Int("plan-ahead", 2, "graph-runtime plan-ahead depth for /model (<= 0 = sequential inline planning)")
-		decodeBatch = flag.Bool("decode-batch", true, "continuously batch concurrent llama2-decode /model requests")
 		fuse        = flag.Bool("fuse", false, "fuse GEMM→epilogue→GEMM graph chains into single programs when the cost model prefers them (whole-graph polymerization)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
 		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCapacity, "span ring-buffer capacity for -trace")
@@ -117,7 +116,6 @@ func main() {
 		MaxInFlight:      *inFlight,
 		RequestTimeout:   *reqTimeout,
 		PlanTimeout:      *planTimeout,
-		DecodeBatch:      *decodeBatch,
 		Fuse:             *fuse,
 		PlanSnapshotPath: *planSnap,
 		SnapshotInterval: *snapEvery,
@@ -230,7 +228,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// HTTP connections are drained; now stop the background machinery (the
-	// decode-batch loop and, when -fleet is set, the device workers and
+	// generation scheduler and, when -fleet is set, the device workers and
 	// prober) so the process exits with no work in flight.
 	srv.Close()
 	log.Print("mikserve: drained and stopped")

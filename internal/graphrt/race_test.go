@@ -9,57 +9,49 @@ import (
 )
 
 // TestRaceConcurrentDecodeAndExecute exercises the plan-ahead pipeline under
-// concurrent decode traffic (run with -race): direct graph executions and
-// batched decode submissions share one runtime, and every plan-ahead
-// execution must remain cycle-for-cycle deterministic against a sequential
-// baseline while the stall accounting invariants hold.
+// concurrent decode traffic (run with -race): decode step graphs at differing
+// KV lengths and repeated executions of one graph share one runtime, and
+// every execution must remain cycle-for-cycle deterministic against a
+// sequential baseline while the stall accounting invariants hold.
 func TestRaceConcurrentDecodeAndExecute(t *testing.T) {
 	g := nn.Llama2Decode(1, 100)
+	kvs := []int{90, 97, 104, 111, 118, 125}
 
-	// Sequential baseline on its own cold compiler.
-	want, err := fastRuntime(t, Config{}).Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
+	// Sequential baselines on their own cold compiler.
+	base := fastRuntime(t, Config{})
+	want := map[int]float64{}
+	for _, kv := range append(kvs, 100) {
+		rep, err := base.Execute(context.Background(), nn.Llama2Decode(1, kv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[kv] = rep.Cycles
 	}
 
 	rt := fastRuntime(t, Config{PlanAhead: 3})
-	b := NewDecodeBatcher(rt, BatchConfig{MaxBatch: 4})
-	b.Start()
-	defer b.Stop()
-
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
-
-	// Concurrent decode requests with differing KV lengths.
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(kv int) {
-			defer wg.Done()
-			res, err := b.Submit(context.Background(), DecodeRequest{KVLen: kv, Tokens: 2})
-			if err != nil {
-				errs <- err
-				return
-			}
-			if res.Tokens != 2 {
-				errs <- errTokens(res.Tokens)
-			}
-		}(90 + 7*i)
+	run := func(g nn.Graph, want float64) {
+		defer wg.Done()
+		rep, err := rt.Execute(context.Background(), g)
+		if err != nil {
+			errs <- err
+			return
+		}
+		if rep.Cycles != want {
+			errs <- errCycles{rep.Cycles, want}
+		}
 	}
-	// Concurrent plan-ahead executions of the same graph: all must cost
-	// exactly the sequential baseline's cycles.
+	// Concurrent decode steps with differing KV lengths, beside concurrent
+	// plan-ahead executions of one graph: all must cost exactly their
+	// sequential baseline's cycles.
+	for _, kv := range kvs {
+		wg.Add(1)
+		go run(nn.Llama2Decode(1, kv), want[kv])
+	}
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := rt.Execute(context.Background(), g)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if rep.Cycles != want.Cycles {
-				errs <- errCycles{rep.Cycles, want.Cycles}
-			}
-		}()
+		go run(g, want[100])
 	}
 	wg.Wait()
 	close(errs)
@@ -77,13 +69,8 @@ func TestRaceConcurrentDecodeAndExecute(t *testing.T) {
 	if st.PlanWall > st.StallWall+st.HiddenWall {
 		t.Errorf("plan wall %v > stall %v + hidden %v", st.PlanWall, st.StallWall, st.HiddenWall)
 	}
-	if st.Graphs < 3 {
-		t.Errorf("aggregated %d graphs, want >= 3 direct executions", st.Graphs)
-	}
-
-	bs := b.Stats()
-	if bs.Submitted != 6 || bs.Completed != 6 {
-		t.Errorf("batch stats %+v, want 6 submitted and completed", bs)
+	if st.Graphs != int64(len(kvs)+3) {
+		t.Errorf("aggregated %d graphs, want %d executions", st.Graphs, len(kvs)+3)
 	}
 }
 
@@ -92,7 +79,3 @@ type errCycles struct{ got, want float64 }
 func (e errCycles) Error() string {
 	return "plan-ahead cycles diverged from sequential baseline"
 }
-
-type errTokens int
-
-func (e errTokens) Error() string { return "wrong token count from batched decode" }

@@ -3,6 +3,7 @@ package graphrt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -296,11 +297,11 @@ func TestRecoveryWithMemoryPlannerReuse(t *testing.T) {
 	}
 }
 
-// TestRecoveryWithDecodeBatchingInFlight: edge case — persistent faults
-// strike while the continuous batcher has mixed-KV-bucket decode requests in
-// flight. Both requests must complete cleanly (the ladder heals the faulted
-// step graphs); nothing may deadlock or panic.
-func TestRecoveryWithDecodeBatchingInFlight(t *testing.T) {
+// TestRecoveryWithConcurrentDecodeSteps: edge case — persistent faults
+// strike while decode step graphs at mixed KV lengths are in flight
+// concurrently. Every step must complete cleanly (the ladder heals the
+// faulted step graphs); nothing may deadlock or panic.
+func TestRecoveryWithConcurrentDecodeSteps(t *testing.T) {
 	rt, reg := healthyRuntime(t)
 	var mu sync.Mutex
 	faulted := 0
@@ -320,31 +321,30 @@ func TestRecoveryWithDecodeBatchingInFlight(t *testing.T) {
 	}
 	rt.SetSimulator(fs.simFn)
 
-	b := NewDecodeBatcher(rt, BatchConfig{})
-	b.Start()
-	defer b.Stop()
-
+	// Two sequences, far apart in KV length, each decoding three tokens as
+	// three step graphs; the sequences run concurrently.
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
-	res := make([]DecodeResult, 2)
-	// KV lengths in different buckets (quantum 64): 60 -> 64, 700 -> 704.
 	for i, kv := range []int{60, 700} {
 		wg.Add(1)
 		go func(i, kv int) {
 			defer wg.Done()
-			res[i], errs[i] = b.Submit(context.Background(), DecodeRequest{KVLen: kv, Tokens: 3})
+			for step := 0; step < 3; step++ {
+				rep, err := rt.Execute(context.Background(), nn.Llama2Decode(1, kv+step))
+				if err == nil && rep.FaultedTasks != 0 {
+					err = fmt.Errorf("step %d saw %d unhealed faults", step, rep.FaultedTasks)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+			}
 		}(i, kv)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("request %d failed: %v", i, err)
-		}
-		if res[i].Tokens != 3 {
-			t.Fatalf("request %d decoded %d tokens, want 3", i, res[i].Tokens)
-		}
-		if res[i].FaultedTasks != 0 {
-			t.Fatalf("request %d saw %d unhealed faults", i, res[i].FaultedTasks)
+			t.Fatalf("sequence %d failed: %v", i, err)
 		}
 	}
 	if st := rt.Stats(); st.RetriedStages+st.MigratedStages+st.ReplannedStages == 0 {

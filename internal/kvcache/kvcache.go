@@ -196,7 +196,7 @@ func (m *Manager) PageBytes() int64 {
 }
 
 // PaddedLen rounds a KV length up to the page boundary — the only padding a
-// paged cache needs, replacing the batcher's coarse KV-quantum buckets.
+// paged cache needs.
 func (m *Manager) PaddedLen(n int) int {
 	q := m.cfg.TokensPerPage
 	return (n + q - 1) / q * q

@@ -38,6 +38,7 @@ import (
 	"mikpoly/internal/kvcache"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/sim"
+	"mikpoly/internal/stats"
 )
 
 // Pool names passed to the Executor. Without pool separation both map to
@@ -82,8 +83,7 @@ type Config struct {
 	HW hw.Hardware
 	// KV configures the paged KV-cache manager the scheduler owns.
 	KV kvcache.Config
-	// MaxDecodeBatch bounds one decode graph's batch (default 8, matching
-	// the graphrt decode batcher).
+	// MaxDecodeBatch bounds one decode graph's batch (default 8).
 	MaxDecodeBatch int
 	// DecodeBucket is the KV-length bucketing granule for decode batching
 	// in tokens (default 128, never below the KV page size). Pages keep
@@ -1032,9 +1032,10 @@ func (s *Scheduler) pendingLocked() bool {
 	return false
 }
 
-// quantiles keeps a deterministic bounded sample for latency quantiles.
-// Past the cap it thins by keeping every other future observation — exact
-// for replay-scale counts, stable and allocation-bounded online.
+// quantiles keeps a deterministic bounded sample for latency quantiles,
+// answered by the one nearest-rank estimator (stats.Percentile). Past the
+// cap it thins by keeping every other future observation — exact for
+// replay-scale counts, stable and allocation-bounded online.
 type quantiles struct {
 	vals   []float64
 	stride int64
@@ -1063,17 +1064,5 @@ func (r *quantiles) add(v float64) {
 }
 
 func (r *quantiles) quantile(q float64) float64 {
-	if len(r.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), r.vals...)
-	sort.Float64s(sorted)
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return stats.Percentile(r.vals, q*100)
 }

@@ -120,10 +120,9 @@ func TestGemmEndpointValidatesShapes(t *testing.T) {
 }
 
 func TestModelEndpointRoutesAcrossFleet(t *testing.T) {
-	// DecodeBatch on: the fleet path must still win over the batcher for
-	// llama2-decode, because batching is a single-runtime loop.
-	_, ts, _ := newFleetServer(t, Config{DecodeBatch: true}, nil)
-	resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "llama2-decode", KVLen: 64})
+	// A multi-step decode on the fleet runs every step, not just the first.
+	_, ts, _ := newFleetServer(t, Config{}, nil)
+	resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "llama2-decode", KVLen: 64, Steps: 3})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("model status %d: %s", resp.StatusCode, data)
 	}
@@ -134,8 +133,8 @@ func TestModelEndpointRoutesAcrossFleet(t *testing.T) {
 	if mr.Device == "" {
 		t.Fatalf("fleet-routed model response missing device: %s", data)
 	}
-	if mr.Batched {
-		t.Fatal("fleet-routed model response claims the batcher path")
+	if mr.Tokens != 3 || mr.Attempts < 3 {
+		t.Fatalf("fleet-routed decode ran %d tokens in %d attempts, want 3 in >= 3: %s", mr.Tokens, mr.Attempts, data)
 	}
 	if mr.SimCycles <= 0 || mr.Ops <= 0 {
 		t.Fatalf("implausible model response: %+v", mr)

@@ -14,7 +14,7 @@ import (
 )
 
 // fuzzServer builds one small shared server for all fuzz iterations; tight
-// size limits keep even "accepted" inputs cheap.
+// size, op and step limits keep even "accepted" inputs cheap.
 func fuzzServer(tb testing.TB) http.Handler {
 	tb.Helper()
 	lib, err := core.SharedLibrary(hw.A100(), tune.Options{NGen: 4, NSyn: 6, NMik: 6, NPred: 128})
@@ -22,11 +22,13 @@ func fuzzServer(tb testing.TB) http.Handler {
 		tb.Fatal(err)
 	}
 	srv := New(core.NewCompilerFromLibrary(lib), Config{
-		MaxBodyBytes: 1 << 10,
-		MaxDim:       256,
-		MaxPlanElems: 1 << 21,
-		MaxExecElems: 1 << 16,
-		MaxSimTasks:  1 << 12,
+		MaxBodyBytes:  1 << 10,
+		MaxDim:        256,
+		MaxPlanElems:  1 << 21,
+		MaxExecElems:  1 << 16,
+		MaxSimTasks:   1 << 12,
+		MaxModelOps:   256,
+		MaxModelSteps: 2,
 	})
 	return srv.Handler()
 }
@@ -63,6 +65,35 @@ func FuzzPlanRequest(f *testing.F) {
 			default:
 				t.Fatalf("%s %q: unexpected status %d: %s", path, body, rec.Code, rec.Body)
 			}
+		}
+	})
+}
+
+// FuzzModelRequest feeds arbitrary bodies to /model: unknown models, negative
+// or oversized dimensions, step counts outside the limit, malformed JSON.
+// Every answer is a 200 or a clean 4xx — never a panic or a 5xx.
+func FuzzModelRequest(f *testing.F) {
+	h := fuzzServer(f)
+
+	f.Add(`{"model":"llama2-decode","kv_len":100,"steps":2}`)
+	f.Add(`{"model":"llama2-decode","batch":2,"kv_len":1}`)
+	f.Add(`{"model":"llama2-decode","steps":3}`)
+	f.Add(`{"model":"distilbert","seq":16}`)
+	f.Add(`{"model":"bert-base"}`)
+	f.Add(`{"model":"resnet18","resolution":4}`)
+	f.Add(`{"model":"gpt-17"}`)
+	f.Add(`{"model":"llama2-decode","kv_len":-1,"steps":-1}`)
+	f.Add(`{"model":"llama2-prefill","seq":9223372036854775807}`)
+	f.Add(`{"model":1,"seq":"x"}`)
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, body string) {
+		req := httptest.NewRequest(http.MethodPost, "/model", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req) // must not panic
+		if rec.Code != http.StatusOK && (rec.Code < 400 || rec.Code >= 500) {
+			t.Fatalf("/model %q: unexpected status %d: %s", body, rec.Code, rec.Body)
 		}
 	})
 }

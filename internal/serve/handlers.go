@@ -440,16 +440,6 @@ type healthStats struct {
 	BreakerDrops int64   `json:"breaker_drops"`
 }
 
-// batchStats is the /stats view of the continuous decode batcher.
-type batchStats struct {
-	Submitted        int64 `json:"submitted"`
-	Completed        int64 `json:"completed"`
-	StepGraphs       int64 `json:"step_graphs"`
-	SharedStepGraphs int64 `json:"shared_step_graphs"`
-	PaddedKVTokens   int64 `json:"padded_kv_tokens"`
-	PaddedKVBytes    int64 `json:"padded_kv_bytes"`
-}
-
 // schedStatsView is the /stats view of the generation scheduler: the
 // cumulative wave accounting plus the live step-latency quantiles.
 type schedStatsView struct {
@@ -493,7 +483,6 @@ type statsResponse struct {
 	Models          int64              `json:"models"`
 	Unrecoverable   int64              `json:"unrecoverable"`
 	Graph           *graphStats        `json:"graph,omitempty"`
-	Batch           *batchStats        `json:"batch,omitempty"`
 	Health          *healthStats       `json:"health,omitempty"`
 	Sched           *schedStatsView    `json:"sched,omitempty"`
 	KV              *kvcache.Stats     `json:"kv,omitempty"`
@@ -571,17 +560,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			DegradedPlan: degradedPlans,
 			BreakerTrips: s.nBreakerTrips.Load(),
 			BreakerDrops: s.nBreakerDrops.Load(),
-		}
-	}
-	if b := s.batcher.Load(); b != nil {
-		bs := b.Stats()
-		resp.Batch = &batchStats{
-			Submitted:        bs.Submitted,
-			Completed:        bs.Completed,
-			StepGraphs:       bs.StepGraphs,
-			SharedStepGraphs: bs.SharedStepGraphs,
-			PaddedKVTokens:   bs.PaddedKVTokens,
-			PaddedKVBytes:    bs.PaddedKVBytes,
 		}
 	}
 	if l := s.sched.Load(); l != nil {

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"time"
 
+	"mikpoly/internal/core"
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/nn"
 )
@@ -22,9 +24,9 @@ type modelRequest struct {
 	Steps      int    `json:"steps,omitempty"`
 }
 
-// modelResponse reports one model execution: device time, plan-ahead
-// accounting, memory-planner results, and (for batched decode) the sharing
-// achieved by continuous batching.
+// modelResponse reports one model execution — for llama2-decode, the sum
+// over its step graphs: device time, plan-ahead accounting and
+// memory-planner results.
 type modelResponse struct {
 	Graph  string `json:"graph"`
 	Ops    int    `json:"ops"`
@@ -48,11 +50,10 @@ type modelResponse struct {
 	RecoveredStages int `json:"recovered_stages,omitempty"`
 	RecoveredFaults int `json:"recovered_faults,omitempty"`
 
-	Batched     bool `json:"batched,omitempty"`
-	Tokens      int  `json:"tokens,omitempty"`
-	SharedSteps int  `json:"shared_steps,omitempty"`
+	// Tokens is the number of decode steps run (llama2-decode only).
+	Tokens int `json:"tokens,omitempty"`
 
-	// Device names the fleet replica that served the winning attempt
+	// Device names the fleet replica that served the (last) graph
 	// (fleet-backed path only).
 	Device string `json:"device,omitempty"`
 
@@ -111,89 +112,115 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// llama2-decode rides the continuous batcher when enabled: concurrent
-	// requests with nearby KV lengths share shape-bucketed step graphs.
-	// Fleet-backed servers skip it — batching is a single-runtime loop,
-	// while the fleet wants each request individually routable.
-	if req.Model == "llama2-decode" && req.Batch <= 1 && s.fleetD() == nil {
-		if b := s.batcher.Load(); b != nil {
-			s.handleBatchedDecode(w, r, b, req)
+	// llama2-decode decodes Steps tokens as Steps step graphs, each attending
+	// over one more cached token than the last; every other model runs one
+	// graph. Concurrent decode batching is the generation scheduler's job
+	// (/generate), not this endpoint's.
+	dims := nn.ModelDims{Seq: req.Seq, Batch: req.Batch, Resolution: req.Resolution, KVLen: req.KVLen}
+	steps, tokens := 1, 0
+	if req.Model == "llama2-decode" {
+		if dims.KVLen == 0 {
+			dims.KVLen = nn.DefaultKVLen
+		}
+		steps, tokens = req.Steps, req.Steps
+	}
+	var sum graphrt.Report
+	var device string
+	attempts := 0
+	for i := 0; i < steps; i++ {
+		g, err := nn.BuildModel(req.Model, dims)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-	}
-
-	g, err := nn.BuildModel(req.Model, nn.ModelDims{
-		Seq: req.Seq, Batch: req.Batch, Resolution: req.Resolution, KVLen: req.KVLen,
-	})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(g.Ops) > s.cfg.MaxModelOps {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.cfg.MaxModelOps))
-		return
-	}
-
-	// Fleet-backed execution: the dispatcher owns retries (failover across
-	// replicas with per-attempt fault salts), so the whole-graph retry loop
-	// below would be redundant. Breaker accounting still applies — a model
-	// no replica can run should be shed just like on a single device.
-	if f := s.fleetD(); f != nil {
-		rep, device, attempts, err := f.ExecModel(r.Context(), g)
+		if len(g.Ops) > s.cfg.MaxModelOps {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.cfg.MaxModelOps))
+			return
+		}
+		rep, dev, n, err := s.runGraph(r.Context(), c, rt, g)
+		attempts += n
 		if err != nil {
-			s.nUnrecoverable.Add(1)
-			if s.breakers.record(req.Model, false) {
+			var ge *graphError
+			errors.As(err, &ge)
+			if ge.strike && s.breakers.record(req.Model, false) {
 				s.nBreakerTrips.Add(1)
 			}
-			httpError(w, fleetStatus(err), err.Error())
+			httpError(w, ge.status, err.Error())
 			return
 		}
-		s.breakers.record(req.Model, true)
-		if rep.FaultedTasks > 0 {
-			s.nFaults.Add(1)
-		}
-		if rep.Degraded > 0 {
-			s.nDegraded.Add(1)
-		}
-		s.nModels.Add(1)
-		writeJSON(w, http.StatusOK, modelResponse{
-			Graph:           rep.Graph,
-			Ops:             rep.Ops,
-			Stages:          rep.Stages,
-			SimCycles:       rep.Cycles,
-			Plans:           rep.Plans,
-			Stalls:          rep.Stalls,
-			PlanMs:          ms(rep.PlanWall),
-			StallMs:         ms(rep.StallWall),
-			HiddenMs:        ms(rep.HiddenWall),
-			HiddenFrac:      rep.HiddenFraction(),
-			Degraded:        rep.Degraded,
-			Attempts:        attempts,
-			FaultedTasks:    rep.FaultedTasks,
-			RecoveredStages: rep.RecoveredStages,
-			RecoveredFaults: rep.RecoveredFaults,
-			PeakMemBytes:    rep.Mem.PeakBytes,
-			WorkingSetBytes: rep.Mem.WorkingSetBytes,
-			SpilledBuffers:  rep.Mem.SpilledBuffers,
-			SpillBytes:      rep.Mem.SpillBytes,
-			Device:          device,
-		})
-		return
+		addStep(&sum, rep)
+		device = dev
+		dims.KVLen++
 	}
+	s.breakers.record(req.Model, true)
+	if sum.FaultedTasks > 0 {
+		s.nFaults.Add(1)
+	}
+	if sum.Degraded > 0 {
+		s.nDegraded.Add(1)
+	}
+	s.nModels.Add(1)
+	writeJSON(w, http.StatusOK, modelResponse{
+		Graph:           sum.Graph,
+		Ops:             sum.Ops,
+		Stages:          sum.Stages,
+		SimCycles:       sum.Cycles,
+		Plans:           sum.Plans,
+		Stalls:          sum.Stalls,
+		PlanMs:          ms(sum.PlanWall),
+		StallMs:         ms(sum.StallWall),
+		HiddenMs:        ms(sum.HiddenWall),
+		HiddenFrac:      sum.HiddenFraction(),
+		Degraded:        sum.Degraded,
+		Attempts:        attempts,
+		FaultedTasks:    sum.FaultedTasks,
+		RecoveredStages: sum.RecoveredStages,
+		RecoveredFaults: sum.RecoveredFaults,
+		Tokens:          tokens,
+		Device:          device,
+		PeakMemBytes:    sum.Mem.PeakBytes,
+		WorkingSetBytes: sum.Mem.WorkingSetBytes,
+		SpilledBuffers:  sum.Mem.SpilledBuffers,
+		SpillBytes:      sum.Mem.SpillBytes,
+	})
+}
 
-	// Execute with fault-triggered re-planning. The runtime's recovery
-	// ladder absorbs most faults stage-locally; what reaches this loop is
-	// either residual faulted tasks (runtime without health recovery) or a
-	// typed StageError (ladder exhausted). Both get the whole-graph
-	// treatment: drop the graph's cached programs, back off, and retry
-	// under a fresh fault salt — bounded by MaxRetries.
-	ctx := r.Context()
-	attempts := 0
-	var rep graphrt.Report
+// graphError is a failed graph execution: the status it answers with and
+// whether it is a strike against the model's circuit breaker.
+type graphError struct {
+	status int
+	strike bool
+	err    error
+}
+
+func (e *graphError) Error() string { return e.err.Error() }
+
+// runGraph executes one graph and returns its report, the fleet replica
+// that served it ("" on a single device) and the attempt count; a non-nil
+// error is a *graphError.
+//
+// A fleet-backed server dispatches the graph: the dispatcher owns retries
+// (failover across replicas with per-attempt fault salts). Otherwise it runs
+// on the local runtime with fault-triggered re-planning. The runtime's
+// recovery ladder absorbs most faults stage-locally; what reaches the loop is
+// either residual faulted tasks (runtime without health recovery) or a typed
+// StageError (ladder exhausted). Both get the whole-graph treatment: drop the
+// graph's cached programs, back off, and retry under a fresh fault salt —
+// bounded by MaxRetries.
+func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, string, int, error) {
+	if f := s.fleetD(); f != nil {
+		rep, device, attempts, err := f.ExecModel(ctx, g)
+		if err != nil {
+			// A model no replica can run is shed just like on one device.
+			s.nUnrecoverable.Add(1)
+			return rep, device, attempts, &graphError{fleetStatus(err), true, err}
+		}
+		return rep, device, attempts, nil
+	}
 	var stageErr *graphrt.StageError
-	for {
-		rep, err = rt.ExecuteSalted(ctx, g, uint64(attempts))
+	for attempts := 0; ; {
+		rep, err := rt.ExecuteSalted(ctx, g, uint64(attempts))
 		attempts++
 		retryable := err == nil && rep.FaultedTasks > 0
 		if err != nil && errors.As(err, &stageErr) {
@@ -201,100 +228,58 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			retryable = true
 		}
 		if err != nil && !retryable {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
+			return rep, "", attempts, &graphError{http.StatusInternalServerError, false, err}
 		}
 		if !retryable || attempts > s.cfg.MaxRetries {
-			break
+			if err != nil {
+				// Retries exhausted on an unrecoverable stage: typed 503 (the
+				// device genuinely cannot run this graph right now) and a
+				// strike against the model's circuit breaker.
+				return rep, "", attempts, &graphError{http.StatusServiceUnavailable, true, err}
+			}
+			return rep, "", attempts, nil
 		}
 		s.nFaults.Add(1)
 		s.nRetries.Add(1)
 		if berr := s.bo.sleep(ctx, attempts-1); berr != nil {
-			httpError(w, http.StatusServiceUnavailable, "retry budget interrupted: "+berr.Error())
-			return
+			return rep, "", attempts, &graphError{http.StatusServiceUnavailable, false,
+				fmt.Errorf("retry budget interrupted: %w", berr)}
 		}
 		for shape := range g.GemmShapes() {
 			c.Invalidate(shape)
 		}
 	}
-	if err != nil {
-		// Retries exhausted on an unrecoverable stage: typed 503 (the
-		// device genuinely cannot run this graph right now) and a strike
-		// against the model's circuit breaker.
-		if s.breakers.record(req.Model, false) {
-			s.nBreakerTrips.Add(1)
-		}
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.breakers.record(req.Model, true)
-	if rep.FaultedTasks > 0 {
-		s.nFaults.Add(1)
-	}
-	if rep.Degraded > 0 {
-		s.nDegraded.Add(1)
-	}
-	s.nModels.Add(1)
-
-	writeJSON(w, http.StatusOK, modelResponse{
-		Graph:           rep.Graph,
-		Ops:             rep.Ops,
-		Stages:          rep.Stages,
-		SimCycles:       rep.Cycles,
-		Plans:           rep.Plans,
-		Stalls:          rep.Stalls,
-		PlanMs:          ms(rep.PlanWall),
-		StallMs:         ms(rep.StallWall),
-		HiddenMs:        ms(rep.HiddenWall),
-		HiddenFrac:      rep.HiddenFraction(),
-		Degraded:        rep.Degraded,
-		Attempts:        attempts,
-		FaultedTasks:    rep.FaultedTasks,
-		RecoveredStages: rep.RecoveredStages,
-		RecoveredFaults: rep.RecoveredFaults,
-		PeakMemBytes:    rep.Mem.PeakBytes,
-		WorkingSetBytes: rep.Mem.WorkingSetBytes,
-		SpilledBuffers:  rep.Mem.SpilledBuffers,
-		SpillBytes:      rep.Mem.SpillBytes,
-	})
 }
 
-// handleBatchedDecode submits a single-sequence decode request to the
-// continuous batcher and blocks until its steps complete.
-func (s *Server) handleBatchedDecode(w http.ResponseWriter, r *http.Request, b *graphrt.DecodeBatcher, req modelRequest) {
-	kv := req.KVLen
-	if kv == 0 {
-		kv = nn.DefaultKVLen
+// addStep folds one graph's report into a request's running total. The
+// memory high-water marks are the largest any step reached; everything else
+// adds up. The total keeps the first graph's name.
+func addStep(sum *graphrt.Report, r graphrt.Report) {
+	if sum.Graph == "" {
+		sum.Graph = r.Graph
 	}
-	if kv < 1 {
-		httpError(w, http.StatusBadRequest, "kv_len must be >= 1")
-		return
-	}
-	res, err := b.Submit(r.Context(), graphrt.DecodeRequest{KVLen: kv, Tokens: req.Steps})
-	if err != nil {
-		status := http.StatusInternalServerError
-		if r.Context().Err() != nil {
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	if res.FaultedTasks > 0 {
-		s.nFaults.Add(1)
-	}
-	if res.Degraded > 0 {
-		s.nDegraded.Add(1)
-	}
-	s.nModels.Add(1)
-	writeJSON(w, http.StatusOK, modelResponse{
-		Graph:        fmt.Sprintf("llama2-decode@kv%d+%d", kv, req.Steps),
-		SimCycles:    res.Cycles,
-		Stalls:       res.Stalls,
-		Degraded:     res.Degraded,
-		Attempts:     1,
-		FaultedTasks: res.FaultedTasks,
-		Batched:      true,
-		Tokens:       res.Tokens,
-		SharedSteps:  res.SharedSteps,
-	})
+	sum.Ops += r.Ops
+	sum.Stages += r.Stages
+	sum.Cycles += r.Cycles
+	sum.GemmCycles += r.GemmCycles
+	sum.OtherCycles += r.OtherCycles
+	sum.SpillCycles += r.SpillCycles
+	sum.Plans += r.Plans
+	sum.Stalls += r.Stalls
+	sum.PlanWall += r.PlanWall
+	sum.StallWall += r.StallWall
+	sum.HiddenWall += r.HiddenWall
+	sum.Degraded += r.Degraded
+	sum.FaultedTasks += r.FaultedTasks
+	sum.FusedChains += r.FusedChains
+	sum.FusionRejected += r.FusionRejected
+	sum.FusedSavedBytes += r.FusedSavedBytes
+	sum.RecoveredStages += r.RecoveredStages
+	sum.RecoveredFaults += r.RecoveredFaults
+	sum.Mem.CapacityBytes = r.Mem.CapacityBytes
+	sum.Mem.Buffers += r.Mem.Buffers
+	sum.Mem.PeakBytes = max(sum.Mem.PeakBytes, r.Mem.PeakBytes)
+	sum.Mem.WorkingSetBytes = max(sum.Mem.WorkingSetBytes, r.Mem.WorkingSetBytes)
+	sum.Mem.SpilledBuffers += r.Mem.SpilledBuffers
+	sum.Mem.SpillBytes += r.Mem.SpillBytes
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"mikpoly/internal/fleet"
+	"mikpoly/internal/nn"
 )
 
 func TestModelEndpoint(t *testing.T) {
@@ -35,41 +39,66 @@ func TestModelEndpoint(t *testing.T) {
 	}
 }
 
-func TestModelEndpointBatchedDecode(t *testing.T) {
-	srv, ts := newTestServer(t, Config{DecodeBatch: true})
-	t.Cleanup(srv.Close)
-	resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "llama2-decode", KVLen: 100, Steps: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	var mr modelResponse
-	if err := json.Unmarshal(data, &mr); err != nil {
-		t.Fatal(err)
-	}
-	if !mr.Batched || mr.Tokens != 2 {
-		t.Fatalf("batched decode response: %+v", mr)
-	}
-	if mr.SimCycles <= 0 {
-		t.Fatalf("no device time reported: %+v", mr)
-	}
-
-	// /stats reflects the batcher.
-	sresp, sdata := get(t, ts.URL+"/stats")
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", sresp.StatusCode)
-	}
-	var st statsResponse
-	if err := json.Unmarshal(sdata, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Batch == nil || st.Batch.Completed != 1 || st.Batch.StepGraphs < 2 {
-		t.Fatalf("batch stats %+v, want 1 completed request over >= 2 steps", st.Batch)
-	}
-	if st.Graph == nil || st.Graph.Graphs < 2 {
-		t.Fatalf("graph runtime stats %+v, want >= 2 executed step graphs", st.Graph)
-	}
-	if st.Models != 1 {
-		t.Fatalf("models counter %d, want 1", st.Models)
+// TestModelEndpointDecodeSteps: llama2-decode with steps N decodes N tokens
+// as N step graphs at KV lengths kv, kv+1, ..., on the local path at any
+// batch and on the fleet path alike. Its sim_cycles are, bit for bit, the
+// sum of those step graphs' cycles.
+func TestModelEndpointDecodeSteps(t *testing.T) {
+	const kv, steps = 100, 4
+	for _, row := range []struct {
+		name  string
+		batch int
+		fleet bool
+	}{
+		{"local batch 1", 1, false},
+		{"local batch 2", 2, false},
+		{"fleet", 1, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var srv *Server
+			var ts *httptest.Server
+			if row.fleet {
+				var f *fleet.Dispatcher
+				srv, ts, f = newFleetServer(t, Config{}, nil)
+				// Only the A100 replicas serve, so every step costs what the
+				// server's own A100 runtime charges for it.
+				if err := f.Drain("npu-0"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				srv, ts = newTestServer(t, Config{})
+				t.Cleanup(srv.Close)
+			}
+			resp, data := postJSON(t, ts.URL+"/model",
+				modelRequest{Model: "llama2-decode", Batch: row.batch, KVLen: kv, Steps: steps})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, data)
+			}
+			var mr modelResponse
+			if err := json.Unmarshal(data, &mr); err != nil {
+				t.Fatal(err)
+			}
+			if mr.Tokens != steps {
+				t.Fatalf("tokens %d, want %d: %s", mr.Tokens, steps, data)
+			}
+			if row.fleet == (mr.Device == "") {
+				t.Fatalf("device %q on the fleet=%v path", mr.Device, row.fleet)
+			}
+			var want float64
+			for i := 0; i < steps; i++ {
+				rep, err := srv.runtime.Load().Execute(context.Background(), nn.Llama2Decode(row.batch, kv+i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += rep.Cycles
+			}
+			if mr.SimCycles != want {
+				t.Fatalf("sim_cycles %v, want the sum of the step graphs %v", mr.SimCycles, want)
+			}
+			if st := srv.nModels.Load(); st != 1 {
+				t.Fatalf("models counter %d, want 1", st)
+			}
+		})
 	}
 }
 
@@ -98,7 +127,7 @@ func TestModelEndpointRejectsBadInput(t *testing.T) {
 // without a compiler answers 503 on /healthz and every work endpoint, then
 // flips ready when SetCompiler binds the tuned library.
 func TestReadinessGate(t *testing.T) {
-	srv := New(nil, Config{DecodeBatch: true})
+	srv := New(nil, Config{})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

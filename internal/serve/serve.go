@@ -89,8 +89,9 @@ type Config struct {
 	// the cost model prefers them (graphrt.Config.Fuse).
 	Fuse bool
 
-	// DecodeBatch enables continuous batching of llama2-decode /model
-	// requests: concurrent requests share shape-bucketed step graphs.
+	// Deprecated: ignored. /model runs llama2-decode step graphs one
+	// request at a time; concurrent decode batching lives in the generation
+	// scheduler (SchedDecode).
 	DecodeBatch bool
 
 	// MaxModelSteps bounds the decode steps of one /model request.
@@ -272,7 +273,6 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	compiler atomic.Pointer[core.Compiler]
 	runtime  atomic.Pointer[graphrt.Runtime]
-	batcher  atomic.Pointer[graphrt.DecodeBatcher]
 	sched    atomic.Pointer[sched.Loop]
 	health   atomic.Pointer[health.Registry]
 	fleet    atomic.Pointer[fleet.Dispatcher]
@@ -373,19 +373,6 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 		return s.simulateTasks(h, v, tasks, salt)
 	})
 	s.runtime.Store(rt)
-	if s.cfg.DecodeBatch {
-		// With the paged generation scheduler on, KV is page-granular, so
-		// the batcher's buckets clamp down to the page size (less padding).
-		bc := graphrt.BatchConfig{}
-		if s.cfg.SchedDecode {
-			bc.PageTokens = kvcache.Config{TokensPerPage: s.cfg.KVPageTokens}.WithDefaults().TokensPerPage
-		}
-		b := graphrt.NewDecodeBatcher(rt, bc)
-		b.Start()
-		if old := s.batcher.Swap(b); old != nil {
-			old.Stop()
-		}
-	}
 	if s.cfg.SchedDecode {
 		loop := sched.NewLoop(sched.New(schedExecutor{rt}, sched.Config{
 			HW: c.Hardware(),
@@ -412,16 +399,13 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 func (s *Server) comp() *core.Compiler { return s.compiler.Load() }
 
 // Close releases background resources: the snapshot flusher, the brownout
-// controller, the decode batching loop and, when a fleet is bound, its
+// controller, the generation scheduler loop and, when a fleet is bound, its
 // device workers and prober.
 func (s *Server) Close() {
 	s.snapOnce.Do(func() { close(s.snapQuit) })
 	s.snapWG.Wait()
 	s.overOnce.Do(func() { close(s.overQuit) })
 	s.overWG.Wait()
-	if b := s.batcher.Load(); b != nil {
-		b.Stop()
-	}
 	if l := s.sched.Load(); l != nil {
 		l.Close()
 	}

@@ -17,9 +17,9 @@ import (
 )
 
 // TestShutdownLeaksNoGoroutines is the graceful-drain regression test: a
-// server running every background subsystem (decode-batch loop, plan-ahead
-// workers, fleet device workers + prober) must return to the baseline
-// goroutine count after Close. A leaked worker here is what turns SIGTERM
+// server running every background subsystem (plan-ahead workers, fleet
+// device workers + prober) must return to the baseline goroutine count after
+// Close. A leaked worker here is what turns SIGTERM
 // into a hung pod in production.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	opts := tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256}
@@ -49,7 +49,7 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 	})
 	f.Start()
 
-	srv := New(testCompiler(t), Config{DecodeBatch: true, PlanAhead: 2})
+	srv := New(testCompiler(t), Config{PlanAhead: 2})
 	srv.SetFleet(f)
 	ts := httptest.NewServer(srv.Handler())
 
@@ -92,7 +92,7 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 // ListenAndServe returns and again via defer; both must be safe, fleet
 // bound or not.
 func TestServerCloseIsIdempotent(t *testing.T) {
-	srv, _, _ := newFleetServer(t, Config{DecodeBatch: true}, []sim.DeviceFaults{})
+	srv, _, _ := newFleetServer(t, Config{}, []sim.DeviceFaults{})
 	srv.Close()
 	srv.Close() // t.Cleanup from the helper adds a third call
 }
