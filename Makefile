@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: verify fmtcheck fmt vet build test race fuzz bench perf baseline clean
+.PHONY: verify fmtcheck fmt vet build test race deadpkg fuzz bench perf baseline clean
 
-verify: fmtcheck vet build race
+verify: fmtcheck vet build deadpkg race
 
 # Formatting drift fails the build: gofmt -l must print nothing.
 fmtcheck:
@@ -29,8 +29,18 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Every internal package must be reached by a command, an example, the
+# benchmark harness or the root package; one that only tests import fails the
+# check, named.
+deadpkg:
+	@reached="$$($(GO) list -deps ./cmd/... ./examples/... ./benchmarks/... .)" || exit 1; \
+	all="$$($(GO) list ./internal/...)" || exit 1; \
+	dead="$$(for p in $$all; do echo "$$reached" | grep -qxF "$$p" || echo "$$p"; done)"; \
+	if [ -n "$$dead" ]; then echo "packages no command, example, benchmark or root package reaches:"; \
+		echo "$$dead"; exit 1; fi
+
 # Short fuzzing burst against the serving layer's input handling (/plan,
-# /execute and /model bodies, GEMM shapes), the planner's sweep ≡ reference
+# /execute, /model and /generate bodies, GEMM shapes), the planner's sweep ≡ reference
 # oracle, the NPU allocator and the simulator's cohort event loop ≡ their
 # references, and the graph digest the compiled table is keyed by (equal
 # digest ⇒ equal content).
@@ -38,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzModelRequest -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGenerateRequest -fuzztime 10s
 	$(GO) test ./internal/poly/ -run '^$$' -fuzz FuzzPlanEquivalence -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticAssign -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSimRun -fuzztime 10s

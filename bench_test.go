@@ -14,7 +14,6 @@ import (
 	"mikpoly/internal/bench"
 	"mikpoly/internal/core"
 	"mikpoly/internal/hw"
-	"mikpoly/internal/infer"
 	"mikpoly/internal/tune"
 	"mikpoly/internal/workload"
 )
@@ -133,22 +132,6 @@ func BenchmarkNumericExecute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.GEMM(a, bb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEncoderForward measures a full numeric transformer-encoder
-// forward pass with every GEMM flowing through the compiler (plan cache
-// warm after the first iteration).
-func BenchmarkEncoderForward(b *testing.B) {
-	c := sharedGPUCompiler(b)
-	enc := infer.NewRandomEncoder(2, 64, 128, 4, 11)
-	x := mikpoly.RandomMatrix(64, 64, 3)
-	g := infer.Compiled(c)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := enc.Forward(x, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,7 +73,6 @@ func main() {
 		library     = flag.String("library", "", "load the micro-kernel library from this file instead of tuning (falls back to tuning if unreadable)")
 		saveLibrary = flag.String("save-library", "", "after tuning, save the micro-kernel library to this file")
 		planAhead   = flag.Int("plan-ahead", 2, "graph-runtime plan-ahead depth for /model (<= 0 = sequential inline planning)")
-		fuse        = flag.Bool("fuse", false, "fuse GEMM→epilogue→GEMM graph chains into single programs when the cost model prefers them (whole-graph polymerization)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
 		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCapacity, "span ring-buffer capacity for -trace")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -116,7 +115,6 @@ func main() {
 		MaxInFlight:      *inFlight,
 		RequestTimeout:   *reqTimeout,
 		PlanTimeout:      *planTimeout,
-		Fuse:             *fuse,
 		PlanSnapshotPath: *planSnap,
 		SnapshotInterval: *snapEvery,
 		Obs:              o,

@@ -1,9 +1,10 @@
 // Whole-graph polymerization suite: fused GEMM→epilogue→GEMM chain programs
-// vs the per-op path. The self-checks require every case's chain to fuse and
-// to beat the unfused execution on simulated cycles, and fused execution to
-// reproduce the unfused numerics bit for bit. The simulator, the tuner and
-// the planner are all deterministic, so the cycle numbers and output digests
-// are exact fields; the fused planner's steady-state allocations are no_grow.
+// vs the per-op path — the paper-§7 experiment; no serving path fuses. The
+// self-checks require every case's chain to fuse and to beat the unfused
+// execution on simulated cycles, and fused execution to reproduce the unfused
+// numerics bit for bit. The simulator, the tuner and the planner are all
+// deterministic, so the cycle numbers and output digests are exact fields;
+// the fused planner's steady-state allocations are no_grow.
 package bench
 
 import (
@@ -16,10 +17,12 @@ import (
 
 	"mikpoly/internal/core"
 	"mikpoly/internal/engine"
+	"mikpoly/internal/graphopt"
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/poly"
+	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
 )
@@ -121,29 +124,105 @@ func fusionNumericsCases() []fusionCase {
 	}
 }
 
+// fusionRun is one suite case executed both ways.
+type fusionRun struct {
+	// fused and unfused are end-to-end device cycles.
+	fused, unfused float64
+	// adopted and rejected count the detected chains the adopt rule took and
+	// declined; savedBytes is the modeled inter-stage traffic the adopted
+	// ones keep on chip.
+	adopted, rejected int
+	savedBytes        float64
+}
+
+// runFusionCase executes c's graph unfused through the graph runtime, then
+// prices the chain the detector finds against the per-op programs that run
+// planned. An adopted chain executes as one launch of its fused program: its
+// members and folded middles are neither launched nor charged, and the memory
+// plan, which fusion leaves alone, keeps its spill cycles — so the fused total
+// is summed the way Execute sums every total. A rejected chain leaves the
+// unfused total as it is.
+func runFusionCase(lib *tune.Library, c fusionCase) (fusionRun, error) {
+	h := lib.HW
+	g := c.graph(h)
+	comp := core.NewCompilerFromLibrary(lib)
+	unfused, err := graphrt.New(comp, graphrt.Config{}).Execute(context.Background(), g)
+	if err != nil {
+		return fusionRun{}, fmt.Errorf("unfused: %w", err)
+	}
+	chains := graphopt.DetectChains(g, h)
+	if len(chains) != 1 || len(chains[0].Ops) != len(g.Ops) {
+		return fusionRun{}, fmt.Errorf("%d chains detected, want one covering all %d ops", len(chains), len(g.Ops))
+	}
+	ch := chains[0]
+	run := fusionRun{fused: unfused.Cycles, unfused: unfused.Cycles}
+	prog := adoptChain(comp, g, ch)
+	if prog == nil {
+		run.rejected = 1
+		return run, nil
+	}
+	// Execute's GemmCycles + OtherCycles + SpillCycles with nothing but the
+	// fused launch left: the folded middles add an exact 0.
+	run.fused = sim.Run(h, prog.Tasks(h)).Cycles + unfused.SpillCycles
+	run.adopted, run.savedBytes = 1, ch.SavedBytes
+	return run, nil
+}
+
+// adoptChain returns ch's fused program if its modeled cost beats the per-op
+// alternative — the member GEMMs' planned programs plus the folded elementwise
+// middles' bandwidth-bound cycles — and nil otherwise. Fused strip tasks trade
+// output-tile parallelism for inter-stage traffic, so the comparison is
+// genuinely two-sided: wide, compute-bound chains on a big device lose. A
+// failed fused plan, or a failed or degraded member plan, rejects the chain.
+func adoptChain(comp *core.Compiler, g nn.Graph, ch graphopt.Chain) *poly.Program {
+	fused, _, err := comp.Planner().PlanChain(ch.Spec)
+	if err != nil {
+		return nil
+	}
+	unfused := 0.0
+	for _, m := range ch.Ops {
+		op := g.Ops[m]
+		if op.Kind == nn.OpOther {
+			unfused += op.OtherCycles(comp.Hardware())
+			continue
+		}
+		prog, degraded, err := comp.PlanOrFallback(context.Background(), op.Gemm)
+		if err != nil || degraded || prog.EstimatedCost <= 0 {
+			return nil
+		}
+		unfused += prog.EstimatedCost
+	}
+	if fused.EstimatedCost < unfused {
+		return fused
+	}
+	return nil
+}
+
+// failures are the case's self-checks: a rejected chain makes the case
+// meaningless, and an adopted one must beat the per-op path.
+func (r fusionRun) failures(name string) []string {
+	var failed []string
+	if r.adopted < 1 {
+		failed = append(failed, fmt.Sprintf("%s: chain was not fused (%d rejected)", name, r.rejected))
+	}
+	if !(r.fused < r.unfused) {
+		failed = append(failed, fmt.Sprintf("%s: fused cycles %.0f do not beat unfused %.0f", name, r.fused, r.unfused))
+	}
+	return failed
+}
+
 // fusionSuite measures the fusion suite on the shared A100 library.
 func fusionSuite(quick bool, _ []uint64) ([]Case, []string, error) {
 	lib, err := core.SharedLibrary(hw.A100(), tune.DefaultOptions())
 	if err != nil {
 		return nil, nil, err
 	}
-	h := lib.HW
 	var out []Case
 	var failed []string
-
-	execute := func(g nn.Graph, fuse bool) (graphrt.Report, error) {
-		rt := graphrt.New(core.NewCompilerFromLibrary(lib), graphrt.Config{Fuse: fuse})
-		return rt.Execute(context.Background(), g)
-	}
 	for _, c := range fusionCases(quick) {
-		g := c.graph(h)
-		unfused, err := execute(g, false)
+		run, err := runFusionCase(lib, c)
 		if err != nil {
-			return nil, nil, fmt.Errorf("case %s unfused: %w", c.Name, err)
-		}
-		fused, err := execute(g, true)
-		if err != nil {
-			return nil, nil, fmt.Errorf("case %s fused: %w", c.Name, err)
+			return nil, nil, fmt.Errorf("case %s: %w", c.Name, err)
 		}
 		allocs, err := measureChainPlanAllocs(lib, c.spec())
 		if err != nil {
@@ -152,29 +231,22 @@ func fusionSuite(quick bool, _ []uint64) ([]Case, []string, error) {
 		res := Case{
 			Name: c.Name,
 			Exact: map[string]string{
-				"fused_cycles_bits":   floatBits(fused.Cycles),
-				"unfused_cycles_bits": floatBits(unfused.Cycles),
-				"fused_chains":        itoa(fused.FusedChains),
+				"fused_cycles_bits":   floatBits(run.fused),
+				"unfused_cycles_bits": floatBits(run.unfused),
+				"fused_chains":        itoa(run.adopted),
 			},
 			NoGrow: map[string]int64{"plan_allocs_per_op": allocs},
 			Info: map[string]float64{
-				"fused_cycles":   fused.Cycles,
-				"unfused_cycles": unfused.Cycles,
-				"saved_bytes":    fused.FusedSavedBytes,
+				"fused_cycles":   run.fused,
+				"unfused_cycles": run.unfused,
+				"saved_bytes":    run.savedBytes,
 			},
 		}
-		if fused.Cycles > 0 {
-			res.Info["speedup"] = unfused.Cycles / fused.Cycles
+		if run.fused > 0 {
+			res.Info["speedup"] = run.unfused / run.fused
 		}
 		out = append(out, res)
-		// A rejected chain makes the case meaningless.
-		if fused.FusedChains < 1 {
-			failed = append(failed, fmt.Sprintf("%s: chain was not fused (%d rejected)", c.Name, fused.FusionRejected))
-		}
-		if !(fused.Cycles < unfused.Cycles) {
-			failed = append(failed, fmt.Sprintf("%s: fused cycles %.0f do not beat unfused %.0f",
-				c.Name, fused.Cycles, unfused.Cycles))
-		}
+		failed = append(failed, run.failures(c.Name)...)
 	}
 
 	planner := &poly.Planner{Lib: lib}

@@ -125,12 +125,9 @@ func pristine(res *sim.Result) bool {
 
 // storeLocked keeps the finished recording as the graph's compiled execution
 // if the run was one a replay reproduces exactly: nothing degraded, faulted or
-// recovered, no fusion decision taken (a chain's price is not something the
-// plan cache vouches for). Callers hold r.mu.
+// recovered. Callers hold r.mu.
 func (r *Runtime) storeLocked(c *recording, rep Report) {
-	if c.off ||
-		rep.Degraded != 0 || rep.FaultedTasks != 0 || rep.RecoveredStages != 0 ||
-		rep.FusedChains != 0 || rep.FusionRejected != 0 {
+	if c.off || rep.Degraded != 0 || rep.FaultedTasks != 0 || rep.RecoveredStages != 0 {
 		return
 	}
 	rep.Graph = ""

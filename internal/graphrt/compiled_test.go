@@ -372,18 +372,6 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 		}
 		p.sameState(t)
 	})
-
-	t.Run("fusion", func(t *testing.T) {
-		p := newPair(t, Config{Fuse: true}, false)
-		chain := fusibleGraph()
-		for i := 0; i < 3; i++ {
-			if rep := p.mustInterpret(t, "with a fusion decision to take", chain, 0); rep.FusedChains+rep.FusionRejected != 1 {
-				t.Fatalf("chain neither fused nor rejected: %+v", rep)
-			}
-		}
-		p.compile(t, chainGraph(3), 0) // no chain to decide on: compiles as ever
-		p.sameState(t)
-	})
 }
 
 // TestGraphDigestCoversEveryField mutates, one at a time, every field the
@@ -515,7 +503,7 @@ func TestExecuteLeavesGraphsAlone(t *testing.T) {
 	}
 	first.Consumers()
 	graphopt.DetectChains(first, hw.A100())
-	rt := testRuntime(t, Config{PlanAhead: 2, Fuse: true})
+	rt := testRuntime(t, Config{PlanAhead: 2})
 	if _, err := rt.Execute(context.Background(), first); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package graphrt is the graph runtime: it executes whole model graphs
 // (nn.Graph) end to end on the simulator substrate, the missing layer
 // between per-operator planning (core.Compiler) and the end-to-end results
-// of §5.2.2–§5.2.4. It contributes six things the per-operator path lacks:
+// of §5.2.2–§5.2.4. It contributes five things the per-operator path lacks:
 //
 //   - a dependency-aware schedule: ops run in topological stages derived
 //     from the graph's edges; ops sharing a stage (and the Count instances
@@ -28,11 +28,7 @@
 //   - a global-memory planner: liveness-based first-fit assignment of
 //     inter-op tensors against H.M_global, reusing freed regions and
 //     charging spill traffic as bandwidth-bound cycles when the working
-//     set exceeds device memory (see mem.go);
-//
-//   - continuous decode batching: concurrent Llama decode requests with
-//     differing KV lengths aggregate into shape-bucketed step graphs, with
-//     join/leave between steps (see batch.go).
+//     set exceeds device memory (see mem.go).
 package graphrt
 
 import (
@@ -82,13 +78,6 @@ type Config struct {
 	// MaxStageAttempts bounds total executions of one stage, the initial
 	// run included (default 4: one rung of the ladder each).
 	MaxStageAttempts int
-
-	// Fuse turns on whole-graph polymerization: fusible GEMM→epilogue→GEMM
-	// chains (graphopt.DetectChains) execute as single fused multi-region
-	// programs when the cost model prefers them, keeping inter-stage
-	// intermediates out of global memory. Off by default: fusion changes
-	// which programs a graph executes.
-	Fuse bool
 }
 
 // Runtime executes model graphs against one compiler and its hardware.
@@ -126,9 +115,8 @@ type Runtime struct {
 	// memoized replays still accumulate per-PE utilization, and the recovery
 	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
 	// cached dirty stage replays.
-	simCache   map[stageKey]*sim.Result
-	digests    map[*poly.Program]digest
-	chainCache map[chainKey]chainEntry
+	simCache map[stageKey]*sim.Result
+	digests  map[*poly.Program]digest
 	// compiled holds whole clean executions by graph content (compiled.go).
 	compiled map[compiledKey]compiledExec
 
@@ -164,11 +152,6 @@ type Stats struct {
 	// replanning their ops against it — and stages that exhausted the
 	// ladder.
 	RetriedStages, MigratedStages, ReplannedStages, UnrecoverableStages int64
-	// Whole-graph polymerization counters: chains executed fused, chains
-	// the cost model (or a failed plan) rejected, and the modeled
-	// inter-stage global-memory traffic the fused executions avoided.
-	FusedChains, FusionRejected int64
-	FusedSavedBytes             float64
 	// Cycles and SpillBytes accumulate end-to-end device cycles and
 	// memory-planner spill traffic.
 	Cycles     float64
@@ -221,13 +204,6 @@ type Report struct {
 	Degraded     int
 	FaultedTasks int
 
-	// FusedChains counts chains this execution ran as fused programs;
-	// FusionRejected counts detected chains the cost model kept unfused;
-	// FusedSavedBytes is the modeled inter-stage traffic fusion avoided.
-	FusedChains     int
-	FusionRejected  int
-	FusedSavedBytes float64
-
 	// RecoveredStages counts stages that hit faults but were healed by
 	// the recovery ladder; RecoveredFaults the faulted tasks absorbed
 	// doing so (not included in FaultedTasks).
@@ -266,16 +242,15 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		cfg.Workers = 1
 	}
 	r := &Runtime{
-		comp:       comp,
-		h:          comp.Hardware(),
-		cfg:        cfg,
-		o:          cfg.Obs,
-		lowerFn:    lowerStage,
-		lookupFn:   comp.Lookup,
-		simCache:   make(map[stageKey]*sim.Result),
-		digests:    make(map[*poly.Program]digest),
-		chainCache: make(map[chainKey]chainEntry),
-		compiled:   make(map[compiledKey]compiledExec),
+		comp:     comp,
+		h:        comp.Hardware(),
+		cfg:      cfg,
+		o:        cfg.Obs,
+		lowerFn:  lowerStage,
+		lookupFn: comp.Lookup,
+		simCache: make(map[stageKey]*sim.Result),
+		digests:  make(map[*poly.Program]digest),
+		compiled: make(map[compiledKey]compiledExec),
 	}
 	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
 		pctx := ctx
@@ -384,21 +359,13 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 		Attr("spill_bytes", rep.Mem.SpillBytes).End()
 	rep.SpillCycles = rep.Mem.SpillBytes / r.h.GlobalBytesPerCycle
 
-	// Whole-graph polymerization decides before the plan-ahead pipeline
-	// starts: a fused chain's member ops are never ticketed (an unconsumed
-	// ticket would pin one of the pipeline's lookahead tokens forever).
-	var fusion *fusionPlan
-	if r.cfg.Fuse {
-		fusion = r.planFusion(ctx, g, &rep)
-	}
-
 	// Flatten the stage schedule into the planning order and start the
 	// plan-ahead pipeline (nil = inline planning).
 	order := make([]int, 0, len(g.Ops))
 	for _, stage := range stages {
 		order = append(order, stage...)
 	}
-	pipe := r.startPipeline(ctx, g, order, fusion)
+	pipe := r.startPipeline(ctx, g, order)
 	defer pipe.stop()
 
 	// Spans cover novel work only: each memo-missing stage gets a
@@ -419,21 +386,6 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 		key := stageKey{fp: fp, salt: salt}
 		for _, i := range stage {
 			op := g.Ops[i]
-			if fusion != nil {
-				if fusion.skip[i] {
-					// Member of a fused chain: its GEMM (or folded
-					// elementwise epilogue) executes inside the head's
-					// program, so it is neither launched nor charged here.
-					continue
-				}
-				if fprog := fusion.head[i]; fprog != nil {
-					ops = append(ops, stageOp{shape: op.Gemm, count: 1,
-						prog: fprog, chainShapes: fusion.shapes[i]})
-					key.add(r.progDigest(fprog), 1)
-					numTasks += fprog.NumTasks()
-					continue
-				}
-			}
 			if op.Kind == nn.OpOther {
 				rep.OtherCycles += op.OtherCycles(r.h) * float64(op.Count)
 				continue
@@ -493,9 +445,6 @@ func (r *Runtime) accumulateReportLocked(rep Report) {
 	r.agg.HiddenWall += rep.HiddenWall
 	r.agg.Degraded += int64(rep.Degraded)
 	r.agg.FaultedTasks += int64(rep.FaultedTasks)
-	r.agg.FusedChains += int64(rep.FusedChains)
-	r.agg.FusionRejected += int64(rep.FusionRejected)
-	r.agg.FusedSavedBytes += rep.FusedSavedBytes
 	r.agg.Cycles += rep.Cycles
 	r.agg.SpillBytes += rep.Mem.SpillBytes
 }

@@ -57,10 +57,10 @@ func (d *digest) str(s string) {
 }
 
 // digestGraph is the content identity of a graph for the compiled-execution
-// table: every field Execute, planMemory, Graph.Validate and the fusion pass
-// read, absorbed as a uniquely decodable word sequence (Kind says whether the
-// conv geometry follows, strings and edge lists carry their length, and nil
-// Inputs — the chain default — is told apart from an explicit empty list), so
+// table: every field Execute, planMemory and Graph.Validate read, absorbed as
+// a uniquely decodable word sequence (Kind says whether the conv geometry
+// follows, strings and edge lists carry their length, and nil Inputs — the
+// chain default — is told apart from an explicit empty list), so
 // two graphs share a digest only if they are equal in all of them or the hash
 // itself collides. Graph and op names are left out: they label reports and
 // errors and change nothing that executes.

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"mikpoly/internal/core"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kernel"
@@ -16,7 +15,6 @@ import (
 	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
-	"mikpoly/internal/tune"
 )
 
 // These tests hold the order Execute works in: plan cache before the
@@ -83,55 +81,6 @@ func TestStageMemoTellsKernelsApart(t *testing.T) {
 				t.Fatalf("%s: both programs cost %v cycles; the pair does not test the key", pair.name, got[0])
 			}
 		}
-	}
-}
-
-// TestChainMemoKeyedByLibrary: a fusion decision priced from one kernel
-// library must not be served after the compiler's library is swapped.
-func TestChainMemoKeyedByLibrary(t *testing.T) {
-	rt := testRuntime(t, Config{Fuse: true})
-	g := fusibleGraph()
-	if _, err := rt.Execute(context.Background(), g); err != nil {
-		t.Fatal(err)
-	}
-	other, err := core.SharedLibrary(hw.A100(), tune.Options{NGen: 6, NSyn: 9, NMik: 5, NPred: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.comp.SetLibrary(other)
-
-	var priced atomic.Int64
-	orig := rt.planFn
-	rt.planFn = func(ctx context.Context, s tensor.GemmShape) (*poly.Program, bool, error) {
-		priced.Add(1)
-		return orig(ctx, s)
-	}
-	rep, err := rt.Execute(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if priced.Load() < 2 {
-		t.Fatalf("chain members planned %d times after the library swap, want both re-priced", priced.Load())
-	}
-	if rep.FusedChains+rep.FusionRejected != 1 {
-		t.Fatalf("chain neither fused nor rejected after the swap: %+v", rep)
-	}
-	inLib := make(map[kernel.MicroKernel]bool)
-	for _, k := range other.Kernels {
-		inLib[k] = true
-	}
-	for key, e := range rt.chainCache {
-		if key.lib != other.Hash() || e.prog == nil {
-			continue
-		}
-		for _, r := range e.prog.Regions {
-			if !inLib[r.Kern] {
-				t.Fatalf("fused program under the new library uses %v, which it does not hold", r.Kern)
-			}
-		}
-	}
-	if len(rt.chainCache) != 2 {
-		t.Fatalf("chain memo holds %d decisions, want one per library", len(rt.chainCache))
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // pipeline is one execution's plan-ahead state: a ticket per op (zero for
-// OpOther and fused-chain members). Ops whose program is already in the plan
-// cache are ticketed synchronously; of the rest, the first op of each shape
+// OpOther). Ops whose program is already in the plan cache are ticketed
+// synchronously; of the rest, the first op of each shape
 // goes to a bounded worker pool that runs at most PlanAhead ops past the
 // executor's consumption point, and the later ops of that shape ask the cache
 // again when the executor reaches them.
@@ -46,11 +46,8 @@ func (p *pipeline) stop() {
 // stages before it. A model repeats its few shapes across its layers, so a
 // cold graph hands the pool a handful of plans, not one job per op: what one
 // execution costs does not depend on how fast goroutines hand jobs to each
-// other. Ops covered by a fusion plan (chain heads and their members) get no
-// ticket: heads already hold their fused program and members never execute
-// standalone, so a ticket would hold a lookahead token that is never
-// released.
-func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int, fusion *fusionPlan) *pipeline {
+// other.
+func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int) *pipeline {
 	if r.cfg.PlanAhead <= 0 {
 		return nil
 	}
@@ -58,7 +55,7 @@ func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int, fu
 	var missed []int
 	var pooled map[tensor.GemmShape]bool
 	for _, i := range order {
-		if g.Ops[i].Kind == nn.OpOther || fusion.covered(i) {
+		if g.Ops[i].Kind == nn.OpOther {
 			continue
 		}
 		if r.lookupFn != nil {

@@ -44,12 +44,6 @@ type stageOp struct {
 	shape tensor.GemmShape
 	count int
 	prog  *poly.Program
-	// chainShapes, when non-nil, marks prog as a fused chain program and
-	// lists its member GEMM shapes: the replan rung dissolves the chain
-	// back into per-op programs against the degraded view (fused plans are
-	// only priced on the pristine device; under faults, correctness beats
-	// the traffic saving).
-	chainShapes []tensor.GemmShape
 }
 
 // recoverySalt derives the fault-injection salt for a recovery attempt: the
@@ -132,27 +126,19 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 			newOps := make([]stageOp, 0, len(ops))
 			key.ops = digest{}
 			for _, op := range ops {
-				// A fused chain dissolves into its member GEMMs here:
-				// each member replans individually against H'.
-				shapes := op.chainShapes
-				if shapes == nil {
-					shapes = []tensor.GemmShape{op.shape}
-				}
-				for _, s := range shapes {
-					prog, degraded, err := r.planFn(ctx, s)
-					if err != nil {
-						return res, &StageError{
-							Graph: g.Name, Stage: si, Attempts: attempt,
-							Quarantined: v.Quarantined, Err: err,
-						}
+				prog, degraded, err := r.planFn(ctx, op.shape)
+				if err != nil {
+					return res, &StageError{
+						Graph: g.Name, Stage: si, Attempts: attempt,
+						Quarantined: v.Quarantined, Err: err,
 					}
-					rep.Plans++
-					if degraded {
-						rep.Degraded++
-					}
-					newOps = append(newOps, stageOp{shape: s, count: op.count, prog: prog})
-					key.add(r.progDigest(prog), op.count)
 				}
+				rep.Plans++
+				if degraded {
+					rep.Degraded++
+				}
+				newOps = append(newOps, stageOp{shape: op.shape, count: op.count, prog: prog})
+				key.add(r.progDigest(prog), op.count)
 			}
 			ops = newOps
 		}

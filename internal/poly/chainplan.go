@@ -1,7 +1,6 @@
 package poly
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -21,15 +20,10 @@ type ChainPlanStats struct {
 	Elapsed time.Duration
 }
 
-// PlanChain plans a fused multi-stage program for a GEMM chain. See
-// PlanChainContext.
-func (p *Planner) PlanChain(spec ChainSpec) (*Program, ChainPlanStats, error) {
-	return p.PlanChainContext(context.Background(), spec)
-}
-
-// PlanChainContext enumerates and costs fused candidates for the chain:
-// every library kernel that passes the hardware scratch bound anchors one
-// full-band candidate (all row strips under one kernel), plus — when the
+// PlanChain plans a fused multi-stage program for a GEMM chain. It
+// enumerates and costs fused candidates: every library kernel that passes the
+// hardware scratch bound anchors one full-band candidate (all row strips
+// under one kernel), plus — when the
 // shared M is ragged under the anchor — two-band candidates that serve the
 // remainder strip with a differently sized kernel. Costing follows Eq. 2
 // with the strip task priced exactly as the simulator would run it
@@ -40,7 +34,7 @@ func (p *Planner) PlanChain(spec ChainSpec) (*Program, ChainPlanStats, error) {
 // The chain never slices the reduction dimension: split-K partials are not
 // final values, so a nonlinear inter-stage epilogue cannot be applied to
 // them (see engine/epilogue.go).
-func (p *Planner) PlanChainContext(ctx context.Context, spec ChainSpec) (*Program, ChainPlanStats, error) {
+func (p *Planner) PlanChain(spec ChainSpec) (*Program, ChainPlanStats, error) {
 	start := time.Now()
 	var stats ChainPlanStats
 	if err := spec.Validate(); err != nil {
@@ -49,15 +43,6 @@ func (p *Planner) PlanChainContext(ctx context.Context, spec ChainSpec) (*Progra
 	if p.Lib == nil || len(p.Lib.Kernels) == 0 {
 		return nil, stats, fmt.Errorf("poly: empty micro-kernel library")
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, stats, fmt.Errorf("poly: planning aborted: %w", err)
-	}
-	_, sp := p.Trace.Start(ctx, "poly.planchain")
-	defer func() {
-		sp.Attr("stages", float64(len(spec.Stages))).
-			Attr("candidates", float64(stats.Candidates)).
-			Attr("pruned", float64(stats.PrunedAnchors)).End()
-	}()
 
 	h := p.Lib.HW
 	shape := spec.Shape()
@@ -102,9 +87,6 @@ func (p *Planner) PlanChainContext(ctx context.Context, spec ChainSpec) (*Progra
 	// kernel index, or -1 for the single full-band candidate.
 	var win winner
 	for ai := range p.Lib.Kernels {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, fmt.Errorf("poly: planning aborted: %w", err)
-		}
 		if !admissible(ai) {
 			stats.PrunedAnchors++
 			continue

@@ -98,6 +98,55 @@ func FuzzModelRequest(f *testing.F) {
 	})
 }
 
+// FuzzGenerateRequest feeds arbitrary /generate bodies and X-Tenant headers to
+// a small scheduler-backed server with a tenant allowlist and tight prompt,
+// step and token-budget limits. Every answer is a 200, a clean 4xx, or a 503
+// that tells the client when to come back — never a panic or another 5xx.
+func FuzzGenerateRequest(f *testing.F) {
+	lib, err := core.SharedLibrary(hw.A100(), tune.Options{NGen: 4, NSyn: 6, NMik: 6, NPred: 128})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := New(core.NewCompilerFromLibrary(lib), Config{
+		MaxBodyBytes:        1 << 10,
+		MaxDim:              256,
+		MaxModelSteps:       2,
+		SchedDecode:         true,
+		SchedInFlightTokens: 512,
+		Tenants:             []string{"acme", "globex"},
+	})
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+
+	f.Add(`{"prompt_len":96,"group":1,"prefix_len":64,"steps":4}`, "acme")
+	f.Add(`{"prompt_len":96,"group":1,"prefix_len":64,"steps":2}`, "acme")
+	f.Add(`{"prompt_len":0}`, "acme")
+	f.Add(`{"prompt_len":32,"steps":1}`, "intruder")
+	f.Add(`{"prompt_len":32,"steps":1}`, "")
+	f.Add(`{"prompt_len":32,"steps":1}`, "globex")
+	f.Add(`{"prompt_len":128,"steps":4}`, "acme")
+	f.Add(`{"prompt_len":32,"steps":2}`, "acme")
+	f.Add(`{"prompt_len":64,"fanout":8,"steps":2}`, "globex")
+	f.Add(`{"prompt_len":16,"deadline_ms":-1}`, "acme")
+	f.Add(`{"prompt_len":16,"prefix_len":17}`, "acme")
+	f.Add(`{"prompt_len":"x","steps":null}`, "acme")
+	f.Add("", "acme")
+
+	f.Fuzz(func(t *testing.T, body, tenant string) {
+		req := httptest.NewRequest(http.MethodPost, "/generate", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Tenant", tenant)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req) // must not panic
+		switch {
+		case rec.Code == http.StatusOK, rec.Code >= 400 && rec.Code < 500:
+		case rec.Code == http.StatusServiceUnavailable && rec.Header().Get("Retry-After") != "":
+		default:
+			t.Fatalf("/generate %q (tenant %q): unexpected status %d: %s", body, tenant, rec.Code, rec.Body)
+		}
+	})
+}
+
 // FuzzGemmShape attacks the shape validator and the fallback program builder
 // directly with arbitrary dimension triples: Valid() must agree with what the
 // planner/fallback accept, and nothing may panic.

@@ -415,11 +415,6 @@ type graphStats struct {
 	MigratedStages      int64 `json:"migrated_stages,omitempty"`
 	ReplannedStages     int64 `json:"replanned_stages,omitempty"`
 	UnrecoverableStages int64 `json:"unrecoverable_stages,omitempty"`
-
-	// Whole-graph polymerization outcomes.
-	FusedChains     int64   `json:"fused_chains,omitempty"`
-	FusionRejected  int64   `json:"fusion_rejected,omitempty"`
-	FusedSavedBytes float64 `json:"fused_saved_bytes,omitempty"`
 }
 
 // healthStats is the /stats view of the health registry and the compiler's
@@ -534,9 +529,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			MigratedStages:      gs.MigratedStages,
 			ReplannedStages:     gs.ReplannedStages,
 			UnrecoverableStages: gs.UnrecoverableStages,
-			FusedChains:         gs.FusedChains,
-			FusionRejected:      gs.FusionRejected,
-			FusedSavedBytes:     gs.FusedSavedBytes,
 		}
 	}
 	if reg := s.health.Load(); reg != nil {

@@ -271,9 +271,6 @@ func addStep(sum *graphrt.Report, r graphrt.Report) {
 	sum.HiddenWall += r.HiddenWall
 	sum.Degraded += r.Degraded
 	sum.FaultedTasks += r.FaultedTasks
-	sum.FusedChains += r.FusedChains
-	sum.FusionRejected += r.FusionRejected
-	sum.FusedSavedBytes += r.FusedSavedBytes
 	sum.RecoveredStages += r.RecoveredStages
 	sum.RecoveredFaults += r.RecoveredFaults
 	sum.Mem.CapacityBytes = r.Mem.CapacityBytes

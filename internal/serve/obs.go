@@ -104,26 +104,6 @@ func (s *Server) registerObs() {
 			}
 			return one(rt.Stats().SpillBytes)
 		})
-	m.Collect("mik_fusion_chains_total", "Whole-graph polymerization decisions: chains executed fused vs kept unfused by the cost model.", "counter",
-		func() []obs.Sample {
-			rt := s.runtime.Load()
-			if rt == nil {
-				return nil
-			}
-			gs := rt.Stats()
-			return []obs.Sample{
-				{Labels: [][2]string{{"decision", "fused"}}, Value: float64(gs.FusedChains)},
-				{Labels: [][2]string{{"decision", "rejected"}}, Value: float64(gs.FusionRejected)},
-			}
-		})
-	m.Collect("mik_fusion_saved_bytes_total", "Modeled inter-stage global-memory traffic avoided by fused chain executions.", "counter",
-		func() []obs.Sample {
-			rt := s.runtime.Load()
-			if rt == nil {
-				return nil
-			}
-			return one(rt.Stats().FusedSavedBytes)
-		})
 	m.Collect("mik_pe_utilization", "Per-PE busy fraction of cumulative co-scheduled stage time.", "gauge",
 		func() []obs.Sample {
 			rt := s.runtime.Load()

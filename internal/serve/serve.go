@@ -84,11 +84,6 @@ type Config struct {
 	// requests (0 = default, negative = sequential inline planning).
 	PlanAhead int
 
-	// Fuse turns on whole-graph polymerization for /model requests:
-	// fusible GEMM→epilogue→GEMM chains execute as fused programs when
-	// the cost model prefers them (graphrt.Config.Fuse).
-	Fuse bool
-
 	// Deprecated: ignored. /model runs llama2-decode step graphs one
 	// request at a time; concurrent decode batching lives in the generation
 	// scheduler (SchedDecode).
@@ -367,7 +362,6 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 		PlanTimeout: s.cfg.PlanTimeout,
 		Obs:         s.o,
 		Health:      reg,
-		Fuse:        s.cfg.Fuse,
 	})
 	rt.SetSimulator(func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
 		return s.simulateTasks(h, v, tasks, salt)
