@@ -42,8 +42,9 @@ deadpkg:
 # Short fuzzing burst against the serving layer's input handling (/plan,
 # /execute, /model and /generate bodies, GEMM shapes), the planner's sweep ≡ reference
 # oracle, the NPU allocator and the simulator's cohort event loop ≡ their
-# references, and the graph digest the compiled table is keyed by (equal
-# digest ⇒ equal content).
+# references, the graph digest the compiled table is keyed by (equal
+# digest ⇒ equal content), and the three on-disk or flag loaders: fleet
+# specs, tuned libraries and plan-cache snapshots.
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
@@ -53,6 +54,9 @@ fuzz:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticAssign -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSimRun -fuzztime 10s
 	$(GO) test ./internal/graphrt/ -run '^$$' -fuzz FuzzGraphDigest -fuzztime 10s
+	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s
+	$(GO) test ./internal/tune/ -run '^$$' -fuzz FuzzLoadLibrary -fuzztime 10s
+	$(GO) test ./internal/plancache/ -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -12,8 +12,8 @@
 //     and recorded, never gated: wall-clock claims belong to mikload.
 //
 // Besides cases a report lists the self-checks that failed — invariants a
-// suite can judge without a baseline (fused beats unfused, no leaked KV
-// pages, a warm replica plans nothing). Compare is the whole gate.
+// suite can judge without a baseline (no leaked KV pages, a warm replica
+// plans nothing). Compare is the whole gate.
 package bench
 
 import (
@@ -59,7 +59,6 @@ var suites = []struct {
 	{"planner", plannerSuite},
 	{"sim", simSuite},
 	{"serve", serveSuite},
-	{"fusion", fusionSuite},
 	{"plancache", planCacheSuite},
 	{"overload", overloadSuite},
 	{"graph", graphSuite},
@@ -105,8 +104,9 @@ func Run(name string, quick bool, seeds []uint64) (*Report, error) {
 //
 //   - the schemas must match;
 //   - for every suite cur ran, the case sets must be equal (a changed suite
-//     needs an explicit baseline refresh); suites only base holds are not
-//     judged;
+//     needs an explicit baseline refresh); other suites base holds are not
+//     judged, unless Run no longer knows them: a deleted suite's cases must
+//     leave the baseline with it;
 //   - every exact field must equal the baseline's, and the field sets must
 //     match;
 //   - every no_grow field must be <= the baseline's;
@@ -124,10 +124,18 @@ func Compare(base, cur *Report) []string {
 	for _, c := range cur.Cases {
 		ran[c.Suite] = true
 	}
+	known := map[string]bool{}
+	for _, s := range suites {
+		known[s.name] = true
+	}
 	unmatched := map[string]Case{}
+	var stale []string
 	for _, b := range base.Cases {
-		if ran[b.Suite] {
+		switch {
+		case ran[b.Suite]:
 			unmatched[b.Suite+"/"+b.Name] = b
+		case !known[b.Suite]:
+			stale = append(stale, b.Suite+"/"+b.Name)
 		}
 	}
 	for _, c := range cur.Cases {
@@ -163,6 +171,10 @@ func Compare(base, cur *Report) []string {
 	sort.Strings(missing)
 	for _, id := range missing {
 		regs = append(regs, id+": case missing from current run (suite changed? refresh the baseline)")
+	}
+	sort.Strings(stale)
+	for _, id := range stale {
+		regs = append(regs, id+": suite no longer exists (delete its cases from the baseline)")
 	}
 	return regs
 }

@@ -76,6 +76,9 @@ func TestCompareRules(t *testing.T) {
 		{"missing case", func(base, _ *Report) {
 			base.Cases = append(base.Cases, Case{Suite: "serve", Name: "a100-long-prompts"})
 		}, []string{"serve/a100-long-prompts", "missing from current run"}},
+		{"deleted suite leaves stale rows", func(base, _ *Report) {
+			base.Cases = append(base.Cases, Case{Suite: "fusion", Name: "mlp-relu-14k"})
+		}, []string{"fusion/mlp-relu-14k", "suite no longer exists"}},
 		{"extra case", func(_, cur *Report) {
 			cur.Cases = append(cur.Cases, Case{Suite: "serve", Name: "new-case"})
 		}, []string{"serve/new-case", "absent from baseline"}},

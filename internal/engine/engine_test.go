@@ -97,7 +97,7 @@ func TestExecuteRejectsBadOperands(t *testing.T) {
 
 func TestExecuteRejectsInvalidProgram(t *testing.T) {
 	s := tensor.GemmShape{M: 32, N: 32, K: 32}
-	prog := &poly.Program{Shape: s} // no regions
+	prog := &poly.Program{Shape: s, Pattern: poly.PatternI} // no regions
 	if _, err := Execute(prog, tensor.NewMatrix(32, 32), tensor.NewMatrix(32, 32)); err == nil {
 		t.Fatal("invalid program accepted")
 	}

@@ -261,7 +261,8 @@ func TestParseSpec(t *testing.T) {
 	if len(entries) != 2 || entries[0].Replicas != 2 || entries[1].Replicas != 1 {
 		t.Fatalf("unexpected entries: %+v", entries)
 	}
-	for _, bad := range []string{``, `[]`, `[{"hw":"tpu"}]`, `[{"hw":"a100","replicas":-1}]`, `[{"hw":"a100","replicas":100}]`} {
+	for _, bad := range []string{``, `[]`, `[{"hw":"tpu"}]`, `[{"hw":"a100","replicas":-1}]`, `[{"hw":"a100","replicas":100}]`,
+		`[{"hw":"a100","replicas":9223372036854775807},{"hw":"a100","replicas":1}]`} {
 		if _, err := ParseSpec([]byte(bad)); err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)
 		}
@@ -296,4 +297,30 @@ func TestBuildDevices(t *testing.T) {
 	for _, d := range devices {
 		d.Close()
 	}
+}
+
+// FuzzParseSpec: whatever ParseSpec accepts names at least one replica per
+// entry and no more than maxDevices in total, however large the counts in
+// the input.
+func FuzzParseSpec(f *testing.F) {
+	f.Add(`[{"hw":"a100","replicas":2},{"hw":"ascend910"}]`)
+	f.Add(`[{"name":"edge","hw":"a100cuda","replicas":64}]`)
+	f.Add(`[{"hw":"a100","replicas":9223372036854775807},{"hw":"a100","replicas":1}]`)
+	f.Add(`[{"hw":"npu","replicas":-3}]`)
+	f.Fuzz(func(t *testing.T, spec string) {
+		entries, err := ParseSpec([]byte(spec))
+		if err != nil {
+			return
+		}
+		total := 0
+		for _, e := range entries {
+			if e.Replicas < 1 || e.Replicas > maxDevices {
+				t.Fatalf("accepted %q with %d replicas of %q", spec, e.Replicas, e.HW)
+			}
+			total += e.Replicas
+		}
+		if total < 1 || total > maxDevices {
+			t.Fatalf("accepted %q with %d devices in total", spec, total)
+		}
+	})
 }

@@ -38,6 +38,9 @@ func HardwareByName(name string) (hw.Hardware, error) {
 	}
 }
 
+// maxDevices bounds the replica total of one fleet spec.
+const maxDevices = 64
+
 // ParseSpec decodes and validates a JSON fleet spec.
 func ParseSpec(data []byte) ([]SpecEntry, error) {
 	var entries []SpecEntry
@@ -61,11 +64,12 @@ func ParseSpec(data []byte) ([]SpecEntry, error) {
 		if entries[i].Name == "" {
 			entries[i].Name = entries[i].HW
 		}
+		// Checked before summing, so a huge count cannot wrap the total.
+		if entries[i].Replicas > maxDevices-total {
+			return nil, fmt.Errorf("fleet: %q replicas %d exceed the %d-device limit (%d already listed)",
+				entries[i].HW, entries[i].Replicas, maxDevices, total)
+		}
 		total += entries[i].Replicas
-	}
-	const maxDevices = 64
-	if total > maxDevices {
-		return nil, fmt.Errorf("fleet: %d devices exceeds the %d-device limit", total, maxDevices)
 	}
 	return entries, nil
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mikpoly/internal/core"
-	"mikpoly/internal/graphopt"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
@@ -136,9 +135,6 @@ func randomDAG(rng *rand.Rand, name string, n int) nn.Graph {
 		switch rng.Intn(6) {
 		case 0, 1:
 			op.Kind, op.OtherBytes = nn.OpOther, float64(rng.Intn(1<<20))
-			if rng.Intn(2) == 0 {
-				op.Elementwise = "relu"
-			}
 		case 2:
 			op.Kind, op.Conv = nn.OpConv, convs[rng.Intn(len(convs))]
 			op.Gemm = op.Conv.GemmShape()
@@ -383,7 +379,7 @@ func TestGraphDigestCoversEveryField(t *testing.T) {
 		return nn.Graph{Name: "g", Ops: []nn.Op{
 			{Name: "a", Kind: nn.OpGemm, Gemm: tensor.GemmShape{M: 64, N: 96, K: 32}, Count: 1, Inputs: []int{}},
 			{Name: "b", Kind: nn.OpConv, Conv: conv, Gemm: conv.GemmShape(), Count: 2, Inputs: []int{0}},
-			{Name: "c", Kind: nn.OpOther, OtherBytes: 4096, Elementwise: "relu", DType: "f16", Count: 1, Inputs: []int{0, 1}},
+			{Name: "c", Kind: nn.OpOther, OtherBytes: 4096, Count: 1, Inputs: []int{0, 1}},
 			{Name: "d", Kind: nn.OpGemm, Gemm: tensor.GemmShape{M: 64, N: 32, K: 96}, Count: 1},
 		}}
 	}
@@ -413,9 +409,6 @@ func TestGraphDigestCoversEveryField(t *testing.T) {
 		"Conv.Pad":       func(g *nn.Graph) { g.Ops[1].Conv.Pad++ },
 		"Count":          func(g *nn.Graph) { g.Ops[1].Count++ },
 		"OtherBytes":     func(g *nn.Graph) { g.Ops[2].OtherBytes = math.Nextafter(4096, 8192) },
-		"Elementwise":    func(g *nn.Graph) { g.Ops[2].Elementwise = "gelu" },
-		"DType":          func(g *nn.Graph) { g.Ops[2].DType = "f32" },
-		"string border":  func(g *nn.Graph) { g.Ops[2].Elementwise, g.Ops[2].DType = "reluf", "16" },
 		"Inputs nil":     func(g *nn.Graph) { g.Ops[0].Inputs = nil },
 		"Inputs empty":   func(g *nn.Graph) { g.Ops[3].Inputs = []int{} },
 		"Inputs chain":   func(g *nn.Graph) { g.Ops[3].Inputs = []int{2} }, // what nil means there
@@ -502,7 +495,6 @@ func TestExecuteLeavesGraphsAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.Consumers()
-	graphopt.DetectChains(first, hw.A100())
 	rt := testRuntime(t, Config{PlanAhead: 2})
 	if _, err := rt.Execute(context.Background(), first); err != nil {
 		t.Fatal(err)
@@ -552,8 +544,6 @@ func graphFromBytes(data []byte) nn.Graph {
 				OutC: next() % 5, KH: next() % 4, KW: next() % 4, Stride: next() % 3, Pad: next() % 2}
 		}
 		op.OtherBytes = float64(next())
-		op.Elementwise = []string{"", "relu", "gelu", "r"}[next()%4]
-		op.DType = []string{"", "f16", "f32", "elu"}[next()%4]
 		if n := next() % 5; n > 0 {
 			op.Inputs = make([]int, n-1)
 			for i := range op.Inputs {
@@ -577,7 +567,6 @@ func sameContent(a, b nn.Graph) bool {
 		}
 		if x.Kind != y.Kind || x.Gemm != y.Gemm || x.Count != y.Count ||
 			math.Float64bits(x.OtherBytes) != math.Float64bits(y.OtherBytes) ||
-			x.Elementwise != y.Elementwise || x.DType != y.DType ||
 			(x.Inputs == nil) != (y.Inputs == nil) || !reflect.DeepEqual(x.Inputs, y.Inputs) {
 			return false
 		}

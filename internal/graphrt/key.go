@@ -30,8 +30,8 @@ func (k *stageKey) add(d digest, count int) {
 	k.ops.hi = mix64(k.ops.hi + d.hi + uint64(count)<<32)
 }
 
-// word absorbs one 64-bit word into both lanes. A graph digest absorbs ten
-// words per op, so a lane's step is one multiplication, not a full mix64:
+// word absorbs one 64-bit word into both lanes. A graph digest absorbs about
+// eight words per op, so a lane's step is one multiplication, not a full mix64:
 // lo is multiply-xorshift (a bijection of the word for a given state), hi
 // rotate-add-multiply, and digestGraph finishes both with mix64. The lanes
 // combine the word differently, so two inputs must collide in both at once.
@@ -41,25 +41,10 @@ func (d *digest) word(x uint64) {
 	d.hi = (bits.RotateLeft64(d.hi, 27) + x) * 0xbf58476d1ce4e5b9
 }
 
-// str absorbs a string, length first so that consecutive strings cannot trade
-// bytes.
-func (d *digest) str(s string) {
-	d.word(uint64(len(s)))
-	for len(s) > 0 {
-		var w uint64
-		n := min(len(s), 8)
-		for i := 0; i < n; i++ {
-			w |= uint64(s[i]) << (8 * i)
-		}
-		d.word(w)
-		s = s[n:]
-	}
-}
-
 // digestGraph is the content identity of a graph for the compiled-execution
 // table: every field Execute, planMemory and Graph.Validate read, absorbed as
 // a uniquely decodable word sequence (Kind says whether the conv geometry
-// follows, strings and edge lists carry their length, and nil Inputs — the
+// follows, edge lists carry their length, and nil Inputs — the
 // chain default — is told apart from an explicit empty list), so
 // two graphs share a digest only if they are equal in all of them or the hash
 // itself collides. Graph and op names are left out: they label reports and
@@ -80,8 +65,6 @@ func digestGraph(g nn.Graph) digest {
 		}
 		d.word(uint64(op.Count))
 		d.word(math.Float64bits(op.OtherBytes))
-		d.str(op.Elementwise)
-		d.str(op.DType)
 		if op.Inputs == nil {
 			d.word(^uint64(0))
 			continue
@@ -108,7 +91,7 @@ func mix64(x uint64) uint64 {
 // that differ only in K depth, pipeline stages, vector width or premium
 // produce equal tile and task counts but different digests.
 func digestProgram(p *poly.Program) digest {
-	b := make([]byte, 0, 8*(5+11*len(p.Regions)))
+	b := make([]byte, 0, 8*(5+12*len(p.Regions)))
 	put := func(vs ...int) {
 		for _, v := range vs {
 			b = binary.LittleEndian.AppendUint64(b, uint64(v))
@@ -119,10 +102,6 @@ func digestProgram(p *poly.Program) digest {
 		put(r.M0, r.N0, r.M, r.N, r.KOff, r.K,
 			r.Kern.UM, r.Kern.UN, r.Kern.UK, r.Kern.Cfg.Stages, r.Kern.Cfg.Vec)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.Kern.Premium))
-		put(len(r.Chain))
-		for _, st := range r.Chain {
-			put(st.N, st.K, int(st.Epilogue))
-		}
 	}
 	sum := sha256.Sum256(b)
 	return digest{

@@ -184,14 +184,6 @@ func (k MicroKernel) InstanceLoadBytes(h hw.Hardware) float64 {
 	return float64(k.UM*k.UK+k.UK*k.UN) * float64(h.InputBytes) / h.L2ReuseFactor
 }
 
-// RHSLoadBytes is the DRAM traffic of one instance whose left operand is
-// already resident in M_local — a fused chain's intermediate strip — so only
-// the right-hand tile streams from global memory, with the same L2 reuse
-// discount as InstanceLoadBytes.
-func (k MicroKernel) RHSLoadBytes(h hw.Hardware) float64 {
-	return float64(k.UK*k.UN) * float64(h.InputBytes) / h.L2ReuseFactor
-}
-
 // StoreBytes is the one-time result write-back of a pipelined task.
 func (k MicroKernel) StoreBytes(h hw.Hardware) float64 {
 	return float64(k.UM*k.UN) * float64(h.OutputBytes)

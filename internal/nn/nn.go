@@ -55,15 +55,6 @@ type Op struct {
 	Count int
 	// OtherBytes is the memory traffic of an OpOther operator.
 	OtherBytes float64
-	// Elementwise names the pure elementwise function of an OpOther
-	// operator ("relu", "gelu"): such an op can fold into the epilogue of
-	// a fused GEMM chain. Empty marks opaque bandwidth-bound work
-	// (layernorm, softmax, pooling) that cannot.
-	Elementwise string
-	// DType is the operator's element type; empty means the default
-	// ("f32"). A fused chain requires every member to agree, so a
-	// mixed-precision boundary legally blocks fusion.
-	DType string
 	// Inputs lists the indices of the ops whose outputs this op consumes.
 	// nil keeps the default chain dependency (the preceding op, if any);
 	// a non-nil empty slice marks an explicit source op. Edges may point
@@ -96,19 +87,7 @@ func (o Op) Validate() error {
 	default:
 		return fmt.Errorf("nn: op %q has unknown kind %d", o.Name, int(o.Kind))
 	}
-	if o.Elementwise != "" && o.Kind != OpOther {
-		return fmt.Errorf("nn: op %q is %v but declares elementwise function %q", o.Name, o.Kind, o.Elementwise)
-	}
 	return nil
-}
-
-// EffectiveDType resolves the operator's element type with the "f32"
-// default, so an unset DType and an explicit "f32" compare equal.
-func (o Op) EffectiveDType() string {
-	if o.DType == "" {
-		return "f32"
-	}
-	return o.DType
 }
 
 // OtherCycles converts an OpOther's traffic to device cycles at full global

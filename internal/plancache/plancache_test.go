@@ -4,6 +4,7 @@
 package plancache_test
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -22,7 +23,7 @@ func testOpts() tune.Options {
 
 // buildSnapshot plans a few shapes on a real compiler and exports them, so the
 // matrix exercises genuine programs rather than hand-built stand-ins.
-func buildSnapshot(t *testing.T) (*plancache.Snapshot, *core.Compiler) {
+func buildSnapshot(t testing.TB) (*plancache.Snapshot, *core.Compiler) {
 	t.Helper()
 	lib, err := core.SharedLibrary(hw.A100(), testOpts())
 	if err != nil {
@@ -176,4 +177,30 @@ func TestSnapshotCompatibilityMatrix(t *testing.T) {
 	if err := snap.Validate(libHash, hwName); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
+}
+
+// FuzzLoadSnapshot: Load then Validate never panics, and a snapshot both
+// accept holds only valid programs whose recorded cost bits match.
+func FuzzLoadSnapshot(f *testing.F) {
+	snap, c := buildSnapshot(f)
+	var buf bytes.Buffer
+	if err := snap.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	hash, hwName := c.LibraryHash(), c.Hardware().Name
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := plancache.Load(bytes.NewReader(data))
+		if err != nil || s.Validate(hash, hwName) != nil {
+			return
+		}
+		for i, e := range s.Entries {
+			if err := e.Program.Validate(); err != nil {
+				t.Fatalf("accepted entry %d: %v", i, err)
+			}
+			if e.CostBits != plancache.CostBits(e.Program) {
+				t.Fatalf("accepted entry %d with cost bits %s, program cost %s", i, e.CostBits, plancache.CostBits(e.Program))
+			}
+		}
+	})
 }

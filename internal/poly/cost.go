@@ -1,9 +1,6 @@
 package poly
 
-import (
-	"mikpoly/internal/sim"
-	"mikpoly/internal/tune"
-)
+import "mikpoly/internal/tune"
 
 // WaveCount returns f_wave = ceil(tasks / pes): the number of scheduling
 // waves a task grid needs on pes processing engines. This is THE wave-count
@@ -28,17 +25,6 @@ func WaveCount(tasks, pes int) float64 {
 // output, so the wave term covers the combined grid and the pipe term is the
 // slowest slice.
 func ProgramCost(prog *Program, lib *tune.Library) float64 {
-	if prog.Pattern == PatternChain {
-		// Fused chains: one strip task per row band, priced exactly as
-		// the simulator runs it (the scale g_predict is fitted against).
-		bw := lib.HW.FairShareBandwidth()
-		var sum float64
-		for _, r := range prog.Regions {
-			t1, _, _ := r.Tiles()
-			sum += WaveCount(t1, lib.HW.NumPEs) * sim.PipelinedTaskCycles(r.chainTask(lib.HW), bw)
-		}
-		return sum
-	}
 	if prog.Pattern == PatternSplitK {
 		total := 0
 		maxPipe := 0.0

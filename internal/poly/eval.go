@@ -23,8 +23,6 @@ import (
 // sized from the library and pattern set in a few blocks and kept small, so a
 // fresh scratch stays cheap.
 type scratch struct {
-	strips []chainStrip
-
 	pipe    []float64   // f_pipe of every kernel at this plan's K
 	idx     []int32     // backing store of front and class
 	front   []int32     // kernels that can win a region argmin, ascending
@@ -42,26 +40,6 @@ type scratch struct {
 	// disabled, or a pipe value the bound cannot trust.
 	bounded     bool
 	floor, rate float64
-}
-
-// chainStrip memoizes one kernel's fused strip-task cycles within a chain
-// plan (the fused analog of the pipe table, lazily filled because the
-// hardware bound prunes most kernels before they are ever priced).
-type chainStrip struct {
-	cycles float64
-	done   bool
-}
-
-// chainStrips returns a reset n-entry strip memo from pooled storage.
-func (sc *scratch) chainStrips(n int) []chainStrip {
-	if cap(sc.strips) < n {
-		sc.strips = make([]chainStrip, n)
-	}
-	sc.strips = sc.strips[:n]
-	for i := range sc.strips {
-		sc.strips[i] = chainStrip{}
-	}
-	return sc.strips
 }
 
 // tileClass is the set of library kernels sharing one output tile. Boundary

@@ -1,9 +1,6 @@
 package poly
 
-import (
-	"mikpoly/internal/sim"
-	"mikpoly/internal/tune"
-)
+import "mikpoly/internal/tune"
 
 // RegionCost is the per-region breakdown of Eq. 2 for one program — the
 // structured form of what cmd/mikexplain prints.
@@ -35,14 +32,7 @@ func Explain(prog *Program, lib *tune.Library) []RegionCost {
 		t1, t2, t3 := r.Tiles()
 		tasks := r.Tasks()
 		waves := WaveCount(tasks, lib.HW.NumPEs)
-		var pipe float64
-		if r.Fused() {
-			// A fused region's pipelined task is the whole chain strip;
-			// price it the way the simulator runs it.
-			pipe = sim.PipelinedTaskCycles(r.chainTask(lib.HW), lib.HW.FairShareBandwidth())
-		} else {
-			pipe = lib.PredictTask(r.Kern, t3)
-		}
+		pipe := lib.PredictTask(r.Kern, t3)
 		out = append(out, RegionCost{
 			Region: r,
 			T1:     t1, T2: t2, T3: t3,

@@ -39,11 +39,6 @@ const (
 	// beyond the paper's nine output-plane patterns; enable it with
 	// Planner.EnableSplitK.
 	PatternSplitK
-	// PatternChain marks a fused multi-stage program: every region is a
-	// full-width row band carrying a chain of GEMM stages whose
-	// intermediates stay in M_local (see chain.go). Produced only by
-	// Planner.PlanChain, never by the single-op pattern search.
-	PatternChain
 )
 
 // gpuPatternSet and npuPatternSet are the platform-default pattern lists the
@@ -85,8 +80,6 @@ func (p PatternID) String() string {
 		return "IX"
 	case PatternSplitK:
 		return "split-K"
-	case PatternChain:
-		return "chain"
 	default:
 		return fmt.Sprintf("Pattern(%d)", int(p))
 	}

@@ -60,13 +60,14 @@ func TestProgramValidateCoverage(t *testing.T) {
 		t.Fatalf("valid program rejected: %v", err)
 	}
 
-	gap := &Program{Shape: shape, Regions: []Region{{M0: 0, N0: 0, M: 64, N: 60, K: 40, Kern: k}}}
+	gap := &Program{Shape: shape, Pattern: PatternI, Regions: []Region{{M0: 0, N0: 0, M: 64, N: 60, K: 40, Kern: k}}}
 	if gap.Validate() == nil {
 		t.Fatal("gap not detected")
 	}
 
 	overlap := &Program{
-		Shape: shape,
+		Shape:   shape,
+		Pattern: PatternII,
 		Regions: []Region{
 			{M0: 0, N0: 0, M: 64, N: 60, K: 40, Kern: k},
 			{M0: 60, N0: 0, M: 40, N: 60, K: 40, Kern: k},
@@ -76,14 +77,44 @@ func TestProgramValidateCoverage(t *testing.T) {
 		t.Fatal("overlap not detected")
 	}
 
-	badK := &Program{Shape: shape, Regions: []Region{{M0: 0, N0: 0, M: 100, N: 60, K: 39, Kern: k}}}
+	badK := &Program{Shape: shape, Pattern: PatternI, Regions: []Region{{M0: 0, N0: 0, M: 100, N: 60, K: 39, Kern: k}}}
 	if badK.Validate() == nil {
 		t.Fatal("wrong reduction extent not detected")
 	}
 
-	outside := &Program{Shape: shape, Regions: []Region{{M0: 10, N0: 0, M: 100, N: 60, K: 40, Kern: k}}}
+	outside := &Program{Shape: shape, Pattern: PatternI, Regions: []Region{{M0: 10, N0: 0, M: 100, N: 60, K: 40, Kern: k}}}
 	if outside.Validate() == nil {
 		t.Fatal("out-of-bounds region not detected")
+	}
+
+	// Plan snapshots decode programs from disk: a pattern outside
+	// PatternI..PatternSplitK is rejected even when the regions tile.
+	for _, pat := range []PatternID{0, PatternSplitK + 1, PatternSplitK + 2, -1} {
+		bad := *good
+		bad.Pattern = pat
+		if bad.Validate() == nil {
+			t.Fatalf("pattern %s accepted", pat)
+		}
+	}
+}
+
+func TestProgramValidateChainPattern(t *testing.T) {
+	gpu, _ := libs(t)
+	p := NewPlanner(gpu)
+	plain, _, err := p.Plan(tensor.GemmShape{M: 4096, N: 128, K: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Validate(); err != nil {
+		t.Fatalf("planned program rejected: %v", err)
+	}
+	// The slot after PatternSplitK once named the fused GEMM-chain pattern;
+	// a planned program relabelled with it (as an old plan snapshot would
+	// decode) must fail even though its regions tile the shape.
+	bad := *plain
+	bad.Pattern = PatternSplitK + 1
+	if err := bad.Validate(); err == nil {
+		t.Fatal("planned regions under the retired chain pattern accepted")
 	}
 }
 
@@ -412,7 +443,8 @@ func TestSplitKProgramValidation(t *testing.T) {
 		t.Fatalf("valid split-K program rejected: %v", err)
 	}
 	overlapK := &Program{
-		Shape: shape,
+		Shape:   shape,
+		Pattern: PatternSplitK,
 		Regions: []Region{
 			{M: 64, N: 64, KOff: 0, K: 80, Kern: k},
 			{M: 64, N: 64, KOff: 64, K: 64, Kern: k},
@@ -422,7 +454,8 @@ func TestSplitKProgramValidation(t *testing.T) {
 		t.Fatal("overlapping K slices not detected")
 	}
 	gapK := &Program{
-		Shape: shape,
+		Shape:   shape,
+		Pattern: PatternSplitK,
 		Regions: []Region{
 			{M: 64, N: 64, KOff: 0, K: 60, Kern: k},
 			{M: 64, N: 64, KOff: 64, K: 64, Kern: k},

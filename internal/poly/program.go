@@ -10,7 +10,6 @@ package poly
 
 import (
 	"fmt"
-	"slices"
 
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kernel"
@@ -36,13 +35,6 @@ type Region struct {
 	K int
 	// Kern is the micro-kernel K̃_i instantiated for this region.
 	Kern kernel.MicroKernel
-
-	// Chain, when non-empty, makes this a fused multi-stage region: the
-	// listed GEMM stages run before the final stage described by the
-	// region's own geometry, strip by strip, with intermediates resident
-	// in M_local (see chain.go). Empty for every single-op program, so
-	// plan-cache snapshots of those serialize exactly as before.
-	Chain []FusedStage `json:",omitempty"`
 }
 
 // Tiles returns (t1, t2, t3): the tile counts in the M, N and K dimensions
@@ -56,13 +48,9 @@ func (r Region) Tiles() (t1, t2, t3 int) {
 
 // Tasks returns f_parallel(R_i, K̃_i): the number of pipelined tasks the
 // region launches (one per output tile; the reduction loop runs inside a
-// task). A fused region launches one task per row strip instead — the whole
-// chain of a strip must run on one PE to keep its intermediates in M_local.
+// task).
 func (r Region) Tasks() int {
 	t1, t2, _ := r.Tiles()
-	if r.Fused() {
-		return t1
-	}
 	return t1 * t2
 }
 
@@ -80,9 +68,6 @@ func (r Region) Validate(shape tensor.GemmShape) error {
 		return fmt.Errorf("poly: region reduction slice [%d,%d) outside K=%d", r.KOff, r.KOff+r.K, shape.K)
 	case r.Kern.UM <= 0 || r.Kern.UN <= 0 || r.Kern.UK <= 0:
 		return fmt.Errorf("poly: region %+v has malformed kernel", r)
-	}
-	if r.Fused() {
-		return r.validateChain(shape)
 	}
 	return nil
 }
@@ -115,6 +100,9 @@ func (p *Program) Validate() error {
 	if !p.Shape.Valid() {
 		return fmt.Errorf("poly: invalid shape %v", p.Shape)
 	}
+	if p.Pattern < PatternI || p.Pattern > PatternSplitK {
+		return fmt.Errorf("poly: unknown pattern %s", p.Pattern)
+	}
 	if len(p.Regions) == 0 {
 		return fmt.Errorf("poly: program for %v has no regions", p.Shape)
 	}
@@ -122,12 +110,6 @@ func (p *Program) Validate() error {
 	for i, r := range p.Regions {
 		if err := r.Validate(p.Shape); err != nil {
 			return fmt.Errorf("region %d: %w", i, err)
-		}
-		if r.Fused() != (p.Pattern == PatternChain) {
-			return fmt.Errorf("poly: region %d fused=%v under pattern %s", i, r.Fused(), p.Pattern)
-		}
-		if r.Fused() && !slices.Equal(r.Chain, p.Regions[0].Chain) {
-			return fmt.Errorf("poly: region %d chain differs from region 0", i)
 		}
 		volume += int64(r.M) * int64(r.N) * int64(r.K)
 		for j := 0; j < i; j++ {
@@ -158,18 +140,11 @@ func (p *Program) NumTasks() int {
 // Tasks lowers the program to simulator tasks, region by region in launch
 // order (the GPU's dynamic scheduler may overlap the tail of one region with
 // the head of the next, exactly the behaviour that shrinks partial waves).
-// Fused regions lower to one strip task per row band, whose traffic already
-// excludes the inter-stage loads and stores the chain keeps in M_local.
 func (p *Program) Tasks(h hw.Hardware) []sim.Task {
 	out := make([]sim.Task, 0, p.NumTasks())
 	for ri, r := range p.Regions {
-		var task sim.Task
-		if r.Fused() {
-			task = r.chainTask(h)
-		} else {
-			_, _, t3 := r.Tiles()
-			task = r.Kern.PipelinedTask(h, t3)
-		}
+		_, _, t3 := r.Tiles()
+		task := r.Kern.PipelinedTask(h, t3)
 		task.Tag = ri
 		for i := 0; i < r.Tasks(); i++ {
 			out = append(out, task)
@@ -185,27 +160,12 @@ func (p *Program) Simulate(h hw.Hardware) sim.Result {
 	return sim.Run(h, p.Tasks(h))
 }
 
-// String summarizes the program. Single-op programs format exactly as they
-// always have — this string is the plan-cache / benchmark fingerprint — and
-// fused regions append their stage chain inside the region bracket.
+// String summarizes the program; it is the plan-cache / benchmark
+// fingerprint.
 func (p *Program) String() string {
 	s := fmt.Sprintf("program %v pattern %s:", p.Shape, p.Pattern)
 	for _, r := range p.Regions {
-		if r.Fused() {
-			chain := ""
-			for i, st := range r.Chain {
-				if i > 0 {
-					chain += ">"
-				}
-				chain += fmt.Sprintf("%dx%d", st.N, st.K)
-				if st.Epilogue != EpNone {
-					chain += "+" + st.Epilogue.String()
-				}
-			}
-			s += fmt.Sprintf(" [%d+%dx%d+%d %v chain(%s)]", r.M0, r.M, r.N0, r.N, r.Kern, chain)
-		} else {
-			s += fmt.Sprintf(" [%d+%dx%d+%d %v]", r.M0, r.M, r.N0, r.N, r.Kern)
-		}
+		s += fmt.Sprintf(" [%d+%dx%d+%d %v]", r.M0, r.M, r.N0, r.N, r.Kern)
 	}
 	return s
 }

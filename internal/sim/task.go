@@ -55,10 +55,7 @@ type Result struct {
 	NumTasks int
 
 	// MemBytesStreamed is the total M_global traffic the executed tasks
-	// streamed (operand loads plus result stores). Fused chain programs
-	// exist to shrink this number: their strip tasks never round-trip
-	// inter-stage intermediates through global memory, so the saving is
-	// directly observable here.
+	// streamed (operand loads plus result stores).
 	MemBytesStreamed float64
 
 	// FaultedTasks counts tasks that reported a transient execution fault

@@ -101,3 +101,38 @@ func TestSaveLoadPreservesRankOrder(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLoadLibrary: Load never panics, and a library it accepts saves and
+// loads again to the same content hash.
+func FuzzLoadLibrary(f *testing.F) {
+	lib, err := Generate(hw.A100(), smallOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := lib.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"format_version": 1, "hardware": {}, "options": {"NGen":1,"NSyn":1,"NMik":1,"NPred":1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lib, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if lib.Hash() == "" {
+			t.Fatal("accepted library has no content hash")
+		}
+		var out bytes.Buffer
+		if err := lib.Save(&out); err != nil {
+			t.Fatalf("accepted library does not save: %v", err)
+		}
+		again, err := Load(&out)
+		if err != nil {
+			t.Fatalf("saved library does not load: %v", err)
+		}
+		if again.Hash() != lib.Hash() {
+			t.Fatalf("hash %.12s.. after a round trip, %.12s.. before", again.Hash(), lib.Hash())
+		}
+	})
+}
