@@ -16,19 +16,18 @@
 // timeouts and size limits, panic recovery, planner deadlines with graceful
 // degradation to an always-legal fallback program, and — when fault injection
 // is enabled — re-planning with exponential backoff. Model graphs run with
-// asynchronous plan-ahead (-plan-ahead); llama2-decode runs its steps as
-// successive step graphs. With -sched, POST /generate runs requests through
-// the SLO-aware generation scheduler: paged KV cache with prefix reuse,
-// chunked prefill interleaved with decode waves, and token-budget admission
-// (429 + Retry-After when the in-flight token budget is exhausted).
+// asynchronous plan-ahead; llama2-decode runs its steps as successive step
+// graphs. With -sched, POST /generate runs requests through the SLO-aware
+// generation scheduler: paged KV cache with prefix reuse, chunked prefill
+// interleaved with decode waves, and token-budget admission (429 +
+// Retry-After when the in-flight token budget is exhausted).
 //
-// Overload defenses (all opt-in): -adaptive-admission replaces the static
-// token budget with an AIMD limiter driven by step-SLO feedback;
-// -shed-deadlines answers 504 for queued requests that can no longer meet
-// their deadline (-deadline-ms or per-request deadline_ms); -kv-preempt
-// parks the least-important running sequence under KV-arena pressure and
-// restores it losslessly via prefix-cache recompute; -brownout runs the
-// graduated degradation ladder and exports its stage as mik_overload_stage.
+// The scheduler's overload defenses are always on: an AIMD limiter shrinks
+// the admitted token mass on step-SLO violations; a queued request that can
+// no longer meet its deadline (-deadline-ms, or the request's own
+// deadline_ms, else the TTFT SLO) is answered 504 before it runs; and under
+// KV-arena pressure the least-important running sequence parks and later
+// restores losslessly via prefix-cache recompute.
 //
 // The socket binds immediately; the micro-kernel library loads (-library)
 // or tunes in the background, and /healthz answers 503 until it is ready.
@@ -72,7 +71,6 @@ func main() {
 		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule (PE death, sticky faults, brownouts); 0 disables")
 		library     = flag.String("library", "", "load the micro-kernel library from this file instead of tuning (falls back to tuning if unreadable)")
 		saveLibrary = flag.String("save-library", "", "after tuning, save the micro-kernel library to this file")
-		planAhead   = flag.Int("plan-ahead", 2, "graph-runtime plan-ahead depth for /model (<= 0 = sequential inline planning)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
 		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCapacity, "span ring-buffer capacity for -trace")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -85,11 +83,7 @@ func main() {
 		ttftSLO     = flag.Float64("ttft-slo-ms", 0, "time-to-first-token SLO in milliseconds for -sched (0 = default)")
 		schedBudget = flag.Int64("sched-tokens", 0, "in-flight token budget for -sched admission; over-budget requests get 429 + Retry-After (0 = default)")
 		tenants     = flag.String("tenants", "", "comma-separated X-Tenant allowlist for /generate (empty = any tenant admitted)")
-		adaptiveAdm = flag.Bool("adaptive-admission", false, "AIMD admitted-token limiter for -sched: cut the budget on step-SLO violations, grow it while waves run clean")
-		shedDead    = flag.Bool("shed-deadlines", false, "shed queued /generate requests whose wait alone exceeds their deadline (504 instead of late work)")
-		deadlineMs  = flag.Float64("deadline-ms", 0, "default per-request deadline budget in milliseconds for -shed-deadlines (0 = the TTFT SLO bound; requests may override via deadline_ms)")
-		kvPreempt   = flag.Bool("kv-preempt", false, "preempt the least-important running sequence under KV-arena pressure and restore it via prefix-cache recompute (bitwise-identical output)")
-		brownout    = flag.Bool("brownout", false, "graduated load-shedding ladder: disable tracing, shrink prefill chunks, stretch hedging, shed lowest-priority traffic as overload deepens (exported as mik_overload_stage)")
+		deadlineMs  = flag.Float64("deadline-ms", 0, "default /generate deadline budget in milliseconds for -sched; a queued request whose wait alone exceeds it is shed with 504 (0 = the TTFT SLO bound; requests may override via deadline_ms)")
 		planSnap    = flag.String("plan-snapshot", "", "persistent plan-cache snapshot file: warm-start the program cache from it at bind and flush back via POST /plancache/save (incompatible snapshots are rejected; the server plans online)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "periodically pre-plan traffic-hot shapes and rewrite -plan-snapshot (0 disables the background flusher)")
 	)
@@ -122,34 +116,18 @@ func main() {
 	if *planSnap != "" {
 		log.Printf("mikserve: plan-cache snapshot at %s (flush interval %v)", *planSnap, *snapEvery)
 	}
-	if *planAhead <= 0 {
-		cfg.PlanAhead = -1 // sequential
-	} else {
-		cfg.PlanAhead = *planAhead
-	}
 	// Any scheduler-specific flag implies -sched so `-kv-pages 4096` alone
 	// does what it reads like.
 	if *schedOn || *kvPages > 0 || *prefillChk > 0 || *stepSLO > 0 || *ttftSLO > 0 || *schedBudget > 0 ||
-		*adaptiveAdm || *shedDead || *deadlineMs > 0 || *kvPreempt {
+		*deadlineMs > 0 {
 		cfg.SchedDecode = true
 		cfg.KVPages = *kvPages
 		cfg.PrefillChunk = *prefillChk
 		cfg.StepSLOMs = *stepSLO
 		cfg.TTFTSLOMs = *ttftSLO
 		cfg.SchedInFlightTokens = *schedBudget
-		cfg.AdaptiveAdmission = *adaptiveAdm
-		cfg.ShedDeadlines = *shedDead || *deadlineMs > 0
 		cfg.DeadlineMs = *deadlineMs
-		cfg.KVPreempt = *kvPreempt
 		log.Printf("mikserve: generation scheduler enabled (POST /generate)")
-		if cfg.AdaptiveAdmission || cfg.ShedDeadlines || cfg.KVPreempt {
-			log.Printf("mikserve: overload defenses: adaptive=%v shed-deadlines=%v (deadline %gms) kv-preempt=%v",
-				cfg.AdaptiveAdmission, cfg.ShedDeadlines, cfg.DeadlineMs, cfg.KVPreempt)
-		}
-	}
-	if *brownout {
-		cfg.Brownout = true
-		log.Printf("mikserve: brownout ladder enabled (mik_overload_stage)")
 	}
 	if *tenants != "" {
 		for _, t := range strings.Split(*tenants, ",") {

@@ -110,8 +110,6 @@ func main() {
 	// faults, so some /execute calls re-plan with backoff.
 	hs, ln, err := startServer(compiler, serve.Config{
 		MaxInFlight: 8,
-		RetryBase:   2 * time.Millisecond,
-		RetryMax:    20 * time.Millisecond,
 		Faults:      &sim.Faults{Seed: 11, TaskFaultRate: 0.05},
 	})
 	if err != nil {

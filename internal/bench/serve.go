@@ -142,6 +142,8 @@ func (c serveCase) traceConfig(h hw.Hardware) workload.TraceConfig {
 	}
 }
 
+// schedConfig is the scheduler the server builds: its three overload
+// defenses are on, as serve.SetCompiler turns them on.
 func (c serveCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config {
 	return sched.Config{
 		HW: h,
@@ -155,6 +157,9 @@ func (c serveCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config 
 		StepSLOMs:         c.StepSLOMs,
 		TTFTSLOMs:         c.TTFTSLOMs,
 		MaxInFlightTokens: c.InFlightTokens,
+		Adaptive:          true,
+		ShedDeadlines:     true,
+		PreemptKV:         true,
 	}
 }
 

@@ -136,10 +136,6 @@ type Dispatcher struct {
 	nProbes         atomic.Int64
 	nNoDevice       atomic.Int64
 	nClassFallbacks atomic.Int64
-
-	// hedgeScale stretches hedgeDelay under brownout (float64 bits;
-	// zero value reads as 1.0).
-	hedgeScale atomic.Uint64
 }
 
 // NewDispatcher builds a dispatcher over the devices. Call Start to launch
@@ -471,35 +467,13 @@ func (f *Dispatcher) attempt(ctx context.Context, primary *Device, tried map[*De
 }
 
 // hedgeDelay is the wait before a second attempt fires for this primary.
-// The overload brownout ladder stretches it through SetHedgeScale: a scale
-// of 2 fires hedges half as often under the same latency distribution,
-// shedding the duplicate-work amplification exactly when capacity is
-// scarcest.
 func (f *Dispatcher) hedgeDelay(d *Device) time.Duration {
 	est := f.lat[f.idx[d]].get()
-	delay := time.Duration(f.cfg.HedgeMult * f.HedgeScale() * float64(est))
+	delay := time.Duration(f.cfg.HedgeMult * float64(est))
 	if delay < f.cfg.HedgeAfter {
 		delay = f.cfg.HedgeAfter
 	}
 	return delay
-}
-
-// SetHedgeScale multiplies the adaptive hedge delay (floor HedgeAfter still
-// applies). Values <= 0 reset to 1. Safe from any goroutine.
-func (f *Dispatcher) SetHedgeScale(scale float64) {
-	if scale <= 0 {
-		scale = 1
-	}
-	f.hedgeScale.Store(math.Float64bits(scale))
-}
-
-// HedgeScale returns the current hedge-delay multiplier (1 = nominal).
-func (f *Dispatcher) HedgeScale() float64 {
-	bits := f.hedgeScale.Load()
-	if bits == 0 {
-		return 1
-	}
-	return math.Float64frombits(bits)
 }
 
 // do routes one request: pick, attempt (with hedging), and fail over to

@@ -69,30 +69,6 @@ func TestHedgeLateLoserSuccessExcluded(t *testing.T) {
 	}
 }
 
-// TestHedgeScaleStretchesDelay: the brownout ladder's SetHedgeScale must
-// multiply the adaptive hedge delay (halving hedge frequency at scale 2)
-// while the HedgeAfter floor still applies, and reset cleanly.
-func TestHedgeScaleStretchesDelay(t *testing.T) {
-	cfg := fastCfg()
-	cfg.HedgeAfter = time.Millisecond
-	f := newTestFleet(t, 1, nil, cfg, true)
-	d := f.devices[0]
-	f.lat[f.idx[d]].observe(10 * time.Millisecond)
-
-	base := f.hedgeDelay(d)
-	f.SetHedgeScale(2)
-	if got := f.hedgeDelay(d); got != 2*base {
-		t.Fatalf("scaled hedge delay = %v, want %v", got, 2*base)
-	}
-	f.SetHedgeScale(0) // resets to nominal
-	if got := f.hedgeDelay(d); got != base {
-		t.Fatalf("reset hedge delay = %v, want %v", got, base)
-	}
-	if f.HedgeScale() != 1 {
-		t.Fatalf("HedgeScale() = %v after reset, want 1", f.HedgeScale())
-	}
-}
-
 // TestHedgeLateLoserFaultStillStrikes: the hedge loses the race and then
 // crashes. Losing does not launder the crash — the hedge's breaker must trip
 // even though its outcome arrived after the request already had a winner.

@@ -354,3 +354,65 @@ func TestRecoveryWithConcurrentDecodeSteps(t *testing.T) {
 		t.Fatalf("quarantined %v, want [4]", got)
 	}
 }
+
+// TestRecoveryLadderBeatsBlindRetry runs one persistent-fault schedule (PE 5
+// dies at cycle 1 of every run) two ways over two distilbert requests: on a
+// runtime without a health registry, behind a whole-graph blind retry loop
+// that drops the graph's plans and reruns it under a fresh fault salt; and
+// with the recovery ladder, which quarantines the PE and heals single
+// stages. The ladder must answer both requests cleanly in fewer device
+// cycles, because it re-executes stages instead of entire graphs.
+func TestRecoveryLadderBeatsBlindRetry(t *testing.T) {
+	const maxRetries = 3
+	faults := sim.Faults{Seed: 33, PEDeathCycle: map[int]float64{5: 1}}
+	simulate := func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
+		f := v.RemapFaults(faults)
+		f.Salt += salt
+		res, err := sim.RunWithFaults(h, tasks, f)
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	g, err := nn.BuildModel("distilbert", nn.ModelDims{Seq: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	blind := testRuntime(t, Config{})
+	blind.SetSimulator(simulate)
+	for req := 0; req < 2; req++ {
+		for attempt := 0; ; attempt++ {
+			rep, err := blind.ExecuteSalted(ctx, g, uint64(attempt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FaultedTasks == 0 || attempt == maxRetries {
+				break
+			}
+			for shape := range g.GemmShapes() {
+				blind.Compiler().Invalidate(shape)
+			}
+		}
+	}
+
+	healed, _ := healthyRuntime(t)
+	healed.SetSimulator(simulate)
+	for req := 0; req < 2; req++ {
+		rep, err := healed.Execute(ctx, g)
+		if err != nil {
+			t.Fatalf("request %d: %v", req, err)
+		}
+		if rep.FaultedTasks != 0 {
+			t.Fatalf("request %d: ladder surfaced %d faulted tasks", req, rep.FaultedTasks)
+		}
+	}
+
+	healCycles, blindCycles := healed.Stats().Cycles, blind.Stats().Cycles
+	if healCycles >= blindCycles {
+		t.Fatalf("recovery ladder spent %v device cycles, blind retry %v: healing stages should be cheaper",
+			healCycles, blindCycles)
+	}
+	t.Logf("device cycles: ladder %v vs blind retry %v (%.1fx)", healCycles, blindCycles, blindCycles/healCycles)
+}

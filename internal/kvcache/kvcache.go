@@ -165,6 +165,10 @@ type Manager struct {
 	nextSeq     uint64
 	tick        uint64
 	stats       Stats
+	// active and cached count the pages with refs > 0 and the cached
+	// pages, kept at every refs and cached transition so Stats never
+	// scans the arena (CheckInvariants checks them against a scan).
+	active, cached int
 }
 
 // New builds a manager. Zero Config fields take defaults.
@@ -433,23 +437,16 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	st := m.stats
 	st.FreePages = len(m.free)
-	active, cached := 0, 0
-	for i := range m.pages {
-		if m.pages[i].refs > 0 {
-			active++
-		} else if m.pages[i].cached {
-			cached++
-		}
-	}
-	st.ActivePages = active
-	st.CachedPages = cached
+	st.ActivePages = m.active
+	st.CachedPages = m.cached
 	return st
 }
 
 // CheckInvariants verifies the arena's books: every page is exactly one of
 // free, cached, or referenced; refcounts are non-negative; the index holds
-// only sealed pages. It returns the first violation found (tests and the
-// chaos harness call it after every scenario).
+// only sealed pages; the running active and cached counts equal a full
+// scan. It returns the first violation found (tests and the chaos harness
+// call it after every scenario).
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -460,10 +457,16 @@ func (m *Manager) CheckInvariants() error {
 		}
 		onFree[id] = true
 	}
-	counted := 0
+	counted, active, cached := 0, 0, 0
 	for i := range m.pages {
 		p := &m.pages[i]
 		id := PageID(i)
+		if p.refs > 0 {
+			active++
+		}
+		if p.cached {
+			cached++
+		}
 		switch {
 		case p.refs < 0:
 			return fmt.Errorf("kvcache: page %d refcount %d < 0", id, p.refs)
@@ -480,6 +483,10 @@ func (m *Manager) CheckInvariants() error {
 	}
 	if counted != len(m.free) {
 		return fmt.Errorf("kvcache: free list references %d distinct pages, holds %d", counted, len(m.free))
+	}
+	if active != m.active || cached != m.cached {
+		return fmt.Errorf("kvcache: counted %d active and %d cached pages, scan finds %d and %d",
+			m.active, m.cached, active, cached)
 	}
 	for h, ids := range m.index {
 		for _, id := range ids {
@@ -544,6 +551,7 @@ func (m *Manager) lookupLocked(chain uint64, blk []int32) (PageID, bool) {
 		if match {
 			if p.cached {
 				p.cached = false
+				m.cached--
 				m.stats.Revived++
 			}
 			return id, true
@@ -556,7 +564,11 @@ func (m *Manager) refLocked(id PageID) {
 	p := &m.pages[id]
 	if p.cached {
 		p.cached = false
+		m.cached--
 		m.stats.Revived++
+	}
+	if p.refs == 0 {
+		m.active++
 	}
 	p.refs++
 }
@@ -572,9 +584,11 @@ func (m *Manager) unrefLocked(id PageID) {
 	if p.refs > 0 {
 		return
 	}
+	m.active--
 	if p.sealed && !m.cfg.DisableSharing {
 		m.tick++
 		p.cached = true
+		m.cached++
 		p.lru = m.tick
 		return
 	}
@@ -592,6 +606,7 @@ func (m *Manager) allocLocked() (PageID, error) {
 	m.free = m.free[:len(m.free)-1]
 	p := &m.pages[id]
 	p.refs = 1
+	m.active++
 	p.n = 0
 	p.tokens = p.tokens[:0]
 	p.data = p.data[:0]
@@ -628,6 +643,7 @@ func (m *Manager) evictOneLocked() bool {
 		}
 	}
 	p.cached = false
+	m.cached--
 	m.freeLocked(victim)
 	return true
 }

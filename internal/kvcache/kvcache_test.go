@@ -313,3 +313,32 @@ func TestPaddedLen(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStats reads the accounting of an arena holding active and cached
+// pages. The scheduler calls Stats on every wave, so its cost must not grow
+// with the arena: the 65 536-page case should match the 2 048-page one.
+func BenchmarkStats(b *testing.B) {
+	for _, pages := range []int{2048, 65536} {
+		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
+			m := New(Config{NumPages: pages, TokensPerPage: 16})
+			held, err := m.NewSequence("t", prompt(1, 16*pages/4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			released, err := m.NewSequence("t", prompt(2, 16*pages/4))
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Release(released)
+			if st := m.Stats(); st.ActivePages == 0 || st.CachedPages == 0 {
+				b.Fatalf("arena not mixed: %+v", st)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = m.Stats()
+			}
+			b.StopTimer()
+			m.Release(held)
+		})
+	}
+}

@@ -1,9 +1,11 @@
 package sched
 
 // Overload defenses: deadline shedding, KV-pressure preemption with a
-// parked/restore queue, and the AIMD admission limiter. All three are
-// opt-in via Config (ShedDeadlines, PreemptKV, Adaptive) so the default
-// scheduling path stays bitwise-identical to the committed serve baseline.
+// parked/restore queue, and the AIMD admission limiter. Each has its own
+// Config switch (ShedDeadlines, PreemptKV, Adaptive). The serving layer turns
+// all three on; the switches stay for the overload harness, which replays the
+// same surge undefended (the reference its goodput check measures against)
+// and with preemption alone (the tight-vs-wide arena restore check).
 
 import (
 	"errors"
@@ -38,8 +40,10 @@ func (s *Scheduler) shedLateLocked() {
 				st.done = true
 				s.stats.Failed++
 				s.stats.DeadlineSheds++
-				s.eventLocked("shed-deadline", st.req.ID,
-					fmt.Sprintf("waited %.0f of %.0f cycles", s.clock-st.arrival, deadline))
+				if s.cfg.RecordEvents {
+					s.eventLocked("shed-deadline", st.req.ID,
+						fmt.Sprintf("waited %.0f of %.0f cycles", s.clock-st.arrival, deadline))
+				}
 				res := Result{ID: st.req.ID, Tenant: st.req.Tenant, Err: ErrDeadline}
 				if st.deliver != nil {
 					st.deliver(res)
@@ -206,8 +210,10 @@ func (s *Scheduler) restoreParkedLocked() {
 		s.inflight += st.mass
 		s.stats.Restores++
 		s.stats.ReusedTokens += int64(reused)
-		s.eventLocked("restore", st.req.ID,
-			fmt.Sprintf("recompute %d tokens, %d reused", need, reused))
+		if s.cfg.RecordEvents {
+			s.eventLocked("restore", st.req.ID,
+				fmt.Sprintf("recompute %d tokens, %d reused", need, reused))
+		}
 	}
 }
 
@@ -231,7 +237,9 @@ func (s *Scheduler) adaptLimitLocked(stepLatency float64) {
 		if s.limit < float64(s.cfg.AdaptiveMinTokens) {
 			s.limit = float64(s.cfg.AdaptiveMinTokens)
 		}
-		s.eventLocked("limit-cut", 0, fmt.Sprintf("limit %.0f tokens", s.limit))
+		if s.cfg.RecordEvents {
+			s.eventLocked("limit-cut", 0, fmt.Sprintf("limit %.0f tokens", s.limit))
+		}
 	case stepLatency <= 0.9*s.stepBound:
 		add := float64(s.cfg.DecodeBucket)
 		if s.queueWait > s.ttftBound/2 {

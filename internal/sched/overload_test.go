@@ -197,6 +197,29 @@ func TestAdaptiveLimitTracksLoad(t *testing.T) {
 	}
 }
 
+// TestLimitCutAllocatesNothing: with RecordEvents off an AIMD cut must not
+// format its event detail. The serving layer runs the limiter on every
+// decode wave, so a Sprintf here would be an allocation per cut in
+// production for a log nobody keeps.
+func TestLimitCutAllocatesNothing(t *testing.T) {
+	cfg := testCfg()
+	cfg.Adaptive = true
+	s := New(newFakeExec(), cfg)
+	over := 2 * s.stepBound
+	allocs := testing.AllocsPerRun(100, func() {
+		s.mu.Lock()
+		s.limit = float64(cfg.MaxInFlightTokens)
+		s.adaptLimitLocked(over)
+		s.mu.Unlock()
+	})
+	if s.limit >= float64(s.cfg.MaxInFlightTokens) {
+		t.Fatalf("limit %.0f was not cut", s.limit)
+	}
+	if allocs != 0 {
+		t.Fatalf("limit cut with RecordEvents off allocated %.0f times per run", allocs)
+	}
+}
+
 // TestStarvationGuardPerRequest is the regression for the global deferral
 // counter: with a high-priority prefill stream hogging every guard page,
 // the old guard reset globally whenever *any* prefill ran, so a

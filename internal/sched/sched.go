@@ -138,7 +138,7 @@ type Config struct {
 
 	// RecordEvents keeps a bounded in-memory log of overload decisions
 	// (preempt, restore, deadline sheds, limit cuts) for harness
-	// artifacts.
+	// artifacts. Off, the defenses format no event detail at all.
 	RecordEvents bool
 }
 
@@ -324,7 +324,6 @@ type Scheduler struct {
 	lastDecode []decodeJob
 
 	chunk         int     // last prefill budget granted (stats)
-	chunkCap      int     // brownout cap on the prefill chunk (0 = none)
 	cyclesPerTk   float64 // EWMA prefill cycles per token
 	guardCooldown int     // waves until the starvation guard may fire again
 
@@ -435,22 +434,6 @@ func (s *Scheduler) EstimateBacklogSeconds() float64 {
 		return 0
 	}
 	return float64(mass) * s.cyclesPerTk / s.cfg.HW.ClockHz
-}
-
-// SetChunkCap caps the prefill chunk budget below Config.PrefillChunk
-// (brownout stage 2: shrink prefill to protect decode latency). Zero lifts
-// the cap; a positive cap never goes under one KV page.
-func (s *Scheduler) SetChunkCap(tokens int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if tokens > 0 {
-		if pt := s.kv.Config().TokensPerPage; tokens < pt {
-			tokens = pt
-		}
-	} else {
-		tokens = 0
-	}
-	s.chunkCap = tokens
 }
 
 // enqueueLocked files a request under its tenant and priority.
@@ -649,9 +632,6 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 	var prefill []prefillJob
 	if budget > s.cfg.PrefillChunk {
 		budget = s.cfg.PrefillChunk
-	}
-	if s.chunkCap > 0 && budget > s.chunkCap {
-		budget = s.chunkCap
 	}
 	s.chunk = budget
 	granted := make(map[*reqState]bool)

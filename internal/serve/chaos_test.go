@@ -35,16 +35,10 @@ type chaosOutcome struct {
 
 // runChaosScenario drives a scripted traffic mix through a full serve stack
 // wired with the seed's chaos fault schedule, and collects the outcome.
-func runChaosScenario(t *testing.T, seed uint64, disableHeal bool) chaosOutcome {
+func runChaosScenario(t *testing.T, seed uint64) chaosOutcome {
 	t.Helper()
 	faults := sim.ChaosSchedule(seed, hw.A100())
-	srv, ts := newTestServer(t, Config{
-		Faults:          &faults,
-		Seed:            seed,
-		DisableSelfHeal: disableHeal,
-		RetryBase:       1, // keep blind-retry backoff out of the wall clock
-		RetryMax:        2,
-	})
+	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
 	t.Cleanup(srv.Close)
 
 	var out chaosOutcome
@@ -139,8 +133,8 @@ func TestChaosSeedsInvariants(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 1234} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			first := runChaosScenario(t, seed, false)
-			second := runChaosScenario(t, seed, false)
+			first := runChaosScenario(t, seed)
+			second := runChaosScenario(t, seed)
 			if !reflect.DeepEqual(first, second) {
 				t.Fatalf("seed %d nondeterministic:\n first %+v\nsecond %+v", seed, first, second)
 			}
@@ -159,7 +153,7 @@ func TestChaosSeedsInvariants(t *testing.T) {
 // back to full-width hardware.
 func TestChaosNoCachePoisoning(t *testing.T) {
 	faults := sim.Faults{Seed: 5, PEDeathCycle: map[int]float64{4: 1}}
-	srv, ts := newTestServer(t, Config{Faults: &faults, RetryBase: 1, RetryMax: 2})
+	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
 	t.Cleanup(srv.Close)
 
 	base := hw.A100().NumPEs
@@ -178,7 +172,7 @@ func TestChaosNoCachePoisoning(t *testing.T) {
 	// Drive executions until the PE death is observed and quarantined.
 	for i := 0; i < 6; i++ {
 		postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
-		if reg := srv.health.Load(); reg != nil && len(reg.View().Quarantined) > 0 {
+		if len(srv.health.Load().View().Quarantined) > 0 {
 			break
 		}
 	}
@@ -230,7 +224,7 @@ func TestChaosPEDeathHealsWithCorrectNumerics(t *testing.T) {
 	// Chaos stack: PE 6 dies at cycle 1 of every run — every stage faults
 	// until the registry quarantines it and the remap drops its schedule.
 	faults := sim.Faults{Seed: 11, PEDeathCycle: map[int]float64{6: 1}}
-	srv, ts := newTestServer(t, Config{Faults: &faults, RetryBase: 1, RetryMax: 2})
+	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
 	t.Cleanup(srv.Close)
 
 	resp, data = postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
@@ -285,7 +279,7 @@ func TestChaosPEDeathHealsWithCorrectNumerics(t *testing.T) {
 func TestChaosDegradedCycleRegression(t *testing.T) {
 	run := func() (float64, int) {
 		faults := sim.Faults{Seed: 21, PEDeathCycle: map[int]float64{2: 1}, StickyFaults: map[int]int{9: 3}}
-		srv, ts := newTestServer(t, Config{Faults: &faults, RetryBase: 1, RetryMax: 2})
+		srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
 		t.Cleanup(srv.Close)
 		resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
 		if resp.StatusCode != http.StatusOK {
@@ -309,44 +303,4 @@ func TestChaosDegradedCycleRegression(t *testing.T) {
 		t.Fatalf("implausible cycle count %v", c1)
 	}
 	t.Logf("pinned degraded-mode cycles: %v (recovered stages: %d)", c1, r1)
-}
-
-// TestChaosSelfHealBeatsBlindRetry compares the same persistent-fault
-// scenario with and without the recovery ladder: stage-local healing must
-// finish the traffic in fewer device cycles than whole-graph blind retries,
-// because it re-executes single stages instead of entire graphs.
-func TestChaosSelfHealBeatsBlindRetry(t *testing.T) {
-	run := func(disableHeal bool) (cycles float64, cleanResponses int) {
-		faults := sim.Faults{Seed: 33, PEDeathCycle: map[int]float64{5: 1}}
-		srv, ts := newTestServer(t, Config{
-			Faults: &faults, DisableSelfHeal: disableHeal,
-			RetryBase: 1, RetryMax: 2,
-		})
-		t.Cleanup(srv.Close)
-		for i := 0; i < 2; i++ {
-			resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
-			if resp.StatusCode == http.StatusOK {
-				var mr modelResponse
-				if err := json.Unmarshal(data, &mr); err != nil {
-					t.Fatal(err)
-				}
-				if mr.FaultedTasks == 0 {
-					cleanResponses++
-				}
-			}
-		}
-		rt := srv.runtime.Load()
-		return rt.Stats().Cycles, cleanResponses
-	}
-
-	healCycles, healClean := run(false)
-	blindCycles, _ := run(true)
-	if healClean != 2 {
-		t.Fatalf("self-healing stack answered only %d/2 requests cleanly", healClean)
-	}
-	if healCycles >= blindCycles {
-		t.Fatalf("self-healing spent %v device cycles, blind retry %v — replanning on H' should be cheaper",
-			healCycles, blindCycles)
-	}
-	t.Logf("device cycles: self-heal %v vs blind retry %v (%.1fx)", healCycles, blindCycles, blindCycles/healCycles)
 }

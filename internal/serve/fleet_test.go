@@ -274,7 +274,7 @@ func TestFleetMetricsExported(t *testing.T) {
 // 1 once tripped open, back to 0 after a successful close.
 func TestBreakerStateMetric(t *testing.T) {
 	o := obs.New(obs.DefaultTraceCapacity)
-	srv, ts := newObsServer(t, o, Config{BreakerThreshold: 2})
+	srv, ts := newObsServer(t, o, Config{})
 
 	if resp, data := postJSON(t, ts+"/model", modelRequest{Model: "distilbert", Seq: 32}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("model status %d: %s", resp.StatusCode, data)
@@ -284,8 +284,9 @@ func TestBreakerStateMetric(t *testing.T) {
 	}
 
 	// Trip the breaker directly (the scrape path is what's under test).
-	srv.breakers.record("distilbert", false)
-	srv.breakers.record("distilbert", false)
+	for i := 0; i < breakerThreshold; i++ {
+		srv.breakers.record("distilbert", false)
+	}
 	if _, body := getBody(t, ts+"/metrics"); !strings.Contains(body, `mik_serve_breaker_state{model="distilbert"} 1`) {
 		t.Fatalf("metrics missing open breaker gauge for distilbert:\n%s", grepLines(body, "mik_serve_breaker_state"))
 	}

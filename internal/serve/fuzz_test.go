@@ -21,15 +21,16 @@ func fuzzServer(tb testing.TB) http.Handler {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv := New(core.NewCompilerFromLibrary(lib), Config{
-		MaxBodyBytes:  1 << 10,
-		MaxDim:        256,
-		MaxPlanElems:  1 << 21,
-		MaxExecElems:  1 << 16,
-		MaxSimTasks:   1 << 12,
-		MaxModelOps:   256,
-		MaxModelSteps: 2,
-	})
+	srv := New(core.NewCompilerFromLibrary(lib), Config{})
+	srv.lim = limits{
+		bodyBytes:  1 << 10,
+		dim:        256,
+		planElems:  1 << 21,
+		execElems:  1 << 16,
+		simTasks:   1 << 12,
+		modelOps:   256,
+		modelSteps: 2,
+	}
 	return srv.Handler()
 }
 
@@ -108,13 +109,13 @@ func FuzzGenerateRequest(f *testing.F) {
 		f.Fatal(err)
 	}
 	srv := New(core.NewCompilerFromLibrary(lib), Config{
-		MaxBodyBytes:        1 << 10,
-		MaxDim:              256,
-		MaxModelSteps:       2,
 		SchedDecode:         true,
 		SchedInFlightTokens: 512,
 		Tenants:             []string{"acme", "globex"},
 	})
+	srv.lim.bodyBytes = 1 << 10
+	srv.lim.dim = 256
+	srv.lim.modelSteps = 2
 	f.Cleanup(srv.Close)
 	h := srv.Handler()
 

@@ -35,9 +35,9 @@ type generateRequest struct {
 	Priority  int `json:"priority,omitempty"` // 0 most urgent
 	Fanout    int `json:"fanout,omitempty"`   // parallel sampling branches
 	// DeadlineMs is this request's deadline budget (arrival → first token)
-	// in milliseconds; zero takes the server's DeadlineMs default. With
-	// ShedDeadlines on, a request whose queue wait alone exceeds the budget
-	// is answered 504 without consuming device cycles.
+	// in milliseconds; zero takes the server's DeadlineMs default. A
+	// request whose queue wait alone exceeds the budget is answered 504
+	// without consuming device cycles.
 	DeadlineMs float64 `json:"deadline_ms,omitempty"`
 }
 
@@ -91,13 +91,13 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if req.PromptLen < 1 || req.PromptLen > s.cfg.MaxDim {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("prompt_len %d outside [1, %d]", req.PromptLen, s.cfg.MaxDim))
+	if req.PromptLen < 1 || req.PromptLen > s.lim.dim {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("prompt_len %d outside [1, %d]", req.PromptLen, s.lim.dim))
 		return
 	}
-	if req.Steps < 0 || req.Steps > s.cfg.MaxModelSteps {
+	if req.Steps < 0 || req.Steps > s.lim.modelSteps {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("steps %d outside [0, %d]", req.Steps, s.cfg.MaxModelSteps))
+			fmt.Sprintf("steps %d outside [0, %d]", req.Steps, s.lim.modelSteps))
 		return
 	}
 	if req.PrefixLen < 0 || req.PrefixLen > req.PromptLen {
@@ -114,16 +114,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Steps == 0 {
 		req.Steps = 1
-	}
-
-	// The brownout ladder's last rung: shed the lowest priority class at the
-	// HTTP edge before it touches the scheduler, with a backlog-derived
-	// Retry-After like every other load-shed answer.
-	if s.OverloadStage() >= brownoutShedStage && req.Priority >= sched.NumPriorities-1 {
-		s.nBrownoutSheds.Add(1)
-		w.Header().Set("Retry-After", s.retryAfterHint())
-		httpError(w, http.StatusServiceUnavailable, "brownout: lowest-priority traffic shed")
-		return
 	}
 
 	prompt := workload.TraceRequest{
@@ -160,7 +150,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if errors.Is(res.Err, sched.ErrDeadline) {
-				s.nDeadlineSheds.Add(1)
 				httpError(w, http.StatusGatewayTimeout,
 					"deadline exceeded while queued; request shed before execution")
 				return
@@ -198,11 +187,11 @@ const (
 	retryAfterMax = 30
 )
 
-// retryAfterHint is the Retry-After value for load-shed answers outside the
-// token-budget path (admitMW 429s, brownout 503s): backlog-derived when the
-// generation scheduler is running, the 1-second floor otherwise. Before this
-// helper, admitMW hardcoded "1", teaching every rejected client to retry in
-// lockstep one second later regardless of how deep the backlog actually was.
+// retryAfterHint is the Retry-After value for admitMW's 429s, outside the
+// token-budget path: backlog-derived when the generation scheduler is
+// running, the 1-second floor otherwise. Before this helper, admitMW
+// hardcoded "1", teaching every rejected client to retry in lockstep one
+// second later regardless of how deep the backlog actually was.
 func (s *Server) retryAfterHint() string {
 	if l := s.sched.Load(); l != nil {
 		return retryAfterSeconds(l.Scheduler())

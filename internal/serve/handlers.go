@@ -114,13 +114,13 @@ func (s *Server) checkShape(shape tensor.GemmShape) (int, error) {
 	if !shape.Valid() {
 		return http.StatusBadRequest, fmt.Errorf("invalid shape %v: dimensions must be positive", shape)
 	}
-	if shape.M > s.cfg.MaxDim || shape.N > s.cfg.MaxDim || shape.K > s.cfg.MaxDim {
+	if shape.M > s.lim.dim || shape.N > s.lim.dim || shape.K > s.lim.dim {
 		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("shape %v exceeds per-dimension limit %d", shape, s.cfg.MaxDim)
+			fmt.Errorf("shape %v exceeds per-dimension limit %d", shape, s.lim.dim)
 	}
-	if vol := int64(shape.M) * int64(shape.N) * int64(shape.K); vol > s.cfg.MaxPlanElems {
+	if vol := int64(shape.M) * int64(shape.N) * int64(shape.K); vol > s.lim.planElems {
 		return http.StatusRequestEntityTooLarge,
-			fmt.Errorf("shape %v volume %d exceeds limit %d", shape, vol, s.cfg.MaxPlanElems)
+			fmt.Errorf("shape %v volume %d exceeds limit %d", shape, vol, s.lim.planElems)
 	}
 	return 0, nil
 }
@@ -129,9 +129,9 @@ func (s *Server) checkShape(shape tensor.GemmShape) (int, error) {
 // run real arithmetic (/execute and the fleet-backed /gemm).
 func (s *Server) checkExecOperands(shape tensor.GemmShape) (int, error) {
 	for _, operand := range [][2]int{{shape.M, shape.K}, {shape.K, shape.N}, {shape.M, shape.N}} {
-		if elems := int64(operand[0]) * int64(operand[1]); elems > s.cfg.MaxExecElems {
+		if elems := int64(operand[0]) * int64(operand[1]); elems > s.lim.execElems {
 			return http.StatusRequestEntityTooLarge,
-				fmt.Errorf("operand %dx%d exceeds execute limit %d elements", operand[0], operand[1], s.cfg.MaxExecElems)
+				fmt.Errorf("operand %dx%d exceeds execute limit %d elements", operand[0], operand[1], s.lim.execElems)
 		}
 	}
 	return 0, nil
@@ -198,7 +198,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Kernel: reg.Kern.String(),
 		})
 	}
-	if resp.Tasks > s.cfg.MaxSimTasks {
+	if resp.Tasks > s.lim.simTasks {
 		resp.SimSkipped = true
 	} else {
 		res := s.simulate(c, prog, 0)
@@ -249,7 +249,7 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	for {
 		res = s.simulate(c, prog, uint64(attempts))
 		attempts++
-		if res.FaultedTasks == 0 || attempts > s.cfg.MaxRetries {
+		if res.FaultedTasks == 0 || attempts > maxRetries {
 			break
 		}
 		s.nFaults.Add(1)
@@ -306,18 +306,13 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // are lowered, and the outcome feeds back into the registry so /execute
 // traffic contributes to fault classification just like /model stages.
 // salt distinguishes retry attempts so transient injected faults can clear.
+// c is the bound compiler, so the registry SetCompiler built with it is set.
 func (s *Server) simulate(c *core.Compiler, prog *poly.Program, salt uint64) sim.Result {
-	h := c.Hardware()
-	var v health.View
 	reg := s.health.Load()
-	if reg != nil {
-		v = reg.View()
-		h = v.Apply(h)
-	}
+	v := reg.View()
+	h := v.Apply(c.Hardware())
 	res := s.simulateTasks(h, v, prog.Tasks(h), salt)
-	if reg != nil {
-		reg.ObserveResult(v, res)
-	}
+	reg.ObserveResult(v, res)
 	return res
 }
 
@@ -372,14 +367,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Uptime:   time.Since(s.started).Round(time.Millisecond).String(),
 		Breakers: s.breakers.snapshot(),
 	}
-	if reg := s.health.Load(); reg != nil {
-		v := reg.View()
-		if fp := v.Fingerprint(); fp != "" {
-			resp.Status = "degraded"
-			resp.Quarantined = v.Quarantined
-			resp.BandwidthFactor = v.BandwidthFactor
-			resp.Fingerprint = fp
-		}
+	v := s.health.Load().View()
+	if fp := v.Fingerprint(); fp != "" {
+		resp.Status = "degraded"
+		resp.Quarantined = v.Quarantined
+		resp.BandwidthFactor = v.BandwidthFactor
+		resp.Fingerprint = fp
 	}
 	if len(resp.Breakers) > 0 {
 		resp.Status = "degraded"
@@ -445,12 +438,10 @@ type schedStatsView struct {
 	P99StepMs     float64 `json:"p99_step_ms"`
 }
 
-// overloadStats is the /stats view of the overload defenses: the brownout
-// ladder's stage, shed counts by reason, KV-pressure preemption traffic, and
-// the adaptive admission limiter's live ceiling.
+// overloadStats is the /stats view of the scheduler's overload defenses:
+// deadline sheds, KV-pressure preemption traffic, and the adaptive admission
+// limiter's live ceiling.
 type overloadStats struct {
-	Stage               int   `json:"stage"`
-	BrownoutSheds       int64 `json:"brownout_sheds"`
 	DeadlineSheds       int64 `json:"deadline_sheds"`
 	Preemptions         int64 `json:"preemptions"`
 	Restores            int64 `json:"restores"`
@@ -510,6 +501,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.PlannerPanics = health.PlannerPanics
 		pc := s.planCacheStats(c)
 		resp.PlanCache = &pc
+		reg := s.health.Load()
+		hs, v := reg.Stats(), reg.View()
+		resp.Health = &healthStats{
+			Quarantined:  v.Quarantined,
+			BWFactor:     v.BandwidthFactor,
+			Fingerprint:  v.Fingerprint(),
+			Generation:   hs.Generation,
+			Observations: hs.Observations,
+			Transients:   hs.Transients,
+			Persistents:  hs.Persistents,
+			Quarantines:  hs.Quarantines,
+			BWAdoptions:  hs.BWAdoptions,
+			Replans:      health.Replans,
+			DegradedPlan: health.DegradedPlans,
+			BreakerTrips: s.nBreakerTrips.Load(),
+			BreakerDrops: s.nBreakerDrops.Load(),
+		}
 	}
 	if rt := s.runtime.Load(); rt != nil {
 		gs := rt.Stats()
@@ -531,33 +539,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			UnrecoverableStages: gs.UnrecoverableStages,
 		}
 	}
-	if reg := s.health.Load(); reg != nil {
-		hs, v := reg.Stats(), reg.View()
-		var replans, degradedPlans int64
-		if c := s.comp(); c != nil {
-			ch := c.Health()
-			replans, degradedPlans = ch.Replans, ch.DegradedPlans
-		}
-		resp.Health = &healthStats{
-			Quarantined:  v.Quarantined,
-			BWFactor:     v.BandwidthFactor,
-			Fingerprint:  v.Fingerprint(),
-			Generation:   hs.Generation,
-			Observations: hs.Observations,
-			Transients:   hs.Transients,
-			Persistents:  hs.Persistents,
-			Quarantines:  hs.Quarantines,
-			BWAdoptions:  hs.BWAdoptions,
-			Replans:      replans,
-			DegradedPlan: degradedPlans,
-			BreakerTrips: s.nBreakerTrips.Load(),
-			BreakerDrops: s.nBreakerDrops.Load(),
-		}
-	}
 	if l := s.sched.Load(); l != nil {
 		sc := l.Scheduler()
+		ss := sc.Stats()
 		resp.Sched = &schedStatsView{
-			Stats:         sc.Stats(),
+			Stats:         ss,
 			Generated:     s.nGenerated.Load(),
 			TokenRejected: s.nTokenRejected.Load(),
 			P50StepMs:     sc.StepQuantileMs(0.50),
@@ -565,24 +551,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		kv := sc.KV().Stats()
 		resp.KV = &kv
-	}
-	if l := s.sched.Load(); l != nil || s.cfg.Brownout {
-		ov := &overloadStats{
-			Stage:         s.OverloadStage(),
-			BrownoutSheds: s.nBrownoutSheds.Load(),
-			DeadlineSheds: s.nDeadlineSheds.Load(),
+		// The scheduler's deadline-shed count is authoritative: it includes
+		// sheds whose HTTP 504 was never delivered (client already gone).
+		resp.Overload = &overloadStats{
+			DeadlineSheds:       ss.DeadlineSheds,
+			Preemptions:         ss.Preemptions,
+			Restores:            ss.Restores,
+			Parked:              ss.Parked,
+			AdaptiveLimitTokens: ss.AdaptiveLimitTokens,
 		}
-		if l != nil {
-			// The scheduler's count is authoritative: it includes sheds whose
-			// HTTP 504 was never delivered (client already disconnected).
-			ss := l.Scheduler().Stats()
-			ov.DeadlineSheds = ss.DeadlineSheds
-			ov.Preemptions = ss.Preemptions
-			ov.Restores = ss.Restores
-			ov.Parked = ss.Parked
-			ov.AdaptiveLimitTokens = ss.AdaptiveLimitTokens
-		}
-		resp.Overload = ov
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -52,7 +52,7 @@ func (s *Server) timeoutMW(next http.Handler) http.Handler {
 // *http.MaxBytesError from Decode and are answered with 413.
 func (s *Server) limitBodyMW(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(w, r.Body, s.lim.bodyBytes)
 		next.ServeHTTP(w, r)
 	})
 }

@@ -87,15 +87,15 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("%s must be non-negative", dim.name))
 			return
 		}
-		if dim.v > s.cfg.MaxDim {
+		if dim.v > s.lim.dim {
 			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("%s %d exceeds per-dimension limit %d", dim.name, dim.v, s.cfg.MaxDim))
+				fmt.Sprintf("%s %d exceeds per-dimension limit %d", dim.name, dim.v, s.lim.dim))
 			return
 		}
 	}
-	if req.Steps < 0 || req.Steps > s.cfg.MaxModelSteps {
+	if req.Steps < 0 || req.Steps > s.lim.modelSteps {
 		httpError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("steps %d outside [0, %d]", req.Steps, s.cfg.MaxModelSteps))
+			fmt.Sprintf("steps %d outside [0, %d]", req.Steps, s.lim.modelSteps))
 		return
 	}
 	if req.Steps == 0 {
@@ -106,7 +106,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	// cannot monopolize the device while other models still serve.
 	if !s.breakers.allow(req.Model) {
 		s.nBreakerDrops.Add(1)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.BreakerCooldown/time.Second)+1))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(breakerCooldown/time.Second)+1))
 		httpError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("circuit breaker open for model %q", req.Model))
 		return
@@ -133,9 +133,9 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if len(g.Ops) > s.cfg.MaxModelOps {
+		if len(g.Ops) > s.lim.modelOps {
 			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.cfg.MaxModelOps))
+				fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.lim.modelOps))
 			return
 		}
 		rep, dev, n, err := s.runGraph(r.Context(), c, rt, g)
@@ -204,10 +204,10 @@ func (e *graphError) Error() string { return e.err.Error() }
 // (failover across replicas with per-attempt fault salts). Otherwise it runs
 // on the local runtime with fault-triggered re-planning. The runtime's
 // recovery ladder absorbs most faults stage-locally; what reaches the loop is
-// either residual faulted tasks (runtime without health recovery) or a typed
-// StageError (ladder exhausted). Both get the whole-graph treatment: drop the
-// graph's cached programs, back off, and retry under a fresh fault salt —
-// bounded by MaxRetries.
+// a typed StageError (ladder exhausted) or, defensively, residual faulted
+// tasks. Both get the whole-graph treatment: drop the graph's cached
+// programs, back off, and retry under a fresh fault salt — bounded by
+// maxRetries.
 func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, string, int, error) {
 	if f := s.fleetD(); f != nil {
 		rep, device, attempts, err := f.ExecModel(ctx, g)
@@ -230,7 +230,7 @@ func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Run
 		if err != nil && !retryable {
 			return rep, "", attempts, &graphError{http.StatusInternalServerError, false, err}
 		}
-		if !retryable || attempts > s.cfg.MaxRetries {
+		if !retryable || attempts > maxRetries {
 			if err != nil {
 				// Retries exhausted on an unrecoverable stage: typed 503 (the
 				// device genuinely cannot run this graph right now) and a

@@ -103,7 +103,10 @@ func TestModelEndpointDecodeSteps(t *testing.T) {
 }
 
 func TestModelEndpointRejectsBadInput(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxModelSteps: 4, MaxModelOps: 50})
+	_, ts := newTestServer(t, Config{}, func(s *Server) {
+		s.lim.modelSteps = 4
+		s.lim.modelOps = 50
+	})
 	cases := []struct {
 		name   string
 		req    modelRequest

@@ -8,110 +8,31 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
-	"mikpoly/internal/sched"
 	"mikpoly/internal/sim"
 )
 
-// TestBrownoutLadderHysteresis drives the pure automaton through a load
-// spike and decay, pinning the asymmetry: ascent is immediate (including
-// multi-rung jumps), descent requires the signal to sit below the exit
-// threshold for brownoutDwell consecutive ticks, and a signal oscillating
-// inside the hysteresis band holds the stage instead of flapping.
-func TestBrownoutLadderHysteresis(t *testing.T) {
-	stage, dwell := 0, 0
-	step := func(signal float64) int {
-		stage, dwell = nextBrownoutStage(stage, dwell, signal)
-		return stage
-	}
-
-	if got := step(0.50); got != 0 {
-		t.Fatalf("calm signal entered stage %d", got)
-	}
-	if got := step(0.72); got != 1 {
-		t.Fatalf("0.72 → stage %d, want 1", got)
-	}
-	if got := step(0.99); got != 4 {
-		t.Fatalf("spike must jump straight to 4, got %d", got)
-	}
-
-	// Oscillating inside the band [enter-gap, enter) neither climbs nor
-	// descends — and each touch of the band resets the dwell clock.
-	for i := 0; i < 3*brownoutDwell; i++ {
-		sig := 0.90 // band for stage 4: [0.87, 0.97)
-		if i%2 == 1 {
-			sig = 0.88
-		}
-		if got := step(sig); got != 4 {
-			t.Fatalf("tick %d: stage %d, want 4 (no flapping in the band)", i, got)
-		}
-	}
-
-	// A calm signal must dwell before each single-rung descent.
-	for want := 3; want >= 0; want-- {
-		for i := 0; i < brownoutDwell-1; i++ {
-			if got := step(0.10); got != want+1 {
-				t.Fatalf("descended to %d after only %d calm ticks", got, i+1)
-			}
-		}
-		if got := step(0.10); got != want {
-			t.Fatalf("stage %d after full dwell, want %d", got, want)
-		}
-	}
-	if got := step(0.10); got != 0 {
-		t.Fatalf("stage %d below the ladder, want 0", got)
-	}
-}
-
-// TestBrownoutStageActions applies ladder stages directly and checks each
-// rung's effect end to end: tracing off, prefill chunk cap on the live
-// scheduler, stage-4 shedding of the lowest priority class at the HTTP edge
-// (with Retry-After), urgent traffic still served, and a clean unwind.
-func TestBrownoutStageActions(t *testing.T) {
+// TestOverloadDefensesAlwaysOn: a scheduler-backed server runs the three
+// overload defenses without being asked to, and exports their books in
+// /stats and /metrics.
+func TestOverloadDefensesAlwaysOn(t *testing.T) {
 	o := obs.New(obs.DefaultTraceCapacity)
 	srv, ts := newObsServer(t, o, Config{SchedDecode: true})
-	srv.tracerWasOn = o.T().Enabled()
-	if !srv.tracerWasOn {
-		t.Fatal("test premise: tracer starts enabled")
-	}
+	t.Cleanup(srv.Close)
 
-	srv.setBrownoutStage(4)
-	if o.T().Enabled() {
-		t.Error("stage 4 left tracing enabled")
-	}
-	if srv.OverloadStage() != 4 {
-		t.Fatalf("OverloadStage() = %d, want 4", srv.OverloadStage())
-	}
-
-	// Lowest class shed with 503 + Retry-After; urgent class still served.
-	resp, data := postTenant(t, ts+"/generate", "acme",
-		generateRequest{PromptLen: 32, Steps: 1, Priority: sched.NumPriorities - 1})
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("low-class status %d under stage 4, want 503: %s", resp.StatusCode, data)
-	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("brownout 503 Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
-	}
-	if got := srv.nBrownoutSheds.Load(); got != 1 {
-		t.Fatalf("brownout shed counter %d, want 1", got)
-	}
-	resp, data = postTenant(t, ts+"/generate", "acme", generateRequest{PromptLen: 32, Steps: 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("urgent status %d under stage 4, want 200: %s", resp.StatusCode, data)
-	}
-
-	// The live scheduler's prefill budget is capped at stage >= 2.
 	sc := srv.sched.Load().Scheduler()
-	want := sc.Config().PrefillChunk / 4
-	if got := sc.Stats().ChunkTokens; got > want && want > 0 {
-		t.Errorf("prefill budget %d exceeds the stage-2 cap %d", got, want)
+	if cfg := sc.Config(); !cfg.Adaptive || !cfg.ShedDeadlines || !cfg.PreemptKV {
+		t.Fatalf("scheduler defenses adaptive=%v shed=%v preempt=%v, want all on",
+			cfg.Adaptive, cfg.ShedDeadlines, cfg.PreemptKV)
+	}
+	resp, data := postTenant(t, ts+"/generate", "acme", generateRequest{PromptLen: 32, Steps: 2})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("generate status %d: %s", resp.StatusCode, data)
 	}
 
-	// /stats surfaces the stage and the shed books.
 	resp, body := getBody(t, ts+"/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
@@ -120,35 +41,22 @@ func TestBrownoutStageActions(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Overload == nil || stats.Overload.Stage != 4 || stats.Overload.BrownoutSheds != 1 {
-		t.Fatalf("stats overload section = %+v, want stage 4 with 1 brownout shed", stats.Overload)
+	budget := sc.Config().MaxInFlightTokens
+	if ov := stats.Overload; ov == nil || ov.DeadlineSheds != 0 || ov.AdaptiveLimitTokens != budget {
+		t.Fatalf("stats overload section = %+v, want no sheds and the limiter at the %d-token budget", ov, budget)
 	}
 
-	// Unwinding to stage 0 restores tracing and lifts the chunk cap.
-	srv.setBrownoutStage(0)
-	if !o.T().Enabled() {
-		t.Error("stage 0 did not re-enable tracing")
-	}
-	resp, data = postTenant(t, ts+"/generate", "acme",
-		generateRequest{PromptLen: 32, Steps: 1, Priority: sched.NumPriorities - 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("low-class status %d after unwind, want 200: %s", resp.StatusCode, data)
-	}
-
-	// The overload metrics are exported.
 	resp, body = getBody(t, ts+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status %d", resp.StatusCode)
 	}
-	for _, wantM := range []string{
-		"mik_overload_stage",
-		`mik_overload_sheds_total{reason="brownout"} 1`,
-		`mik_overload_sheds_total{reason="deadline"}`,
-		`mik_overload_preemptions_total{kind="preempt"}`,
-		"mik_overload_adaptive_limit_tokens",
+	for _, want := range []string{
+		`mik_overload_sheds_total{reason="deadline"} 0`,
+		`mik_overload_preemptions_total{kind="preempt"} 0`,
+		"mik_overload_adaptive_limit_tokens " + strconv.FormatInt(budget, 10),
 	} {
-		if !strings.Contains(body, wantM) {
-			t.Errorf("metrics output missing %q", wantM)
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics output missing %q", want)
 		}
 	}
 }
@@ -191,7 +99,6 @@ func TestAdmitRetryAfterBacklog(t *testing.T) {
 func TestGenerateDeadline504(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		SchedDecode:         true,
-		ShedDeadlines:       true,
 		SchedInFlightTokens: 600,
 	})
 
@@ -234,9 +141,6 @@ func TestGenerateDeadline504(t *testing.T) {
 	if firstStatus != http.StatusOK {
 		t.Fatalf("occupying request status %d, want 200", firstStatus)
 	}
-	if got := srv.nDeadlineSheds.Load(); got != 1 {
-		t.Fatalf("deadline shed counter %d, want 1", got)
-	}
 	if st := srv.sched.Load().Scheduler().Stats(); st.DeadlineSheds != 1 {
 		t.Fatalf("scheduler deadline_sheds %d, want 1", st.DeadlineSheds)
 	}
@@ -250,20 +154,4 @@ func TestGenerateDeadlineValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative deadline status %d, want 400", resp.StatusCode)
 	}
-}
-
-// TestBrownoutControllerLifecycle: a Brownout server starts calm, survives
-// traffic, and Close joins the controller goroutine (run under -race).
-func TestBrownoutControllerLifecycle(t *testing.T) {
-	srv, ts := newTestServer(t, Config{SchedDecode: true, Brownout: true,
-		AdaptiveAdmission: true, KVPreempt: true})
-	resp, data := postTenant(t, ts.URL+"/generate", "acme", generateRequest{PromptLen: 64, Steps: 2})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, data)
-	}
-	time.Sleep(2 * brownoutInterval) // let the controller tick against live state
-	if got := srv.OverloadStage(); got != 0 {
-		t.Fatalf("idle server climbed to stage %d", got)
-	}
-	srv.Close()
 }

@@ -30,9 +30,11 @@ import (
 	"mikpoly/internal/sim"
 )
 
-// Config tunes the serving layer. The zero value of any field selects the
-// DefaultConfig value, except PlanTimeout < 0, which means "already expired"
-// and forces every plan down the fallback path (a test/chaos knob).
+// Config holds what a deployment sets. The zero value of any field selects
+// the DefaultConfig value, except PlanTimeout < 0, which means "already
+// expired" and forces every plan down the fallback path (a chaos knob).
+// Request bounds, retry and breaker tuning are constants (limits, maxRetries,
+// breakerThreshold); the scheduler's overload defenses are always on.
 type Config struct {
 	// MaxInFlight bounds concurrently admitted /plan and /execute
 	// requests; excess requests receive 429 with a Retry-After header.
@@ -45,35 +47,6 @@ type Config struct {
 	// PlanTimeout bounds the online planning stage within a request;
 	// exceeding it degrades to the single-kernel fallback program.
 	PlanTimeout time.Duration
-
-	// MaxBodyBytes bounds the request body (http.MaxBytesReader).
-	MaxBodyBytes int64
-
-	// MaxDim bounds each of M, N, K; MaxPlanElems bounds M·N·K. Shapes
-	// beyond either limit are rejected with 413 before any planning.
-	MaxDim       int
-	MaxPlanElems int64
-
-	// MaxSimTasks bounds the task count a /plan request will simulate;
-	// larger programs are still planned and returned, with simulation
-	// skipped (sim fields zero, "sim_skipped": true).
-	MaxSimTasks int
-
-	// MaxExecElems bounds each operand's element count (M·K, K·N, M·N)
-	// for /execute, which materializes matrices and runs real arithmetic.
-	MaxExecElems int64
-
-	// MaxRetries is the number of re-plan + re-run attempts after a
-	// simulated execution reports a fault. Negative disables retries.
-	MaxRetries int
-
-	// RetryBase and RetryMax shape the exponential backoff between
-	// attempts: delay(n) ≈ RetryBase·2ⁿ with jitter, capped at RetryMax.
-	RetryBase time.Duration
-	RetryMax  time.Duration
-
-	// Seed drives the backoff jitter stream (deterministic tests).
-	Seed uint64
 
 	// Faults, when non-nil, injects deterministic hardware degradation
 	// into every simulated execution; each retry attempt re-runs with a
@@ -89,40 +62,24 @@ type Config struct {
 	// scheduler (SchedDecode).
 	DecodeBatch bool
 
-	// MaxModelSteps bounds the decode steps of one /model request.
-	MaxModelSteps int
-
-	// MaxModelOps bounds the operator count of a built model graph;
-	// larger graphs are rejected with 413.
-	MaxModelOps int
-
-	// DisableSelfHeal turns off the health registry and stage-level
-	// recovery: faults surface to the blind whole-graph retry loop, as in
-	// the pre-self-healing serving layer. A test/benchmark knob — it
-	// exists so the chaos harness can measure what the recovery ladder
-	// buys over blind retries.
-	DisableSelfHeal bool
-
-	// BreakerThreshold is the consecutive unrecoverable-failure count per
-	// model name that opens its circuit breaker; BreakerCooldown is how
-	// long the breaker stays open before a half-open probe is admitted.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-
 	// SchedDecode enables the SLO-aware multi-tenant generation scheduler
 	// over a paged KV cache: POST /generate requests are admitted against
 	// a token budget (429 + Retry-After when exhausted), identical prompt
 	// prefixes share KV pages, and prefill runs in chunks sized to the
-	// decode waves' slack under the step SLO.
+	// decode waves' slack under the step SLO. Its three overload defenses
+	// are always on: an AIMD limiter shrinks the admitted token mass when
+	// decode waves violate the step SLO, queued requests whose wait alone
+	// exceeds their deadline are answered 504 without consuming device
+	// cycles, and KV-arena pressure parks the least-important running
+	// sequences for a bitwise-identical prefix-recompute resume.
 	SchedDecode bool
 
-	// KVPages/KVPageTokens size the paged KV arena; PrefillChunk bounds
-	// one prefill slice; StepSLOMs/TTFTSLOMs are the latency bounds the
-	// scheduler packs against; SchedInFlightTokens is the token budget
-	// admission counts (prompt + generation across branches, not
-	// requests). Zero fields take the scheduler defaults.
+	// KVPages sizes the paged KV arena; PrefillChunk bounds one prefill
+	// slice; StepSLOMs/TTFTSLOMs are the latency bounds the scheduler packs
+	// against; SchedInFlightTokens is the token budget admission counts
+	// (prompt + generation across branches, not requests). Zero fields take
+	// the scheduler defaults.
 	KVPages             int
-	KVPageTokens        int
 	PrefillChunk        int
 	StepSLOMs           float64
 	TTFTSLOMs           float64
@@ -133,32 +90,10 @@ type Config struct {
 	// Empty admits any tenant name.
 	Tenants []string
 
-	// AdaptiveAdmission replaces the scheduler's static token-budget gate
-	// with an AIMD limiter that shrinks the admitted mass when decode waves
-	// violate the step SLO and grows it while comfortably under.
-	AdaptiveAdmission bool
-
-	// ShedDeadlines drops queued /generate requests whose queue wait alone
-	// already exceeds their deadline budget: they are answered 504
-	// (deadline-exceeded) without ever consuming device cycles, counted
-	// separately from admission 429s.
-	ShedDeadlines bool
-
 	// DeadlineMs is the default deadline budget (arrival → first token) for
 	// /generate requests that do not carry their own deadline_ms; zero falls
-	// back to the scheduler's TTFT SLO bound when ShedDeadlines is on.
+	// back to the scheduler's TTFT SLO bound.
 	DeadlineMs float64
-
-	// KVPreempt lets the scheduler preempt the least-important running
-	// sequences when the paged KV arena runs dry, parking them for a
-	// bitwise-identical prefix-recompute resume instead of failing them.
-	KVPreempt bool
-
-	// Brownout runs the overload ladder controller: ordered degradation
-	// stages (tracing off → smaller prefill chunks → stretched hedges →
-	// lowest-class shedding) driven by admission occupancy, scheduler
-	// backlog, KV pressure, and breaker state, with hysteresis.
-	Brownout bool
 
 	// PlanSnapshotPath, when set, names the persistent plan-cache snapshot
 	// artifact: SetCompiler warm-starts the program cache from it (an
@@ -183,22 +118,10 @@ type Config struct {
 // DefaultConfig returns production-leaning defaults.
 func DefaultConfig() Config {
 	return Config{
-		MaxInFlight:      64,
-		RequestTimeout:   10 * time.Second,
-		PlanTimeout:      2 * time.Second,
-		MaxBodyBytes:     1 << 16,
-		MaxDim:           1 << 20,
-		MaxPlanElems:     1 << 40,
-		MaxSimTasks:      1 << 18,
-		MaxExecElems:     1 << 22,
-		MaxRetries:       3,
-		RetryBase:        10 * time.Millisecond,
-		RetryMax:         500 * time.Millisecond,
-		PlanAhead:        2,
-		MaxModelSteps:    32,
-		MaxModelOps:      4096,
-		BreakerThreshold: 5,
-		BreakerCooldown:  5 * time.Second,
+		MaxInFlight:    64,
+		RequestTimeout: 10 * time.Second,
+		PlanTimeout:    2 * time.Second,
+		PlanAhead:      2,
 	}
 }
 
@@ -215,51 +138,52 @@ func (c Config) withDefaults() Config {
 	if c.PlanTimeout == 0 {
 		c.PlanTimeout = d.PlanTimeout
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = d.MaxBodyBytes
-	}
-	if c.MaxDim <= 0 {
-		c.MaxDim = d.MaxDim
-	}
-	if c.MaxPlanElems <= 0 {
-		c.MaxPlanElems = d.MaxPlanElems
-	}
-	if c.MaxSimTasks <= 0 {
-		c.MaxSimTasks = d.MaxSimTasks
-	}
-	if c.MaxExecElems <= 0 {
-		c.MaxExecElems = d.MaxExecElems
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = d.MaxRetries
-	} else if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = d.RetryBase
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = d.RetryMax
-	}
 	if c.PlanAhead == 0 {
 		c.PlanAhead = d.PlanAhead
 	} else if c.PlanAhead < 0 {
 		c.PlanAhead = 0
 	}
-	if c.MaxModelSteps <= 0 {
-		c.MaxModelSteps = d.MaxModelSteps
-	}
-	if c.MaxModelOps <= 0 {
-		c.MaxModelOps = d.MaxModelOps
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = d.BreakerThreshold
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = d.BreakerCooldown
-	}
 	return c
 }
+
+// limits bounds what one request may ask for. New fills them from
+// defaultLimits; only package tests shrink them.
+type limits struct {
+	bodyBytes  int64 // request body (http.MaxBytesReader)
+	dim        int   // each of M, N, K and every model dimension
+	planElems  int64 // M·N·K; larger shapes are rejected with 413
+	simTasks   int   // /plan simulates programs of at most this many tasks
+	execElems  int64 // each materialized /execute and /gemm operand
+	modelSteps int   // decode steps of one /model or /generate request
+	modelOps   int   // operators of one built model graph
+}
+
+var defaultLimits = limits{
+	bodyBytes:  1 << 16,
+	dim:        1 << 20,
+	planElems:  1 << 40,
+	simTasks:   1 << 18,
+	execElems:  1 << 22,
+	modelSteps: 32,
+	modelOps:   4096,
+}
+
+// Fault-retry tuning: after a simulated run reports a fault, a request
+// re-plans and re-runs up to maxRetries times, waiting ≈ retryBase·2ⁿ with
+// jitter (capped at retryMax) between attempts.
+const (
+	maxRetries = 3
+	retryBase  = 10 * time.Millisecond
+	retryMax   = 500 * time.Millisecond
+)
+
+// Per-model circuit breaker tuning: breakerThreshold consecutive
+// unrecoverable failures open a model's breaker, which admits a half-open
+// probe after breakerCooldown.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
 
 // Server serves compilation, execution, and whole-model requests over HTTP.
 // The compiler may be bound after construction (SetCompiler): a daemon can
@@ -272,6 +196,7 @@ type Server struct {
 	health   atomic.Pointer[health.Registry]
 	fleet    atomic.Pointer[fleet.Dispatcher]
 	cfg      Config
+	lim      limits
 	o        *obs.Obs
 	sem      chan struct{}
 	bo       *backoff
@@ -283,13 +208,6 @@ type Server struct {
 	snapOnce sync.Once
 	snapWG   sync.WaitGroup
 	snapMu   sync.Mutex // serializes snapshot file writes
-
-	// Brownout ladder state (overload.go).
-	overStage   atomic.Int32  // current stage, 0 = normal
-	overQuit    chan struct{} // stops the ladder controller
-	overOnce    sync.Once
-	overWG      sync.WaitGroup
-	tracerWasOn bool // whether stage 0 should re-enable tracing
 
 	// cumulative counters, exported by /stats
 	nRequests      atomic.Int64 // admitted plan/execute/model requests
@@ -304,8 +222,6 @@ type Server struct {
 	nBreakerDrops  atomic.Int64 // requests rejected by an open breaker
 	nGenerated     atomic.Int64 // /generate requests completed
 	nTokenRejected atomic.Int64 // /generate 429s from the token budget
-	nDeadlineSheds atomic.Int64 // /generate 504s (deadline provably missed)
-	nBrownoutSheds atomic.Int64 // /generate 503s from the brownout ladder
 
 	// plan-cache tier counters
 	nSnapshotSaves   atomic.Int64 // snapshot files written
@@ -320,13 +236,13 @@ func New(c *core.Compiler, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
+		lim:      defaultLimits,
 		o:        cfg.Obs,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		bo:       newBackoff(cfg.RetryBase, cfg.RetryMax, cfg.Seed),
-		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		bo:       newBackoff(retryBase, retryMax, 0),
+		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
 		started:  time.Now(),
 		snapQuit: make(chan struct{}),
-		overQuit: make(chan struct{}),
 	}
 	s.registerObs()
 	if c != nil {
@@ -335,16 +251,15 @@ func New(c *core.Compiler, cfg Config) *Server {
 	if cfg.PlanSnapshotPath != "" && cfg.SnapshotInterval > 0 {
 		s.startSnapshotFlusher()
 	}
-	if cfg.Brownout {
-		s.startBrownout()
-	}
 	return s
 }
 
 // SetCompiler binds (or replaces) the compiler and builds the graph
 // runtime over it, flipping the server ready. A fresh health registry is
 // attached to both (degraded-mode planning and stage-level recovery share
-// one view of the device), sized to the compiler's hardware.
+// one view of the device), sized to the compiler's hardware. Under
+// SchedDecode it also builds the generation scheduler, with adaptive
+// admission, deadline shedding and KV preemption on.
 func (s *Server) SetCompiler(c *core.Compiler) {
 	// Warm-start the program cache from the configured snapshot before the
 	// compiler goes live, so the replica's first hot shapes hit the cache.
@@ -352,11 +267,8 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 	if s.cfg.PlanSnapshotPath != "" {
 		s.loadSnapshotInto(c)
 	}
-	var reg *health.Registry
-	if !s.cfg.DisableSelfHeal {
-		reg = health.NewRegistry(c.Hardware().NumPEs, health.Config{})
-		s.health.Store(reg)
-	}
+	reg := health.NewRegistry(c.Hardware().NumPEs, health.Config{})
+	s.health.Store(reg)
 	rt := graphrt.New(c, graphrt.Config{
 		PlanAhead:   s.cfg.PlanAhead,
 		PlanTimeout: s.cfg.PlanTimeout,
@@ -369,18 +281,15 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 	s.runtime.Store(rt)
 	if s.cfg.SchedDecode {
 		loop := sched.NewLoop(sched.New(schedExecutor{rt}, sched.Config{
-			HW: c.Hardware(),
-			KV: kvcache.Config{
-				NumPages:      s.cfg.KVPages,
-				TokensPerPage: s.cfg.KVPageTokens,
-			},
+			HW:                c.Hardware(),
+			KV:                kvcache.Config{NumPages: s.cfg.KVPages},
 			PrefillChunk:      s.cfg.PrefillChunk,
 			StepSLOMs:         s.cfg.StepSLOMs,
 			TTFTSLOMs:         s.cfg.TTFTSLOMs,
 			MaxInFlightTokens: s.cfg.SchedInFlightTokens,
-			Adaptive:          s.cfg.AdaptiveAdmission,
-			ShedDeadlines:     s.cfg.ShedDeadlines,
-			PreemptKV:         s.cfg.KVPreempt,
+			Adaptive:          true,
+			ShedDeadlines:     true,
+			PreemptKV:         true,
 		}))
 		if old := s.sched.Swap(loop); old != nil {
 			old.Close()
@@ -392,14 +301,12 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 // comp returns the bound compiler, or nil while the server is not ready.
 func (s *Server) comp() *core.Compiler { return s.compiler.Load() }
 
-// Close releases background resources: the snapshot flusher, the brownout
-// controller, the generation scheduler loop and, when a fleet is bound, its
-// device workers and prober.
+// Close releases background resources: the snapshot flusher, the
+// generation scheduler loop and, when a fleet is bound, its device workers
+// and prober.
 func (s *Server) Close() {
 	s.snapOnce.Do(func() { close(s.snapQuit) })
 	s.snapWG.Wait()
-	s.overOnce.Do(func() { close(s.overQuit) })
-	s.overWG.Wait()
 	if l := s.sched.Load(); l != nil {
 		l.Close()
 	}

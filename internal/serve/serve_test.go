@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -29,13 +30,22 @@ func testCompiler(t *testing.T) *core.Compiler {
 	return core.NewCompilerFromLibrary(lib)
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer serves a test compiler over HTTP. Each setup runs on the
+// server before it starts serving: tests shrink srv.lim or swap srv.bo there.
+func newTestServer(t *testing.T, cfg Config, setup ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(testCompiler(t), cfg)
+	for _, f := range setup {
+		f(srv)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
 }
+
+// noBackoff swaps the server's fault-retry backoff for a zero-delay one, so
+// tests that drive many retries spend no wall clock asleep.
+func noBackoff(s *Server) { s.bo = &backoff{rng: rand.New(rand.NewSource(0))} }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
@@ -112,7 +122,7 @@ func TestPlanRejectsBadInput(t *testing.T) {
 }
 
 func TestRequestBodyLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	_, ts := newTestServer(t, Config{}, func(s *Server) { s.lim.bodyBytes = 64 })
 	big := fmt.Sprintf(`{"m":4,"n":8,"k":8,"pad":%q}`, strings.Repeat("x", 256))
 	resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(big))
 	if err != nil {
@@ -187,14 +197,10 @@ func TestGracefulDegradationEndToEnd(t *testing.T) {
 
 // TestRetryBackoffOnInjectedFaults drives the fault-retry loop with a
 // deterministic seed: every simulated run faults, so the server performs
-// exactly MaxRetries re-plans with backoff and still answers correctly.
+// exactly maxRetries re-plans with backoff and still answers correctly.
 func TestRetryBackoffOnInjectedFaults(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
-		MaxRetries: 2,
-		RetryBase:  time.Millisecond,
-		RetryMax:   4 * time.Millisecond,
-		Seed:       7,
-		Faults:     &sim.Faults{Seed: 42, TaskFaultRate: 1},
+		Faults: &sim.Faults{Seed: 42, TaskFaultRate: 1},
 	})
 
 	req := execRequest{M: 24, N: 24, K: 24, SeedA: 3, SeedB: 4}
@@ -206,18 +212,18 @@ func TestRetryBackoffOnInjectedFaults(t *testing.T) {
 	if err := json.Unmarshal(data, &er); err != nil {
 		t.Fatal(err)
 	}
-	if er.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + MaxRetries)", er.Attempts)
+	if er.Attempts != 1+maxRetries {
+		t.Fatalf("attempts = %d, want %d (1 + maxRetries)", er.Attempts, 1+maxRetries)
 	}
 	if er.FaultedTasks == 0 {
 		t.Fatal("rate-1 injection must report faulted tasks")
 	}
-	if got := srv.nRetries.Load(); got != 2 {
-		t.Fatalf("retry counter = %d, want 2", got)
+	if got := srv.nRetries.Load(); got != maxRetries {
+		t.Fatalf("retry counter = %d, want %d", got, maxRetries)
 	}
 	// Each retry invalidated the cache and re-planned.
-	if plans, _ := srv.comp().PlanStats(); plans != 3 {
-		t.Fatalf("planner ran %d times, want 3", plans)
+	if plans, _ := srv.comp().PlanStats(); plans != 1+maxRetries {
+		t.Fatalf("planner ran %d times, want %d", plans, 1+maxRetries)
 	}
 	// Numerics are unaffected by simulated faults.
 	a := tensor.RandomMatrix(req.M, req.K, req.SeedA)
@@ -247,7 +253,7 @@ func TestRetryBackoffOnInjectedFaults(t *testing.T) {
 }
 
 func TestExecuteOperandLimit(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxExecElems: 1024})
+	_, ts := newTestServer(t, Config{}, func(s *Server) { s.lim.execElems = 1024 })
 	resp, data := postJSON(t, ts.URL+"/execute", execRequest{M: 64, N: 64, K: 64})
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d (%s), want 413", resp.StatusCode, data)
