@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: verify fmtcheck fmt vet build test race deadpkg fuzz bench perf baseline clean
+.PHONY: verify fmtcheck fmt vet build test race deadpkg budget fuzz bench perf baseline clean
 
-verify: fmtcheck vet build deadpkg race
+verify: fmtcheck vet build deadpkg budget race
 
 # Formatting drift fails the build: gofmt -l must print nothing.
 fmtcheck:
@@ -38,6 +38,13 @@ deadpkg:
 	dead="$$(for p in $$all; do echo "$$reached" | grep -qxF "$$p" || echo "$$p"; done)"; \
 	if [ -n "$$dead" ]; then echo "packages no command, example, benchmark or root package reaches:"; \
 		echo "$$dead"; exit 1; fi
+
+# mikserve's flag budget: -h may list at most 20 flags; the count is printed.
+budget:
+	@out="$$($(GO) run ./cmd/mikserve -h 2>&1)" || { echo "$$out"; exit 1; }; \
+	n="$$(echo "$$out" | grep -c '^  -')"; \
+	echo "mikserve flags: $$n (budget 20)"; \
+	if [ "$$n" -gt 20 ]; then echo "mikserve -h lists $$n flags, over the budget of 20"; exit 1; fi
 
 # Short fuzzing burst against the serving layer's input handling (/plan,
 # /execute, /model and /generate bodies, GEMM shapes), the planner's sweep ≡ reference

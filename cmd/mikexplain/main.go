@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	mikexplain [-hw a100|a100-cuda|ascend910] [-lib artifact.json] M N K
+//	mikexplain [-hw a100|a100cuda|ascend910] [-lib artifact.json] M N K
 package main
 
 import (
@@ -27,7 +27,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mikexplain: ")
 	var (
-		hwName  = flag.String("hw", "a100", "target hardware: a100, a100-cuda, ascend910")
+		hwName  = flag.String("hw", "a100", "target hardware: a100, a100cuda, ascend910")
 		libPath = flag.String("lib", "", "offline artifact from mikgen (default: generate in-process)")
 		trace   = flag.Bool("trace", false, "print a per-PE execution timeline")
 		splitK  = flag.Bool("splitk", false, "enable the split-K pattern extension")
@@ -59,18 +59,10 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		var h hw.Hardware
-		switch *hwName {
-		case "a100":
-			h = hw.A100()
-		case "a100-cuda":
-			h = hw.A100CUDACores()
-		case "ascend910":
-			h = hw.Ascend910()
-		default:
-			log.Fatalf("unknown hardware %q", *hwName)
+		h, err := hw.ByName(*hwName)
+		if err != nil {
+			log.Fatal(err)
 		}
-		var err error
 		lib, err = tune.Generate(h, tune.DefaultOptions())
 		if err != nil {
 			log.Fatal(err)

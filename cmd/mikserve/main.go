@@ -14,13 +14,13 @@
 //
 // The serving layer (internal/serve) provides admission control, request
 // timeouts and size limits, panic recovery, planner deadlines with graceful
-// degradation to an always-legal fallback program, and — when fault injection
-// is enabled — re-planning with exponential backoff. Model graphs run with
-// asynchronous plan-ahead; llama2-decode runs its steps as successive step
-// graphs. With -sched, POST /generate runs requests through the SLO-aware
-// generation scheduler: paged KV cache with prefix reuse, chunked prefill
-// interleaved with decode waves, and token-budget admission (429 +
-// Retry-After when the in-flight token budget is exhausted).
+// degradation to an always-legal fallback program, and — under -chaos-seed —
+// re-planning with exponential backoff. Model graphs run with asynchronous
+// plan-ahead; llama2-decode runs its steps as successive step graphs. POST
+// /generate runs requests through the SLO-aware generation scheduler: paged
+// KV cache with prefix reuse, chunked prefill interleaved with decode waves,
+// and token-budget admission (429 + Retry-After when the in-flight token
+// budget is exhausted).
 //
 // The scheduler's overload defenses are always on: an AIMD limiter shrinks
 // the admitted token mass on step-SLO violations; a queued request that can
@@ -29,8 +29,14 @@
 // KV-arena pressure the least-important running sequence parks and later
 // restores losslessly via prefix-cache recompute.
 //
-// The socket binds immediately; the micro-kernel library loads (-library)
-// or tunes in the background, and /healthz answers 503 until it is ready.
+// -chaos-seed is the one fault knob: alone it runs the device under
+// sim.ChaosSchedule (PE death, sticky faults, brownouts); with -fleet it runs
+// the devices under sim.FleetChaosSchedule (crash, hang, brownout, slow
+// replica).
+//
+// The socket binds immediately; the micro-kernel library loads (-library,
+// an artifact written by cmd/mikgen) or tunes in the background, and
+// /healthz answers 503 until it is ready.
 package main
 
 import (
@@ -65,69 +71,49 @@ func main() {
 		inFlight    = flag.Int("inflight", 0, "max in-flight requests (0 = default)")
 		planTimeout = flag.Duration("plan-timeout", 0, "planner deadline; exceeded plans degrade to the fallback program (0 = default, negative = always degrade)")
 		reqTimeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default)")
-		faultRate   = flag.Float64("fault-rate", 0, "injected transient task-fault probability [0,1]")
-		faultSeed   = flag.Uint64("fault-seed", 1, "fault injection seed")
-		dropPEs     = flag.Int("drop-pes", 0, "number of simulated dead PEs")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule (PE death, sticky faults, brownouts); 0 disables")
-		library     = flag.String("library", "", "load the micro-kernel library from this file instead of tuning (falls back to tuning if unreadable)")
-		saveLibrary = flag.String("save-library", "", "after tuning, save the micro-kernel library to this file")
+		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule: PE death, sticky faults and brownouts on the device, or crash, hang, brownout and slow replica on each -fleet device; 0 disables")
+		library     = flag.String("library", "", "load the micro-kernel library written by mikgen -o from this file instead of tuning (falls back to tuning if unreadable)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCapacity, "span ring-buffer capacity for -trace")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		fleetSpec   = flag.String("fleet", "", `device-fleet spec, JSON or @file: [{"hw":"a100","replicas":2},{"hw":"ascend910","replicas":1}]; enables POST /gemm and fleet-routed /model`)
-		fleetChaos  = flag.Uint64("fleet-chaos-seed", 0, "run the fleet under a seeded device-level chaos schedule (crash, hang, brownout, slow replica); 0 disables")
-		schedOn     = flag.Bool("sched", false, "enable the SLO-aware generation scheduler and POST /generate (paged KV cache, prefix reuse, chunked prefill)")
-		kvPages     = flag.Int("kv-pages", 0, "KV-cache capacity in pages for -sched (0 = default)")
-		prefillChk  = flag.Int("prefill-chunk", 0, "largest prefill chunk in tokens for -sched (0 = default)")
-		stepSLO     = flag.Float64("slo-ms", 0, "decode-step latency SLO in milliseconds for -sched (0 = default)")
-		ttftSLO     = flag.Float64("ttft-slo-ms", 0, "time-to-first-token SLO in milliseconds for -sched (0 = default)")
-		schedBudget = flag.Int64("sched-tokens", 0, "in-flight token budget for -sched admission; over-budget requests get 429 + Retry-After (0 = default)")
+		kvPages     = flag.Int("kv-pages", 0, "KV-cache capacity in pages for /generate (0 = default)")
+		prefillChk  = flag.Int("prefill-chunk", 0, "largest prefill chunk in tokens for /generate (0 = default)")
+		stepSLO     = flag.Float64("slo-ms", 0, "decode-step latency SLO in milliseconds for /generate (0 = default)")
+		ttftSLO     = flag.Float64("ttft-slo-ms", 0, "time-to-first-token SLO in milliseconds for /generate (0 = default)")
+		schedBudget = flag.Int64("sched-tokens", 0, "in-flight token budget for /generate admission; over-budget requests get 429 + Retry-After (0 = default)")
 		tenants     = flag.String("tenants", "", "comma-separated X-Tenant allowlist for /generate (empty = any tenant admitted)")
-		deadlineMs  = flag.Float64("deadline-ms", 0, "default /generate deadline budget in milliseconds for -sched; a queued request whose wait alone exceeds it is shed with 504 (0 = the TTFT SLO bound; requests may override via deadline_ms)")
+		deadlineMs  = flag.Float64("deadline-ms", 0, "default /generate deadline budget in milliseconds; a queued request whose wait alone exceeds it is shed with 504 (0 = the TTFT SLO bound; requests may override via deadline_ms)")
 		planSnap    = flag.String("plan-snapshot", "", "persistent plan-cache snapshot file: warm-start the program cache from it at bind and flush back via POST /plancache/save (incompatible snapshots are rejected; the server plans online)")
 		snapEvery   = flag.Duration("snapshot-interval", 0, "periodically pre-plan traffic-hot shapes and rewrite -plan-snapshot (0 disables the background flusher)")
 	)
 	flag.Parse()
 
-	var h hw.Hardware
-	switch *hwName {
-	case "a100":
-		h = hw.A100()
-	case "a100cuda":
-		h = hw.A100CUDACores()
-	case "ascend910":
-		h = hw.Ascend910()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown hardware %q\n", *hwName)
+	h, err := hw.ByName(*hwName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mikserve: -hw: %v\n", err)
 		os.Exit(2)
 	}
 
-	o := obs.New(*traceCap)
+	o := obs.New(obs.DefaultTraceCapacity)
 	o.T().SetEnabled(*withTrace)
 
 	cfg := serve.Config{
-		MaxInFlight:      *inFlight,
-		RequestTimeout:   *reqTimeout,
-		PlanTimeout:      *planTimeout,
-		PlanSnapshotPath: *planSnap,
-		SnapshotInterval: *snapEvery,
-		Obs:              o,
+		MaxInFlight:         *inFlight,
+		RequestTimeout:      *reqTimeout,
+		PlanTimeout:         *planTimeout,
+		SchedDecode:         true,
+		KVPages:             *kvPages,
+		PrefillChunk:        *prefillChk,
+		StepSLOMs:           *stepSLO,
+		TTFTSLOMs:           *ttftSLO,
+		SchedInFlightTokens: *schedBudget,
+		DeadlineMs:          *deadlineMs,
+		PlanSnapshotPath:    *planSnap,
+		SnapshotInterval:    *snapEvery,
+		Obs:                 o,
 	}
 	if *planSnap != "" {
 		log.Printf("mikserve: plan-cache snapshot at %s (flush interval %v)", *planSnap, *snapEvery)
-	}
-	// Any scheduler-specific flag implies -sched so `-kv-pages 4096` alone
-	// does what it reads like.
-	if *schedOn || *kvPages > 0 || *prefillChk > 0 || *stepSLO > 0 || *ttftSLO > 0 || *schedBudget > 0 ||
-		*deadlineMs > 0 {
-		cfg.SchedDecode = true
-		cfg.KVPages = *kvPages
-		cfg.PrefillChunk = *prefillChk
-		cfg.StepSLOMs = *stepSLO
-		cfg.TTFTSLOMs = *ttftSLO
-		cfg.SchedInFlightTokens = *schedBudget
-		cfg.DeadlineMs = *deadlineMs
-		log.Printf("mikserve: generation scheduler enabled (POST /generate)")
 	}
 	if *tenants != "" {
 		for _, t := range strings.Split(*tenants, ",") {
@@ -136,20 +122,11 @@ func main() {
 			}
 		}
 	}
-	switch {
-	case *chaosSeed != 0:
+	if *chaosSeed != 0 && *fleetSpec == "" {
 		f := sim.ChaosSchedule(*chaosSeed, h)
 		cfg.Faults = &f
 		log.Printf("mikserve: chaos schedule enabled (seed=%d): PE death %v, sticky %v, brownout %v, task fault rate %g",
 			*chaosSeed, f.PEDeathCycle, f.StickyFaults, f.Brownout != nil, f.TaskFaultRate)
-	case *faultRate > 0 || *dropPEs > 0:
-		f := &sim.Faults{Seed: *faultSeed, TaskFaultRate: *faultRate}
-		for pe := 0; pe < *dropPEs && pe < h.NumPEs; pe++ {
-			f.DropPEs = append(f.DropPEs, pe)
-		}
-		cfg.Faults = f
-		log.Printf("mikserve: fault injection enabled (rate=%g, dead PEs=%v, seed=%d)",
-			*faultRate, f.DropPEs, *faultSeed)
 	}
 
 	// Bind the socket and start serving immediately; work endpoints and
@@ -177,12 +154,12 @@ func main() {
 
 	go func() {
 		if *fleetSpec != "" {
-			if err := bindFleet(srv, o, *fleetSpec, *fleetChaos, *cacheCap, *planSnap); err != nil {
+			if err := bindFleet(srv, o, *fleetSpec, *chaosSeed, *cacheCap, *planSnap); err != nil {
 				log.Fatalf("mikserve: -fleet: %v", err)
 			}
 			return
 		}
-		lib := loadOrTune(h, *library, *saveLibrary, *cacheCap)
+		lib := loadOrTune(h, *library)
 		srv.SetCompiler(core.NewCompilerFromLibrary(lib,
 			core.WithCacheCapacity(*cacheCap), core.WithObs(o)))
 		log.Printf("mikserve: ready (%d kernels for %s)", len(lib.Kernels), lib.HW.Name)
@@ -267,9 +244,8 @@ func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cac
 }
 
 // loadOrTune produces the micro-kernel library: from libPath when given and
-// readable (and targeting the requested hardware), otherwise by tuning,
-// optionally persisting the result to savePath.
-func loadOrTune(h hw.Hardware, libPath, savePath string, cacheCap int) *tune.Library {
+// readable (and targeting the requested hardware), otherwise by tuning.
+func loadOrTune(h hw.Hardware, libPath string) *tune.Library {
 	if libPath != "" {
 		if lib, err := loadLibrary(h, libPath); err != nil {
 			log.Printf("mikserve: -library %s: %v; tuning instead", libPath, err)
@@ -282,13 +258,6 @@ func loadOrTune(h hw.Hardware, libPath, savePath string, cacheCap int) *tune.Lib
 	lib, err := tune.Generate(h, tune.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
-	}
-	if savePath != "" {
-		if err := saveLibraryFile(lib, savePath); err != nil {
-			log.Printf("mikserve: -save-library %s: %v", savePath, err)
-		} else {
-			log.Printf("mikserve: saved library to %s", savePath)
-		}
 	}
 	return lib
 }
@@ -305,10 +274,4 @@ func loadLibrary(h hw.Hardware, path string) (*tune.Library, error) {
 		return nil, fmt.Errorf("library targets %s, server runs %s", lib.HW.Name, h.Name)
 	}
 	return lib, nil
-}
-
-// saveLibraryFile persists the tuned library crash-safely (temp file, fsync,
-// atomic rename) with an integrity trailer.
-func saveLibraryFile(lib *tune.Library, path string) error {
-	return tune.SaveFile(lib, path)
 }

@@ -50,7 +50,6 @@ type serveCase struct {
 	KVPages        int
 	PageTokens     int
 	PrefillChunk   int
-	MaxDecodeBatch int
 	StepSLOMs      float64
 	TTFTSLOMs      float64
 	InFlightTokens int64
@@ -70,7 +69,7 @@ func serveCases(quick bool) []serveCase {
 		Seed: 17, Requests: 64, Tenants: 4, ArrivalsPerSec: 100,
 		PromptMin: 64, PromptMax: 768, DecodeMin: 8, DecodeMax: 32,
 		GroupsPerTenant: 2, SharedFrac: 0.6, FanoutEvery: 6,
-		KVPages: 4096, PageTokens: 16, PrefillChunk: 256, MaxDecodeBatch: 8,
+		KVPages: 4096, PageTokens: 16, PrefillChunk: 256,
 		StepSLOMs: 35, TTFTSLOMs: 2000, InFlightTokens: 8192,
 	}
 	long := serveCase{
@@ -78,7 +77,7 @@ func serveCases(quick bool) []serveCase {
 		Seed: 23, Requests: 40, Tenants: 3, ArrivalsPerSec: 50,
 		PromptMin: 512, PromptMax: 2048, DecodeMin: 16, DecodeMax: 48,
 		GroupsPerTenant: -1, FanoutEvery: -1,
-		KVPages: 8192, PageTokens: 16, PrefillChunk: 256, MaxDecodeBatch: 8,
+		KVPages: 8192, PageTokens: 16, PrefillChunk: 256,
 		StepSLOMs: 30, TTFTSLOMs: 6000, InFlightTokens: 12288,
 	}
 	if quick {
@@ -152,7 +151,6 @@ func (c serveCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config 
 			TokensPerPage:  c.PageTokens,
 			DisableSharing: disableSharing,
 		},
-		MaxDecodeBatch:    c.MaxDecodeBatch,
 		PrefillChunk:      c.PrefillChunk,
 		StepSLOMs:         c.StepSLOMs,
 		TTFTSLOMs:         c.TTFTSLOMs,

@@ -302,7 +302,7 @@ func TestFleetChaosDrainDuringChaos(t *testing.T) {
 
 // TestFleetChaosKVNoLeakNoStrandedTenants drives the SLO-aware generation
 // scheduler (internal/sched) through a chaos fleet: prefill chunks route to
-// the A100 pool and decode waves to the NPU pool via class-restricted
+// the A100 class and decode waves to the NPU class via class-restricted
 // dispatch, while the seed's fault schedule crashes and hangs devices
 // mid-stream. Invariants, per seed:
 //
@@ -319,11 +319,11 @@ func TestFleetChaosKVNoLeakNoStrandedTenants(t *testing.T) {
 			f := buildChaosFleet(t, faults)
 			defer f.Close()
 
-			// Pool separation over the heterogeneous fleet: prefill prefers
-			// the A100 class, decode the NPU class. ExecModelClass crosses
-			// pools rather than failing when a whole class is down, so a
-			// crash only surfaces as an error once no capable device is
-			// routable at all.
+			// The pool label routes over the heterogeneous fleet: prefill
+			// prefers the A100 class, decode the NPU class. ExecModelClass
+			// crosses classes rather than failing when a whole class is
+			// down, so a crash only surfaces as an error once no capable
+			// device is routable at all.
 			exec := sched.ExecutorFunc(func(ctx context.Context, g nn.Graph, pool string) (float64, error) {
 				class := hw.A100().Name
 				if pool == sched.PoolDecode {
@@ -336,9 +336,8 @@ func TestFleetChaosKVNoLeakNoStrandedTenants(t *testing.T) {
 				return rep.Cycles, nil
 			})
 			s := sched.New(exec, sched.Config{
-				HW:            hw.A100(),
-				KV:            kvcache.Config{NumPages: 512},
-				SeparatePools: true,
+				HW: hw.A100(),
+				KV: kvcache.Config{NumPages: 512},
 				// Generous bounds: chaos probes liveness and accounting,
 				// not latency; the serve bench owns the SLO numbers.
 				StepSLOMs: 500, TTFTSLOMs: 10000,

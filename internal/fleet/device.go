@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mikpoly/internal/core"
 	"mikpoly/internal/engine"
@@ -83,11 +82,6 @@ func retryableOn(err error) bool {
 type DeviceConfig struct {
 	// Name identifies the device in routing, events, and metrics.
 	Name string
-	// QueueDepth bounds the serialized command queue (<= 0 selects 32).
-	QueueDepth int
-	// PlanAhead and PlanTimeout configure the device's graph runtime.
-	PlanAhead   int
-	PlanTimeout time.Duration
 	// Faults optionally injects PE-level degradation into every simulated
 	// run on this device (the single-device chaos knob).
 	Faults *sim.Faults
@@ -104,6 +98,9 @@ type DeviceConfig struct {
 	// any given snapshot and rejection is the expected case elsewhere.
 	PlanSnapshot *plancache.Snapshot
 }
+
+// queueDepth bounds a device's serialized command queue.
+const queueDepth = 32
 
 // GemmResult is one fleet GEMM execution: the numeric digest plus routing
 // forensics. Checksum and Sample are bitwise-stable across device classes —
@@ -145,8 +142,6 @@ type Device struct {
 	dev    sim.DeviceFaults
 	events *EventLog
 
-	planTimeout time.Duration
-
 	state atomic.Int32
 	queue chan *job
 	quit  chan struct{}
@@ -166,24 +161,20 @@ type Device struct {
 // caches, and health registries are per-device, the (immutable) library is
 // not. Call Start before submitting work.
 func NewDevice(lib *tune.Library, cfg DeviceConfig) *Device {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 32
-	}
 	name := cfg.Name
 	if name == "" {
 		name = lib.HW.Name
 	}
 	d := &Device{
-		name:        name,
-		class:       lib.HW.Name,
-		h:           lib.HW,
-		lib:         lib,
-		faults:      cfg.Faults,
-		dev:         cfg.DevFaults,
-		events:      cfg.Events,
-		planTimeout: cfg.PlanTimeout,
-		queue:       make(chan *job, cfg.QueueDepth),
-		quit:        make(chan struct{}),
+		name:   name,
+		class:  lib.HW.Name,
+		h:      lib.HW,
+		lib:    lib,
+		faults: cfg.Faults,
+		dev:    cfg.DevFaults,
+		events: cfg.Events,
+		queue:  make(chan *job, queueDepth),
+		quit:   make(chan struct{}),
 	}
 	d.reg = health.NewRegistry(lib.HW.NumPEs, health.Config{})
 	d.comp = core.NewCompilerFromLibrary(lib, core.WithHealth(d.reg))
@@ -195,10 +186,8 @@ func NewDevice(lib *tune.Library, cfg DeviceConfig) *Device {
 		}
 	}
 	d.rt = graphrt.New(d.comp, graphrt.Config{
-		PlanAhead:   cfg.PlanAhead,
-		PlanTimeout: cfg.PlanTimeout,
-		Health:      d.reg,
-		Obs:         cfg.Obs,
+		Health: d.reg,
+		Obs:    cfg.Obs,
 	})
 	d.rt.SetSimulator(func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
 		return d.simulate(h, v, tasks, d.started.Load(), salt)
@@ -425,13 +414,7 @@ func (d *Device) ExecGemm(ctx context.Context, shape tensor.GemmShape, seedA, se
 }
 
 func (d *Device) execGemm(ctx context.Context, op int64, shape tensor.GemmShape, seedA, seedB, salt uint64) (any, error) {
-	pctx := ctx
-	var cancel context.CancelFunc = func() {}
-	if d.planTimeout > 0 {
-		pctx, cancel = context.WithTimeout(ctx, d.planTimeout)
-	}
-	prog, degraded, err := d.comp.PlanOrFallback(pctx, shape)
-	cancel()
+	prog, degraded, err := d.comp.PlanOrFallback(ctx, shape)
 	if err != nil {
 		return nil, err
 	}

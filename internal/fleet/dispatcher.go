@@ -28,12 +28,9 @@ type Config struct {
 
 	// HedgeAfter is the floor of the hedge delay; a second attempt fires
 	// on another replica when the primary has been out longer than
-	// max(HedgeAfter, HedgeMult × its latency estimate). Negative disables
+	// max(HedgeAfter, hedgeMult × its latency estimate). Negative disables
 	// hedging. Default 25ms.
 	HedgeAfter time.Duration
-	// HedgeMult scales the per-device latency estimate into the hedge
-	// trigger (default 4).
-	HedgeMult float64
 
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// device's breaker (default 3); BreakerCooldown how long it stays open
@@ -45,10 +42,8 @@ type Config struct {
 	// disables the background loop — ProbeNow can still be driven manually,
 	// which is what deterministic tests do.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one readmission canary (default 250ms);
-	// ProbeShape is the canary GEMM (default 64×64×64).
+	// ProbeTimeout bounds one readmission canary (default 250ms).
 	ProbeTimeout time.Duration
-	ProbeShape   tensor.GemmShape
 
 	// Events receives dispatcher and device events (nil = new private log).
 	Events *EventLog
@@ -63,9 +58,6 @@ func (c Config) withDefaults() Config {
 	if c.HedgeAfter == 0 {
 		c.HedgeAfter = 25 * time.Millisecond
 	}
-	if c.HedgeMult <= 0 {
-		c.HedgeMult = 4
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
@@ -75,11 +67,14 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 250 * time.Millisecond
 	}
-	if !c.ProbeShape.Valid() {
-		c.ProbeShape = tensor.GemmShape{M: 64, N: 64, K: 64}
-	}
 	return c
 }
+
+// hedgeMult scales the per-device latency estimate into the hedge trigger.
+const hedgeMult = 4
+
+// probeShape is the readmission canary GEMM.
+var probeShape = tensor.GemmShape{M: 64, N: 64, K: 64}
 
 // ewma is a per-device latency estimator (successful-attempt wall time).
 type ewma struct {
@@ -469,7 +464,7 @@ func (f *Dispatcher) attempt(ctx context.Context, primary *Device, tried map[*De
 // hedgeDelay is the wait before a second attempt fires for this primary.
 func (f *Dispatcher) hedgeDelay(d *Device) time.Duration {
 	est := f.lat[f.idx[d]].get()
-	delay := time.Duration(f.cfg.HedgeMult * float64(est))
+	delay := time.Duration(hedgeMult * float64(est))
 	if delay < f.cfg.HedgeAfter {
 		delay = f.cfg.HedgeAfter
 	}
@@ -593,7 +588,7 @@ func (f *Dispatcher) ProbeNow(ctx context.Context) int {
 			continue
 		}
 		pctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
-		_, err := d.ExecGemm(pctx, f.cfg.ProbeShape, 1, 2, 0x9e3779b97f4a7c15)
+		_, err := d.ExecGemm(pctx, probeShape, 1, 2, 0x9e3779b97f4a7c15)
 		cancel()
 		f.nProbes.Add(1)
 		ok := err == nil

@@ -24,20 +24,6 @@ type SpecEntry struct {
 	Replicas int `json:"replicas,omitempty"`
 }
 
-// HardwareByName resolves the hardware-class names a fleet spec accepts.
-func HardwareByName(name string) (hw.Hardware, error) {
-	switch name {
-	case "a100", "A100":
-		return hw.A100(), nil
-	case "a100cuda", "a100-cuda":
-		return hw.A100CUDACores(), nil
-	case "ascend910", "npu":
-		return hw.Ascend910(), nil
-	default:
-		return hw.Hardware{}, fmt.Errorf("fleet: unknown hardware class %q (want a100, a100cuda, or ascend910)", name)
-	}
-}
-
 // maxDevices bounds the replica total of one fleet spec.
 const maxDevices = 64
 
@@ -52,8 +38,8 @@ func ParseSpec(data []byte) ([]SpecEntry, error) {
 	}
 	total := 0
 	for i := range entries {
-		if _, err := HardwareByName(entries[i].HW); err != nil {
-			return nil, err
+		if _, err := hw.ByName(entries[i].HW); err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		if entries[i].Replicas == 0 {
 			entries[i].Replicas = 1
@@ -84,9 +70,9 @@ func BuildDevices(entries []SpecEntry, opt tune.Options, base DeviceConfig, devF
 	var out []*Device
 	k := 0
 	for _, e := range entries {
-		h, err := HardwareByName(e.HW)
+		h, err := hw.ByName(e.HW)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		lib, err := core.SharedLibrary(h, opt)
 		if err != nil {

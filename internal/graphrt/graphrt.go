@@ -55,10 +55,6 @@ type Config struct {
 	// of the executor; 0 disables the pipeline (inline planning).
 	PlanAhead int
 
-	// Workers bounds the concurrent planner goroutines of the pipeline
-	// (default min(PlanAhead, 4)).
-	Workers int
-
 	// PlanTimeout bounds one op's online planning; exceeding it degrades
 	// to the always-legal fallback program (0 = no deadline, negative =
 	// already expired, the forced-degradation knob of the serve layer).
@@ -74,11 +70,11 @@ type Config struct {
 	// ladder (retry-in-place -> migrate to H' -> replan on H' -> typed
 	// StageError) instead of surfacing faults to the caller.
 	Health *health.Registry
-
-	// MaxStageAttempts bounds total executions of one stage, the initial
-	// run included (default 4: one rung of the ladder each).
-	MaxStageAttempts int
 }
+
+// maxStageAttempts bounds total executions of one stage, the initial run
+// included: one rung of the recovery ladder each.
+const maxStageAttempts = 4
 
 // Runtime executes model graphs against one compiler and its hardware.
 // It is safe for concurrent use; cumulative stats aggregate across calls.
@@ -226,20 +222,8 @@ func (r Report) HiddenFraction() float64 {
 // also attached to the compiler, so planning and execution share one view of
 // the degrading device.
 func New(comp *core.Compiler, cfg Config) *Runtime {
-	if cfg.MaxStageAttempts <= 0 {
-		cfg.MaxStageAttempts = 4
-	}
 	if cfg.Health != nil {
 		comp.SetHealth(cfg.Health)
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = cfg.PlanAhead
-		if cfg.Workers > 4 {
-			cfg.Workers = 4
-		}
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
 	}
 	r := &Runtime{
 		comp:     comp,

@@ -11,6 +11,10 @@ import (
 	"mikpoly/internal/tensor"
 )
 
+// maxPlanWorkers bounds the pipeline's concurrent planner goroutines; fewer
+// run when PlanAhead is smaller.
+const maxPlanWorkers = 4
+
 // pipeline is one execution's plan-ahead state: a ticket per op (zero for
 // OpOther). Ops whose program is already in the plan cache are ticketed
 // synchronously; of the rest, the first op of each shape
@@ -98,7 +102,7 @@ func (r *Runtime) startPipeline(ctx context.Context, g nn.Graph, order []int) *p
 			}
 		}
 	}()
-	for w := 0; w < min(r.cfg.Workers, len(missed)); w++ {
+	for w := 0; w < min(r.cfg.PlanAhead, maxPlanWorkers, len(missed)); w++ {
 		go func() {
 			for i := range jobs {
 				t := &p.tickets[i]

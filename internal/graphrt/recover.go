@@ -79,7 +79,7 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 //
 // Every attempt's outcome feeds the health registry, every dirty attempt's
 // cycles are charged to the report (device time really elapsed), and the
-// ladder gives up with a typed *StageError after cfg.MaxStageAttempts total
+// ladder gives up with a typed *StageError after maxStageAttempts total
 // executions. On success the healed result is returned; its cycles are
 // charged by the caller.
 func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []stageOp,
@@ -92,7 +92,7 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 		rep.GemmCycles += res.Cycles
 		rep.RecoveredFaults += res.FaultedTasks + res.StrandedTasks
 
-		if attempt >= r.cfg.MaxStageAttempts {
+		if attempt >= maxStageAttempts {
 			r.mu.Lock()
 			r.agg.UnrecoverableStages++
 			r.mu.Unlock()

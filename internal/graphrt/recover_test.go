@@ -198,8 +198,8 @@ func TestRecoveryExhaustionReturnsTypedError(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("error %T is not a *StageError", err)
 	}
-	if se.Attempts != 4 {
-		t.Fatalf("attempts=%d, want MaxStageAttempts default 4", se.Attempts)
+	if se.Attempts != maxStageAttempts {
+		t.Fatalf("attempts=%d, want maxStageAttempts %d", se.Attempts, maxStageAttempts)
 	}
 	if len(se.Quarantined) == 0 {
 		t.Fatal("StageError carries no quarantine forensics")

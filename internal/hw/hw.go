@@ -202,3 +202,18 @@ func Ascend910() Hardware {
 		Scheduler:           ScheduleStaticMaxMin,
 	}
 }
+
+// ByName resolves a preset from the names the commands and fleet specs
+// accept: a100 (or A100), a100cuda (or a100-cuda), and ascend910 (or npu).
+func ByName(name string) (Hardware, error) {
+	switch name {
+	case "a100", "A100":
+		return A100(), nil
+	case "a100cuda", "a100-cuda":
+		return A100CUDACores(), nil
+	case "ascend910", "npu":
+		return Ascend910(), nil
+	default:
+		return Hardware{}, fmt.Errorf("unknown hardware %q (want a100, a100cuda or ascend910)", name)
+	}
+}

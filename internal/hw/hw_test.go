@@ -107,3 +107,35 @@ func TestSchedulerString(t *testing.T) {
 		t.Fatal("Scheduler.String mismatch")
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want string
+	}{
+		{"a100", A100().Name},
+		{"A100", A100().Name},
+		{"a100cuda", A100CUDACores().Name},
+		{"a100-cuda", A100CUDACores().Name},
+		{"ascend910", Ascend910().Name},
+		{"npu", Ascend910().Name},
+	} {
+		h, err := ByName(tc.name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+			continue
+		}
+		if h.Name != tc.want {
+			t.Errorf("ByName(%q) = %s, want %s", tc.name, h.Name, tc.want)
+		}
+	}
+	_, err := ByName("h100")
+	if err == nil {
+		t.Fatal("ByName(h100) accepted an unknown name")
+	}
+	for _, valid := range []string{"a100", "a100cuda", "ascend910"} {
+		if !strings.Contains(err.Error(), valid) {
+			t.Errorf("error %q does not list %s", err, valid)
+		}
+	}
+}

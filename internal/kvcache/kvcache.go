@@ -45,18 +45,19 @@ type Config struct {
 	// also the KV padding quantum the decode batcher needs: shapes pad to
 	// the next page boundary, nothing more.
 	TokensPerPage int
-	// BytesPerToken is the KV footprint of one token of one sequence
-	// (default 5120: Llama2-13b under 4-way tensor parallelism, K+V ×
-	// hidden/4 × fp16).
-	BytesPerToken int64
 	// DisableSharing turns the prefix index off: every page is private and
 	// nothing is retained after release. The correctness baseline the
 	// bitwise-equality tests compare against, and the ablation knob.
 	DisableSharing bool
-	// EvictedLedger bounds the evicted-hash ledger used to account
-	// recomputed bytes exactly (default 8192 hashes).
-	EvictedLedger int
 }
+
+// BytesPerToken is the KV footprint of one token of one sequence: Llama2-13b
+// under 4-way tensor parallelism, K+V × hidden/4 × fp16.
+const BytesPerToken = 5120
+
+// evictedLedger bounds the evicted-hash ledger used to account recomputed
+// bytes exactly, in hashes.
+const evictedLedger = 8192
 
 // WithDefaults returns the config with zero fields replaced by defaults.
 func (c Config) WithDefaults() Config {
@@ -65,12 +66,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.TokensPerPage <= 0 {
 		c.TokensPerPage = 16
-	}
-	if c.BytesPerToken <= 0 {
-		c.BytesPerToken = 5120
-	}
-	if c.EvictedLedger <= 0 {
-		c.EvictedLedger = 8192
 	}
 	return c
 }
@@ -196,7 +191,7 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // PageBytes returns one page's KV footprint.
 func (m *Manager) PageBytes() int64 {
-	return int64(m.cfg.TokensPerPage) * m.cfg.BytesPerToken
+	return int64(m.cfg.TokensPerPage) * BytesPerToken
 }
 
 // PaddedLen rounds a KV length up to the page boundary — the only padding a
@@ -332,7 +327,7 @@ func (m *Manager) Append(s *Sequence, tok int32) error {
 			dst.data = append(dst.data, src.data...)
 			dst.n = src.n
 			m.stats.COWCopies++
-			m.stats.CopiedBytes += int64(src.n) * m.cfg.BytesPerToken
+			m.stats.CopiedBytes += int64(src.n) * BytesPerToken
 			m.unrefLocked(last)
 			s.pages[len(s.pages)-1] = id
 		}
@@ -636,7 +631,7 @@ func (m *Manager) evictOneLocked() bool {
 	if _, dup := m.evicted[p.hash]; !dup {
 		m.evicted[p.hash] = struct{}{}
 		m.evictedFIFO = append(m.evictedFIFO, p.hash)
-		if len(m.evictedFIFO) > m.cfg.EvictedLedger {
+		if len(m.evictedFIFO) > evictedLedger {
 			drop := m.evictedFIFO[0]
 			m.evictedFIFO = m.evictedFIFO[1:]
 			delete(m.evicted, drop)

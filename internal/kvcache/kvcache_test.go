@@ -131,7 +131,7 @@ func TestForkCOWBitwiseEqual(t *testing.T) {
 	if st.COWCopies-before.COWCopies != 1 {
 		t.Fatalf("COW copies = %d, want exactly 1 (first divergent append)", st.COWCopies-before.COWCopies)
 	}
-	if want := int64(4) * m.Config().BytesPerToken; st.CopiedBytes-before.CopiedBytes != want {
+	if want := int64(4) * BytesPerToken; st.CopiedBytes-before.CopiedBytes != want {
 		t.Fatalf("CopiedBytes=%d want %d", st.CopiedBytes-before.CopiedBytes, want)
 	}
 	if got := m.KV(a); !eqKV(got, wantKV(p, []int32{111})) {

@@ -125,10 +125,10 @@ func (s *Scheduler) preemptLocked(st *reqState, detail string) {
 // request always keeps running so every wave makes progress (and a lone
 // restored request can never ping-pong back out).
 func (s *Scheduler) preemptForPressureLocked() {
-	if !s.cfg.PreemptKV || s.availableFracLocked() >= s.cfg.KVLowWater {
+	if !s.cfg.PreemptKV || s.availableFracLocked() >= kvLowWater {
 		return
 	}
-	for len(s.running) > 1 && s.availableFracLocked() < s.cfg.KVHighWater {
+	for len(s.running) > 1 && s.availableFracLocked() < kvHighWater {
 		v := s.leastImportantRunningLocked()
 		if v == nil {
 			return
@@ -171,7 +171,7 @@ func (s *Scheduler) appendWithPreemptLocked(st *reqState, seq *kvcache.Sequence,
 // otherwise idle, mirroring the preemption hysteresis.
 func (s *Scheduler) restoreParkedLocked() {
 	for len(s.parked) > 0 {
-		if len(s.running) > 0 && s.cfg.PreemptKV && s.availableFracLocked() < s.cfg.KVHighWater {
+		if len(s.running) > 0 && s.cfg.PreemptKV && s.availableFracLocked() < kvHighWater {
 			return
 		}
 		st := s.parked[0]
@@ -241,7 +241,7 @@ func (s *Scheduler) adaptLimitLocked(stepLatency float64) {
 			s.eventLocked("limit-cut", 0, fmt.Sprintf("limit %.0f tokens", s.limit))
 		}
 	case stepLatency <= 0.9*s.stepBound:
-		add := float64(s.cfg.DecodeBucket)
+		add := float64(decodeBucket)
 		if s.queueWait > s.ttftBound/2 {
 			add *= 2
 		}

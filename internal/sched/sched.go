@@ -1,7 +1,6 @@
 // Package sched is the SLO-aware multi-tenant request scheduler in front of
 // the graph runtime: per-tenant queues with priority classes, token-budget
-// admission, chunked prefill interleaved with continuous decode waves, and —
-// when a device fleet is attached — prefill/decode pool separation.
+// admission, and chunked prefill interleaved with continuous decode waves.
 //
 // The scheduler thinks in *waves*. Each wave admits what the token budget
 // allows, builds one batched decode step over every running sequence
@@ -16,8 +15,8 @@
 // monolithic graph alongside decode. Its chunk budget adapts — sized from a
 // running cycles-per-token estimate so that prefill plus the decode wave
 // fits the decode-step SLO bound, halved after a violation, grown while
-// comfortably under — and becomes unbounded when no decode is in flight or
-// when prefill runs on its own device pool.
+// comfortably under — and becomes the full configured chunk when no decode
+// is in flight.
 //
 // KV state lives in a kvcache.Manager: admission allocates the prompt's
 // pages (sharing every prefix block the cache already holds — shared blocks
@@ -41,8 +40,9 @@ import (
 	"mikpoly/internal/stats"
 )
 
-// Pool names passed to the Executor. Without pool separation both map to
-// the same devices and the executor may ignore them.
+// Pool names passed to the Executor. An executor over a device fleet may
+// route the two to different hardware classes; one over a single device
+// ignores them.
 const (
 	PoolPrefill = "prefill"
 	PoolDecode  = "decode"
@@ -83,29 +83,17 @@ type Config struct {
 	HW hw.Hardware
 	// KV configures the paged KV-cache manager the scheduler owns.
 	KV kvcache.Config
-	// MaxDecodeBatch bounds one decode graph's batch (default 8).
-	MaxDecodeBatch int
-	// DecodeBucket is the KV-length bucketing granule for decode batching
-	// in tokens (default 128, never below the KV page size). Pages keep
-	// the *memory* granularity fine; the bucket keeps the *batching*
-	// granularity coarse enough that one wave does not shatter into a
-	// graph per sequence. The padding this costs is accounted exactly in
-	// Stats.PaddedKVTokens/PaddedKVBytes.
-	DecodeBucket int
 	// PrefillChunk is the largest prefill chunk in tokens (default 256).
 	// The live chunk adapts below this; it never goes under one KV page.
 	PrefillChunk int
-	// StepSLOMs bounds one decode step (the full wave when prefill shares
-	// the pool) in milliseconds (default 50).
+	// StepSLOMs bounds one decode step (the full wave: prefill and decode
+	// share the device) in milliseconds (default 50).
 	StepSLOMs float64
 	// TTFTSLOMs bounds time-to-first-token in milliseconds (default 1000).
 	TTFTSLOMs float64
 	// MaxInFlightTokens is the admission token budget: the summed mass
 	// (prompt + decode·branches) of running requests (default 262144).
 	MaxInFlightTokens int64
-	// SeparatePools routes prefill and decode to their named pools and
-	// stops charging prefill cycles against the decode-step latency.
-	SeparatePools bool
 
 	// Adaptive replaces the static token-budget gate with an AIMD
 	// concurrency limiter: the admitted token mass shrinks multiplicatively
@@ -130,11 +118,6 @@ type Config struct {
 	// uninterrupted execution because KV words and decode tokens are pure
 	// functions of (token, position).
 	PreemptKV bool
-	// KVLowWater/KVHighWater are the preemption hysteresis fractions of
-	// allocatable (free+cached) pages: pressure preemption starts below
-	// the low water mark and frees until the high water mark; parked
-	// requests restore only above it (defaults 1/16 and 1/4).
-	KVLowWater, KVHighWater float64
 
 	// RecordEvents keeps a bounded in-memory log of overload decisions
 	// (preempt, restore, deadline sheds, limit cuts) for harness
@@ -142,15 +125,28 @@ type Config struct {
 	RecordEvents bool
 }
 
+// maxDecodeBatch bounds one decode graph's batch.
+const maxDecodeBatch = 8
+
+// decodeBucket is the KV-length bucketing granule for decode batching in
+// tokens (never below the KV page size). Pages keep the *memory* granularity
+// fine; the bucket keeps the *batching* granularity coarse enough that one
+// wave does not shatter into a graph per sequence. The padding this costs is
+// accounted exactly in Stats.PaddedKVTokens/PaddedKVBytes.
+const decodeBucket = 128
+
+// kvLowWater and kvHighWater are the preemption hysteresis fractions of
+// allocatable (free+cached) pages: pressure preemption starts below the low
+// water mark and frees until the high water mark; parked requests restore
+// only above it.
+const (
+	kvLowWater  = 1.0 / 16
+	kvHighWater = 1.0 / 4
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxDecodeBatch <= 0 {
-		c.MaxDecodeBatch = 8
-	}
 	if c.PrefillChunk <= 0 {
 		c.PrefillChunk = 256
-	}
-	if c.DecodeBucket <= 0 {
-		c.DecodeBucket = 128
 	}
 	if c.StepSLOMs <= 0 {
 		c.StepSLOMs = 50
@@ -166,15 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdaptiveMinTokens > c.MaxInFlightTokens {
 		c.AdaptiveMinTokens = c.MaxInFlightTokens
-	}
-	if c.KVLowWater <= 0 {
-		c.KVLowWater = 1.0 / 16
-	}
-	if c.KVHighWater <= c.KVLowWater {
-		c.KVHighWater = 4 * c.KVLowWater
-	}
-	if c.KVHighWater > 1 {
-		c.KVHighWater = 1
 	}
 	return c
 }
@@ -560,7 +547,7 @@ type decodeJob struct {
 }
 
 // decodeGraphLocked returns the step graph for n branches at padded KV length
-// kv. A sequence decodes at one padded length for up to DecodeBucket waves, so
+// kv. A sequence decodes at one padded length for up to decodeBucket waves, so
 // the wave before this one has usually built the same graph: it is looked for
 // among that wave's jobs first, and nothing older is kept.
 func (s *Scheduler) decodeGraphLocked(n, kv int) nn.Graph {
@@ -577,7 +564,7 @@ func (s *Scheduler) decodeGraphLocked(n, kv int) nn.Graph {
 // one graph's members share a shape without padding past the page boundary.
 func (s *Scheduler) buildDecodeLocked() []decodeJob {
 	var decode []decodeJob
-	q := s.cfg.DecodeBucket
+	q := decodeBucket
 	if pt := s.kv.Config().TokensPerPage; q < pt {
 		q = pt
 	}
@@ -594,7 +581,7 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 			kvLen := st.seqs[b].Len()
 			padded := (kvLen + q - 1) / q * q
 			s.stats.PaddedKVTokens += int64(padded - kvLen)
-			s.stats.PaddedKVBytes += int64(padded-kvLen) * s.kv.Config().BytesPerToken
+			s.stats.PaddedKVBytes += int64(padded-kvLen) * kvcache.BytesPerToken
 			if _, ok := buckets[padded]; !ok {
 				lens = append(lens, padded)
 			}
@@ -606,8 +593,8 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 		group := buckets[kv]
 		for len(group) > 0 {
 			n := len(group)
-			if n > s.cfg.MaxDecodeBatch {
-				n = s.cfg.MaxDecodeBatch
+			if n > maxDecodeBatch {
+				n = maxDecodeBatch
 			}
 			decode = append(decode, decodeJob{entries: group[:n], kv: kv, g: s.decodeGraphLocked(n, kv)})
 			group = group[n:]
@@ -693,13 +680,13 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 // prefillBudgetLocked sizes this wave's prefill token budget from the
 // *measured* decode cycles of the same wave: the chunk fits exactly into
 // the slack the decode-step SLO bound leaves, at the running cycles-per-
-// token estimate. With no decode in flight or with separated pools the
-// budget is the full configured chunk. When decode alone consumes the
+// token estimate. With no decode in flight the budget is the full configured
+// chunk. When decode alone consumes the
 // bound, prefill defers — but never more than starvedWaves in a row for
 // any single request (per-request starvation guard: once the most-starved
 // request has waited out the bound, the wave grants one page regardless).
 func (s *Scheduler) prefillBudgetLocked(decodeActive bool, decodeCycles float64) int {
-	if !decodeActive || s.cfg.SeparatePools {
+	if !decodeActive {
 		return s.cfg.PrefillChunk
 	}
 	pageTokens := s.kv.Config().TokensPerPage
@@ -832,19 +819,9 @@ func (s *Scheduler) applyWaveLocked(w waveExec, prefillCycles, decodeCycles floa
 	decodeCycles += copyCycles
 	s.stats.CopyCycles += copyCycles
 
-	// Wave timing: with separated pools prefill overlaps decode and the
-	// decode step only pays its own cycles; sharing one pool serializes.
-	var wave, stepLatency float64
-	if s.cfg.SeparatePools {
-		wave = decodeCycles
-		if prefillCycles > wave {
-			wave = prefillCycles
-		}
-		stepLatency = decodeCycles
-	} else {
-		wave = prefillCycles + decodeCycles
-		stepLatency = wave
-	}
+	// Prefill and decode share the device, so they serialize and a decode
+	// step lasts the whole wave.
+	wave := prefillCycles + decodeCycles
 	s.stats.PrefillCycles += prefillCycles
 	s.stats.DecodeCycles += decodeCycles
 	s.clock += wave
@@ -885,20 +862,20 @@ func (s *Scheduler) applyWaveLocked(w waveExec, prefillCycles, decodeCycles floa
 				st.firstTok = now
 				s.ttfts.add(now - st.arrival)
 			}
-			if stepLatency > st.maxStep {
-				st.maxStep = stepLatency
+			if wave > st.maxStep {
+				st.maxStep = wave
 			}
-			if stepLatency > s.stepBound {
+			if wave > s.stepBound {
 				st.sloBad = true
 			}
 		}
 	}
 	if decodedAny {
-		s.steps.add(stepLatency)
-		if stepLatency > s.stepBound {
+		s.steps.add(wave)
+		if wave > s.stepBound {
 			s.stats.StepViolations++
 		}
-		s.adaptLimitLocked(stepLatency)
+		s.adaptLimitLocked(wave)
 	}
 
 	// Completions. Collect first: finishLocked edits s.running in place,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -54,12 +53,11 @@ func (f *fakeExec) ExecGraph(_ context.Context, g nn.Graph, pool string) (float6
 
 func testCfg() Config {
 	return Config{
-		HW:             hw.A100(),
-		KV:             kvcache.Config{NumPages: 4096, TokensPerPage: 16},
-		StepSLOMs:      0.2, // 282k cycles at 1.41 GHz
-		TTFTSLOMs:      50,
-		PrefillChunk:   256,
-		MaxDecodeBatch: 8,
+		HW:           hw.A100(),
+		KV:           kvcache.Config{NumPages: 4096, TokensPerPage: 16},
+		StepSLOMs:    0.2, // 282k cycles at 1.41 GHz
+		TTFTSLOMs:    50,
+		PrefillChunk: 256,
 	}
 }
 
@@ -159,56 +157,6 @@ func TestChunkedPrefillBoundsStepLatency(t *testing.T) {
 	st := s.Stats()
 	if st.PrefillChunks <= int64(rep.Completed) {
 		t.Fatalf("prompts were not chunked: %d chunks for %d requests", st.PrefillChunks, rep.Completed)
-	}
-}
-
-// With separated pools prefill overlaps decode entirely: the decode step
-// never pays prefill cycles, so its latency can only improve on the
-// shared-pool schedule of the same trace.
-func TestSeparatePoolsDecodeUnaffected(t *testing.T) {
-	trace := workload.GenerateTrace(workload.TraceConfig{
-		Seed: 5, Requests: 32, Tenants: 2,
-		ArrivalsPerSec: 5000, ClockHz: hw.A100().ClockHz,
-		PromptMin: 256, PromptMax: 2048,
-		DecodeMin: 16, DecodeMax: 48,
-		GroupsPerTenant: -1,
-	})
-	run := func(sep bool) (Report, *fakeExec) {
-		cfg := testCfg()
-		cfg.StepSLOMs = 0.6
-		// Saturate the same bounded running set in both modes so decode
-		// wave sizes match and the only difference is prefill placement.
-		cfg.MaxInFlightTokens = 8192
-		cfg.SeparatePools = sep
-		fe := newFakeExec()
-		s := New(fe, cfg)
-		rep, _, err := s.Replay(context.Background(), trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, fe
-	}
-	shared, _ := run(false)
-	sep, fe := run(true)
-	if sep.P99StepMs > shared.P99StepMs {
-		t.Fatalf("separated pools made decode worse: p99 %.3fms vs shared %.3fms",
-			sep.P99StepMs, shared.P99StepMs)
-	}
-	if sep.Completed != shared.Completed {
-		t.Fatalf("completed diverged: sep=%d shared=%d", sep.Completed, shared.Completed)
-	}
-	// The executor must have seen both pool labels.
-	var sawPrefill, sawDecode bool
-	for _, c := range fe.calls {
-		if strings.HasPrefix(c, PoolPrefill+":") {
-			sawPrefill = true
-		}
-		if strings.HasPrefix(c, PoolDecode+":") {
-			sawDecode = true
-		}
-	}
-	if !sawPrefill || !sawDecode {
-		t.Fatalf("pools not labeled: prefill=%v decode=%v", sawPrefill, sawDecode)
 	}
 }
 
