@@ -2,7 +2,7 @@
 // against the committed baseline (BENCH_gate.json). It is the CI gate job's
 // engine and the local tool for refreshing the baseline.
 //
-// Six suites are available via -suite (default all):
+// Five suites are available via -suite (default all):
 //
 //   - planner: the online planner's decisions, allocations and latency over
 //     BERT-style dynamic-sequence-length and Llama-decode GEMM shapes;
@@ -10,8 +10,6 @@
 //     the planner chooses for never-seen shapes;
 //   - serve: goodput-under-SLO on synthetic multi-tenant LLM traffic through
 //     the paged KV cache and scheduler;
-//   - plancache: cold vs warm plans-before-first-hit through the persistent
-//     plan-cache tier;
 //   - overload: surge survival — the same Poisson burst replayed with the
 //     overload defenses on vs off; -seeds overrides the seed matrix;
 //   - graph: warm graph executions — cycles, zero simulator calls and the

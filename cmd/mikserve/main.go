@@ -36,7 +36,10 @@
 //
 // The socket binds immediately; the micro-kernel library loads (-library,
 // an artifact written by cmd/mikgen) or tunes in the background, and
-// /healthz answers 503 until it is ready.
+// /healthz answers 503 until it is ready. With -fleet, the class the
+// artifact targets loads it and every other class tunes. The program cache
+// lives in memory only: a restarted server re-plans each shape on its first
+// request.
 package main
 
 import (
@@ -57,7 +60,6 @@ import (
 	"mikpoly/internal/fleet"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
-	"mikpoly/internal/plancache"
 	"mikpoly/internal/serve"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tune"
@@ -72,7 +74,7 @@ func main() {
 		planTimeout = flag.Duration("plan-timeout", 0, "planner deadline; exceeded plans degrade to the fallback program (0 = default, negative = always degrade)")
 		reqTimeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default)")
 		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule: PE death, sticky faults and brownouts on the device, or crash, hang, brownout and slow replica on each -fleet device; 0 disables")
-		library     = flag.String("library", "", "load the micro-kernel library written by mikgen -o from this file instead of tuning (falls back to tuning if unreadable)")
+		library     = flag.String("library", "", "load the micro-kernel library written by mikgen -o from this file instead of tuning; with -fleet, for the class it targets (falls back to tuning if unreadable)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		fleetSpec   = flag.String("fleet", "", `device-fleet spec, JSON or @file: [{"hw":"a100","replicas":2},{"hw":"ascend910","replicas":1}]; enables POST /gemm and fleet-routed /model`)
@@ -83,8 +85,6 @@ func main() {
 		schedBudget = flag.Int64("sched-tokens", 0, "in-flight token budget for /generate admission; over-budget requests get 429 + Retry-After (0 = default)")
 		tenants     = flag.String("tenants", "", "comma-separated X-Tenant allowlist for /generate (empty = any tenant admitted)")
 		deadlineMs  = flag.Float64("deadline-ms", 0, "default /generate deadline budget in milliseconds; a queued request whose wait alone exceeds it is shed with 504 (0 = the TTFT SLO bound; requests may override via deadline_ms)")
-		planSnap    = flag.String("plan-snapshot", "", "persistent plan-cache snapshot file: warm-start the program cache from it at bind and flush back via POST /plancache/save (incompatible snapshots are rejected; the server plans online)")
-		snapEvery   = flag.Duration("snapshot-interval", 0, "periodically pre-plan traffic-hot shapes and rewrite -plan-snapshot (0 disables the background flusher)")
 	)
 	flag.Parse()
 
@@ -108,12 +108,7 @@ func main() {
 		TTFTSLOMs:           *ttftSLO,
 		SchedInFlightTokens: *schedBudget,
 		DeadlineMs:          *deadlineMs,
-		PlanSnapshotPath:    *planSnap,
-		SnapshotInterval:    *snapEvery,
 		Obs:                 o,
-	}
-	if *planSnap != "" {
-		log.Printf("mikserve: plan-cache snapshot at %s (flush interval %v)", *planSnap, *snapEvery)
 	}
 	if *tenants != "" {
 		for _, t := range strings.Split(*tenants, ",") {
@@ -154,7 +149,7 @@ func main() {
 
 	go func() {
 		if *fleetSpec != "" {
-			if err := bindFleet(srv, o, *fleetSpec, *chaosSeed, *cacheCap, *planSnap); err != nil {
+			if err := bindFleet(srv, o, *fleetSpec, *chaosSeed, *cacheCap, *library); err != nil {
 				log.Fatalf("mikserve: -fleet: %v", err)
 			}
 			return
@@ -188,10 +183,11 @@ func main() {
 }
 
 // bindFleet parses the -fleet spec (raw JSON or @file), builds and starts the
-// device fleet, and binds it to the server. The first device class's library
-// also backs the single-device endpoints (/plan, /execute), so the server
-// goes fully ready in one step.
-func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cacheCap int, snapPath string) error {
+// device fleet, and binds it to the server. The class the -library artifact
+// targets runs that artifact; every other class is tuned. The first device
+// class's library also backs the single-device endpoints (/plan, /execute),
+// so the server goes fully ready in one step.
+func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cacheCap int, libPath string) error {
 	raw := []byte(spec)
 	if strings.HasPrefix(spec, "@") {
 		data, err := os.ReadFile(spec[1:])
@@ -213,19 +209,23 @@ func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cac
 		devFaults = sim.FleetChaosSchedule(chaosSeed, total, 64)
 		log.Printf("mikserve: fleet chaos schedule enabled (seed=%d over %d devices)", chaosSeed, total)
 	}
-	base := fleet.DeviceConfig{Obs: o}
-	if snapPath != "" {
-		// Every device validates the snapshot against its own library hash,
-		// so in a mixed fleet only the matching class warm-starts; the rest
-		// reject it and plan online.
-		if snap, err := plancache.LoadFile(snapPath); err != nil {
-			log.Printf("mikserve: -plan-snapshot %s: %v; devices start cold", snapPath, err)
+	var loaded *tune.Library
+	if libPath != "" {
+		if lib, err := tune.LoadFile(libPath); err != nil {
+			log.Printf("mikserve: -library %s: %v; tuning every class instead", libPath, err)
 		} else {
-			base.PlanSnapshot = snap
+			loaded = lib
 		}
 	}
-	log.Printf("mikserve: tuning libraries for %d fleet devices ...", total)
-	devices, err := fleet.BuildDevices(entries, tune.DefaultOptions(), base, devFaults)
+	libFor := func(h hw.Hardware) (*tune.Library, error) {
+		if loaded != nil && loaded.HW.Name == h.Name {
+			log.Printf("mikserve: fleet class %s: loaded library from %s (%d kernels)", h.Name, libPath, len(loaded.Kernels))
+			return loaded, nil
+		}
+		log.Printf("mikserve: fleet class %s: tuning micro-kernel library ...", h.Name)
+		return core.SharedLibrary(h, tune.DefaultOptions())
+	}
+	devices, err := fleet.BuildDevices(entries, libFor, fleet.DeviceConfig{Obs: o}, devFaults)
 	if err != nil {
 		return err
 	}

@@ -59,7 +59,6 @@ var suites = []struct {
 	{"planner", plannerSuite},
 	{"sim", simSuite},
 	{"serve", serveSuite},
-	{"plancache", planCacheSuite},
 	{"overload", overloadSuite},
 	{"graph", graphSuite},
 }

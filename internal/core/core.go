@@ -25,7 +25,6 @@ import (
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
-	"mikpoly/internal/plancache"
 	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
@@ -39,12 +38,11 @@ type Compiler struct {
 
 	// libHash is the content digest of lib; every cache key carries it so
 	// a retuned or reloaded library can never serve another library's
-	// programs ("" disables snapshot sharing).
+	// programs.
 	libHash string
 
-	// tracker maintains decayed per-shape request counts; its hot set
-	// drives background pre-planning and snapshot flushes.
-	tracker *plancache.Tracker
+	// tracker maintains decayed per-shape request counts (HotShapes).
+	tracker *shapeTracker
 
 	// planFn is the planner invocation; a seam tests use to inject slow or
 	// panicking planners. fp is the health fingerprint of the hardware
@@ -86,11 +84,6 @@ type Compiler struct {
 	replans       int64
 	degradedPlans int64
 
-	// plan-cache tier counters
-	imported      int64 // entries warm-loaded from snapshots
-	importRejects int64 // snapshots rejected (incompatible or invalid)
-	prePlans      int64 // background pre-plans of tracker-hot shapes
-
 	// observability (nil-safe no-ops when WithObs was not given)
 	o            *obs.Obs
 	planLatency  *obs.Histogram
@@ -125,15 +118,6 @@ func WithCacheCapacity(n int) Option {
 // replanning of the hot shapes (see SetHealth).
 func WithHealth(reg *health.Registry) Option {
 	return func(c *Compiler) { c.hreg = reg }
-}
-
-// WithSnapshot warm-starts the program cache from a plan-cache snapshot: the
-// replica serves the snapshot's shapes with zero online plans. An
-// incompatible or invalid snapshot is rejected and counted (see PlanCache);
-// construction still succeeds — a cold cache is always correct, merely
-// slower.
-func WithSnapshot(snap *plancache.Snapshot) Option {
-	return func(c *Compiler) { _, _ = c.ImportSnapshot(snap) }
 }
 
 // WithObs attaches an observability bundle: the planner records search spans
@@ -175,7 +159,7 @@ func NewCompilerFromLibrary(lib *tune.Library, opts ...Option) *Compiler {
 	c := &Compiler{
 		lib:      lib,
 		libHash:  lib.Hash(),
-		tracker:  plancache.NewTracker(),
+		tracker:  newShapeTracker(),
 		planner:  poly.NewPlanner(lib),
 		cache:    newLRU(DefaultCacheCapacity),
 		inflight: make(map[cacheKey]*planCall),
@@ -266,6 +250,44 @@ func (c *Compiler) Hardware() hw.Hardware { return c.lib.HW }
 
 // Library exposes the offline-stage output.
 func (c *Compiler) Library() *tune.Library { return c.lib }
+
+// LibraryHash returns the content digest of the compiler's kernel library —
+// the component of every cache key that invalidates programs across library
+// swaps.
+func (c *Compiler) LibraryHash() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.libHash
+}
+
+// SetLibrary swaps the offline kernel library (e.g. after a retune or a
+// reload from disk). The base planner is rebuilt against the new library,
+// preserving its search configuration; per-fingerprint degraded planners are
+// dropped (they are derived state and rebuild on demand). Cached programs
+// are NOT cleared: their keys carry the old library's hash, so they can
+// never be served against the new kernels — and swapping back to the
+// original library rehits them.
+func (c *Compiler) SetLibrary(lib *tune.Library) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	base := c.planners[""]
+	p := poly.NewPlanner(lib)
+	p.Patterns = base.Patterns
+	p.Cost = base.Cost
+	p.DisablePruning = base.DisablePruning
+	p.EnableSplitK = base.EnableSplitK
+	p.Trace = base.Trace
+	c.lib = lib
+	c.libHash = lib.Hash()
+	c.planner = p
+	c.planners = map[string]*poly.Planner{"": p}
+}
+
+// HotShapes returns up to n shapes ordered by decayed request count, hottest
+// first — the traffic-shaped working set.
+func (c *Compiler) HotShapes(n int) []tensor.GemmShape {
+	return c.tracker.Hot(n)
+}
 
 // Planner exposes the online planner for configuration (cost-model variant,
 // pattern subset, pruning) before first use. Mutating it after programs are

@@ -154,15 +154,6 @@ func (c *lruCache) removeShape(shape tensor.GemmShape) {
 	}
 }
 
-// each calls fn for every cached entry in most-recently-used order. Used by
-// snapshot export; does not touch recency or counters.
-func (c *lruCache) each(fn func(key cacheKey, prog *poly.Program)) {
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
-		fn(e.key, e.prog)
-	}
-}
-
 // shapesMRU returns up to limit distinct shapes in most-recently-used order
 // — the working set worth replanning proactively when the health view
 // changes.

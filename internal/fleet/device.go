@@ -14,7 +14,6 @@ import (
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/obs"
-	"mikpoly/internal/plancache"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
@@ -91,12 +90,6 @@ type DeviceConfig struct {
 	Events *EventLog
 	// Obs threads tracing into the device's graph runtime.
 	Obs *obs.Obs
-	// PlanSnapshot optionally warm-starts the device's program cache. A
-	// snapshot that does not match the device's library (hash, planner
-	// version, hardware) is rejected with an event and the device plans
-	// online — a fleet mixes classes, so at most one class's devices match
-	// any given snapshot and rejection is the expected case elsewhere.
-	PlanSnapshot *plancache.Snapshot
 }
 
 // queueDepth bounds a device's serialized command queue.
@@ -178,13 +171,6 @@ func NewDevice(lib *tune.Library, cfg DeviceConfig) *Device {
 	}
 	d.reg = health.NewRegistry(lib.HW.NumPEs, health.Config{})
 	d.comp = core.NewCompilerFromLibrary(lib, core.WithHealth(d.reg))
-	if cfg.PlanSnapshot != nil {
-		if n, err := d.comp.ImportSnapshot(cfg.PlanSnapshot); err != nil {
-			d.events.Append(name, "plancache-reject", err.Error())
-		} else {
-			d.events.Append(name, "plancache-warm", fmt.Sprintf("warm-started %d cached programs", n))
-		}
-	}
 	d.rt = graphrt.New(d.comp, graphrt.Config{
 		Health: d.reg,
 		Obs:    cfg.Obs,

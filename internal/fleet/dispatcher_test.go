@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"mikpoly/internal/hw"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
+	"mikpoly/internal/tune"
 )
 
 // newTestFleet builds and starts a dispatcher over devices with the given
@@ -156,6 +158,11 @@ func TestProbeFailureKeepsBreakerOpen(t *testing.T) {
 	cfg := fastCfg()
 	cfg.ProbeTimeout = 20 * time.Millisecond
 	f := newTestFleet(t, 2, []sim.DeviceFaults{{HangAtOp: 1, HangOps: 1000}}, cfg, false)
+	// The hung device's breaker runs on a clock that moves only when the
+	// test advances it, so the cooldown elapses without a sleep.
+	var offset atomic.Int64
+	epoch := time.Now()
+	f.brk[0].Now = func() time.Time { return epoch.Add(time.Duration(offset.Load())) }
 	shape := tensor.GemmShape{M: 96, N: 96, K: 64}
 	for i := 0; i < 6; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -168,7 +175,7 @@ func TestProbeFailureKeepsBreakerOpen(t *testing.T) {
 	if st := f.BreakerState(f.devices[0].name); st != breaker.Open {
 		t.Skipf("hung device was never primary (breaker %s); nothing to probe", st)
 	}
-	time.Sleep(2 * time.Millisecond)
+	offset.Add(int64(2 * cfg.BreakerCooldown))
 	if n := f.ProbeNow(context.Background()); n != 0 {
 		t.Fatalf("ProbeNow readmitted %d devices, want 0 (still hanging)", n)
 	}
@@ -274,7 +281,17 @@ func TestBuildDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devices, err := BuildDevices(entries, testOpts(), DeviceConfig{}, []sim.DeviceFaults{{CrashAtOp: 5}})
+	// The library source decides per class: a100 gets a loaded artifact
+	// (here a sentinel copy), every other class is tuned.
+	a100 := *testLib(t, hw.A100())
+	sentinel := &a100
+	libFor := func(h hw.Hardware) (*tune.Library, error) {
+		if h.Name == sentinel.HW.Name {
+			return sentinel, nil
+		}
+		return testLib(t, h), nil
+	}
+	devices, err := BuildDevices(entries, libFor, DeviceConfig{}, []sim.DeviceFaults{{CrashAtOp: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +304,12 @@ func TestBuildDevices(t *testing.T) {
 	if devices[0].dev.CrashAtOp != 5 || devices[1].dev.CrashAtOp != 0 {
 		t.Fatal("per-index fault domains not applied")
 	}
-	// Replicas of one class share the library; compilers are private.
-	if devices[0].comp.Library() != devices[1].comp.Library() {
-		t.Fatal("same-class replicas must share the tuned library")
+	// Replicas of one class share the source's library; compilers are private.
+	if devices[0].Library() != sentinel || devices[1].Library() != sentinel {
+		t.Fatal("a100 replicas must run the library the source returned for a100")
+	}
+	if devices[2].Library() != testLib(t, hw.Ascend910()) {
+		t.Fatal("ascend910 replica must run the tuned library")
 	}
 	if devices[0].comp == devices[1].comp {
 		t.Fatal("replicas must not share a compiler (plan caches are per-device)")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"mikpoly/internal/core"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tune"
@@ -60,13 +59,13 @@ func ParseSpec(data []byte) ([]SpecEntry, error) {
 	return entries, nil
 }
 
-// BuildDevices materializes a spec into devices: one tuned micro-kernel
-// library per hardware class (shared by its replicas through the process-wide
-// library cache), one compiler + plan cache + health registry + runtime per
-// replica. devFaults, when non-nil, assigns per-replica device-level fault
-// domains by fleet index (the chaos knob); extra entries are ignored, missing
-// ones default to healthy.
-func BuildDevices(entries []SpecEntry, opt tune.Options, base DeviceConfig, devFaults []sim.DeviceFaults) ([]*Device, error) {
+// BuildDevices materializes a spec into devices: one micro-kernel library per
+// spec entry, obtained from libFor and shared by the entry's replicas, and one
+// compiler + plan cache + health registry + runtime per replica. devFaults,
+// when non-nil, assigns per-replica device-level fault domains by fleet index
+// (the chaos knob); extra entries are ignored, missing ones default to
+// healthy.
+func BuildDevices(entries []SpecEntry, libFor func(hw.Hardware) (*tune.Library, error), base DeviceConfig, devFaults []sim.DeviceFaults) ([]*Device, error) {
 	var out []*Device
 	k := 0
 	for _, e := range entries {
@@ -74,9 +73,9 @@ func BuildDevices(entries []SpecEntry, opt tune.Options, base DeviceConfig, devF
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		lib, err := core.SharedLibrary(h, opt)
+		lib, err := libFor(h)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: tuning library for %s: %w", e.HW, err)
+			return nil, fmt.Errorf("fleet: library for %s: %w", e.HW, err)
 		}
 		for i := 0; i < e.Replicas; i++ {
 			cfg := base

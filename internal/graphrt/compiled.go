@@ -142,9 +142,8 @@ func (r *Runtime) storeLocked(c *recording, rep Report) {
 // replay answers an execution from the compiled table. A hit is guarded, not
 // trusted. One plan-cache probe per distinct shape must return the program
 // the compiled run used — by address, else by content — which is what a
-// library swap, a changed health view, an eviction, an invalidation or a
-// snapshot import would alter, and which keeps LRU recency and the hot-shape
-// tracker fed. The health registry must then accept the stages' observations
+// library swap, a changed health view, an eviction or an invalidation would
+// alter, and which keeps LRU recency and the hot-shape tracker fed. The health registry must then accept the stages' observations
 // in bulk, which it does exactly when they would change nothing but its
 // counters. Only then are the stage results folded into the cumulative stats,
 // one by one in execution order — the sums are floating point, so any other

@@ -11,16 +11,6 @@ import (
 	"mikpoly/internal/tune"
 )
 
-// PlannerVersion identifies the planning algorithm generation. A persisted
-// program snapshot records the version it was planned under; loading it into
-// a planner of a different version is rejected, because two versions may
-// legitimately choose different programs for the same (shape, library) and a
-// snapshot must never pin a replica to a predecessor's decisions. Bump this
-// whenever a change alters which program the search selects or its estimated
-// cost bits (the BENCH_gate.json planner fingerprints are the oracle: if refreshing
-// the baseline is required, so is bumping the version).
-const PlannerVersion = 1
-
 // CostModel selects how candidate programs are scored. The variants other
 // than CostFull exist for the ablation of Fig. 12(b).
 type CostModel int

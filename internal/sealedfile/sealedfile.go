@@ -1,7 +1,6 @@
-// Package sealedfile is the one crash-safe, integrity-checked file format
-// the persisted artifacts (micro-kernel libraries, plan-cache snapshots)
-// share: the payload followed by a SHA-256 trailer line, written through a
-// temporary file, fsync and atomic rename.
+// Package sealedfile is the crash-safe, integrity-checked file format of the
+// persisted micro-kernel library: the payload followed by a SHA-256 trailer
+// line, written through a temporary file, fsync and atomic rename.
 package sealedfile
 
 import (

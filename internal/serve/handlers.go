@@ -451,29 +451,28 @@ type overloadStats struct {
 
 // statsResponse is the /stats wire format.
 type statsResponse struct {
-	Uptime          string             `json:"uptime"`
-	Ready           bool               `json:"ready"`
-	Requests        int64              `json:"requests"`
-	Rejected        int64              `json:"rejected"`
-	Degraded        int64              `json:"degraded"`
-	Retries         int64              `json:"retries"`
-	FaultedRuns     int64              `json:"faulted_runs"`
-	PanicsRecovered int64              `json:"panics_recovered"`
-	InFlight        int                `json:"in_flight"`
-	MaxInFlight     int                `json:"max_in_flight"`
-	Plans           int                `json:"plans"`
-	PlanCandidates  int                `json:"plan_candidates"`
-	Cache           core.CacheStats    `json:"cache"`
-	Fallbacks       int64              `json:"fallbacks"`
-	PlannerPanics   int64              `json:"planner_panics"`
-	Models          int64              `json:"models"`
-	Unrecoverable   int64              `json:"unrecoverable"`
-	Graph           *graphStats        `json:"graph,omitempty"`
-	Health          *healthStats       `json:"health,omitempty"`
-	Sched           *schedStatsView    `json:"sched,omitempty"`
-	KV              *kvcache.Stats     `json:"kv,omitempty"`
-	Overload        *overloadStats     `json:"overload,omitempty"`
-	PlanCache       *planCacheResponse `json:"plancache,omitempty"`
+	Uptime          string          `json:"uptime"`
+	Ready           bool            `json:"ready"`
+	Requests        int64           `json:"requests"`
+	Rejected        int64           `json:"rejected"`
+	Degraded        int64           `json:"degraded"`
+	Retries         int64           `json:"retries"`
+	FaultedRuns     int64           `json:"faulted_runs"`
+	PanicsRecovered int64           `json:"panics_recovered"`
+	InFlight        int             `json:"in_flight"`
+	MaxInFlight     int             `json:"max_in_flight"`
+	Plans           int             `json:"plans"`
+	PlanCandidates  int             `json:"plan_candidates"`
+	Cache           core.CacheStats `json:"cache"`
+	Fallbacks       int64           `json:"fallbacks"`
+	PlannerPanics   int64           `json:"planner_panics"`
+	Models          int64           `json:"models"`
+	Unrecoverable   int64           `json:"unrecoverable"`
+	Graph           *graphStats     `json:"graph,omitempty"`
+	Health          *healthStats    `json:"health,omitempty"`
+	Sched           *schedStatsView `json:"sched,omitempty"`
+	KV              *kvcache.Stats  `json:"kv,omitempty"`
+	Overload        *overloadStats  `json:"overload,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -499,8 +498,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Cache = c.CacheStats()
 		resp.Fallbacks = health.Fallbacks
 		resp.PlannerPanics = health.PlannerPanics
-		pc := s.planCacheStats(c)
-		resp.PlanCache = &pc
 		reg := s.health.Load()
 		hs, v := reg.Stats(), reg.View()
 		resp.Health = &healthStats{

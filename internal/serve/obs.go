@@ -318,6 +318,5 @@ func (s *Server) registerObs() {
 		})
 
 	s.registerFleetObs()
-	s.registerPlanCacheObs()
 	s.registerOverloadObs()
 }

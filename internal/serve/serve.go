@@ -15,7 +15,6 @@ package serve
 
 import (
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,17 +93,6 @@ type Config struct {
 	// /generate requests that do not carry their own deadline_ms; zero falls
 	// back to the scheduler's TTFT SLO bound.
 	DeadlineMs float64
-
-	// PlanSnapshotPath, when set, names the persistent plan-cache snapshot
-	// artifact: SetCompiler warm-starts the program cache from it (an
-	// incompatible snapshot is rejected and the replica plans online), and
-	// POST /plancache/save and the periodic flusher write back to it.
-	PlanSnapshotPath string
-	// SnapshotInterval enables the background flusher: every interval the
-	// server pre-plans the tracker's hot shapes and atomically rewrites
-	// PlanSnapshotPath. Zero disables periodic flushes (manual saves via
-	// POST /plancache/save still work).
-	SnapshotInterval time.Duration
 
 	// Obs optionally attaches the observability layer: the handler then
 	// serves GET /metrics (Prometheus text) and GET /trace (span dump),
@@ -204,11 +192,6 @@ type Server struct {
 	started  time.Time
 	genSeq   atomic.Uint64 // /generate request IDs
 
-	snapQuit chan struct{} // stops the snapshot flusher
-	snapOnce sync.Once
-	snapWG   sync.WaitGroup
-	snapMu   sync.Mutex // serializes snapshot file writes
-
 	// cumulative counters, exported by /stats
 	nRequests      atomic.Int64 // admitted plan/execute/model requests
 	nRejected      atomic.Int64 // 429s from admission control
@@ -222,11 +205,6 @@ type Server struct {
 	nBreakerDrops  atomic.Int64 // requests rejected by an open breaker
 	nGenerated     atomic.Int64 // /generate requests completed
 	nTokenRejected atomic.Int64 // /generate 429s from the token budget
-
-	// plan-cache tier counters
-	nSnapshotSaves   atomic.Int64 // snapshot files written
-	nSnapshotLoads   atomic.Int64 // snapshots successfully imported
-	nSnapshotRejects atomic.Int64 // snapshot loads/imports rejected
 }
 
 // New wraps a compiler in a serving layer. Zero Config fields take
@@ -242,14 +220,10 @@ func New(c *core.Compiler, cfg Config) *Server {
 		bo:       newBackoff(retryBase, retryMax, 0),
 		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
 		started:  time.Now(),
-		snapQuit: make(chan struct{}),
 	}
 	s.registerObs()
 	if c != nil {
 		s.SetCompiler(c)
-	}
-	if cfg.PlanSnapshotPath != "" && cfg.SnapshotInterval > 0 {
-		s.startSnapshotFlusher()
 	}
 	return s
 }
@@ -261,12 +235,6 @@ func New(c *core.Compiler, cfg Config) *Server {
 // SchedDecode it also builds the generation scheduler, with adaptive
 // admission, deadline shedding and KV preemption on.
 func (s *Server) SetCompiler(c *core.Compiler) {
-	// Warm-start the program cache from the configured snapshot before the
-	// compiler goes live, so the replica's first hot shapes hit the cache.
-	// A missing or incompatible snapshot just means planning online.
-	if s.cfg.PlanSnapshotPath != "" {
-		s.loadSnapshotInto(c)
-	}
 	reg := health.NewRegistry(c.Hardware().NumPEs, health.Config{})
 	s.health.Store(reg)
 	rt := graphrt.New(c, graphrt.Config{
@@ -301,12 +269,9 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 // comp returns the bound compiler, or nil while the server is not ready.
 func (s *Server) comp() *core.Compiler { return s.compiler.Load() }
 
-// Close releases background resources: the snapshot flusher, the
-// generation scheduler loop and, when a fleet is bound, its device workers
-// and prober.
+// Close releases background resources: the generation scheduler loop and,
+// when a fleet is bound, its device workers and prober.
 func (s *Server) Close() {
-	s.snapOnce.Do(func() { close(s.snapQuit) })
-	s.snapWG.Wait()
 	if l := s.sched.Load(); l != nil {
 		l.Close()
 	}
@@ -330,12 +295,6 @@ func (s *Server) Handler() http.Handler {
 	// inspect and drain replicas while the work endpoints shed load.
 	mux.HandleFunc("GET /fleet", s.handleFleetSummary)
 	mux.HandleFunc("POST /fleet/drain", s.handleFleetDrain)
-	// Plan-cache admin endpoints likewise bypass admission: snapshot flushes
-	// and warm-loads are exactly the operations an operator runs while a
-	// replica is overloaded or about to be replaced.
-	mux.HandleFunc("GET /plancache", s.handlePlanCache)
-	mux.HandleFunc("POST /plancache/save", s.handlePlanCacheSave)
-	mux.HandleFunc("POST /plancache/load", s.handlePlanCacheLoad)
 	// Observability endpoints bypass admission like the probes: a scrape
 	// must succeed while the work endpoints shed load.
 	if m := s.o.M(); m != nil {

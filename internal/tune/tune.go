@@ -94,8 +94,7 @@ type Library struct {
 // component that keeps programs planned against one library from being served
 // against another (a retuned, refined, or reloaded library changes the hash).
 // The digest is SHA-256 over the deterministic Save serialization (no maps,
-// models aligned to Kernels order). Empty only for an unserializable library,
-// which disables snapshot sharing rather than risking a false match.
+// models aligned to Kernels order). Empty only for an unserializable library.
 func (l *Library) Hash() string { return l.hash }
 
 // computeHash derives the content digest; see Hash.
