@@ -6,9 +6,11 @@
 // such replays and records what they computed — end-to-end cycles bit for
 // bit, the stage count, and the number of simulator calls, which must be
 // zero (exact) — and what each replay allocated (no_grow), so nothing can
-// creep back in front of the table unnoticed. The warm rows no longer run
-// the interpreter, so a third case streams graphs it has never seen through
-// it — what every new prefill length pays, and every graph once.
+// creep back in front of the table unnoticed. A warm row fails, too, unless
+// the runtime's PE counters after n executions are exactly n times what the
+// cold one added. The warm rows no longer run the interpreter, so a third
+// case streams graphs it has never seen through it — what every new prefill
+// length pays, and every graph once.
 package bench
 
 import (
@@ -57,8 +59,11 @@ func graphSuite(bool, []uint64) ([]Case, []string, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("case %s: %w", c.name, err)
 		}
+		cold := rt.Stats()
 		simCalls = 0
+		warmRuns := 0
 		allocs, bytes, ns, err := measureOp(2*plannerMinTime, 32, func() error {
+			warmRuns++
 			warm, err := rt.Execute(ctx, c.g)
 			if err == nil && warm.Cycles != rep.Cycles {
 				err = fmt.Errorf("case %s: warm run cost %v cycles, cold run %v", c.name, warm.Cycles, rep.Cycles)
@@ -70,6 +75,9 @@ func graphSuite(bool, []uint64) ([]Case, []string, error) {
 		}
 		if simCalls != 0 {
 			failed = append(failed, fmt.Sprintf("%s: warm executions made %d simulator calls", c.name, simCalls))
+		}
+		if msg := peCountersScale(rt.Stats(), cold, warmRuns+1); msg != "" {
+			failed = append(failed, fmt.Sprintf("%s: after %d executions %s", c.name, warmRuns+1, msg))
 		}
 		out = append(out, Case{
 			Name: c.name,
@@ -90,6 +98,24 @@ func graphSuite(bool, []uint64) ([]Case, []string, error) {
 		return nil, nil, err
 	}
 	return append(out, cold), failed, nil
+}
+
+// peCountersScale reports how the cumulative PE counters after n executions
+// of one graph differ from n times the first execution's, or "" when they do
+// not: whole-cycle counters add up exactly however a warm run adds them.
+func peCountersScale(st, first graphrt.Stats, n int) string {
+	if st.GemmStageCycles != float64(n)*first.GemmStageCycles {
+		return fmt.Sprintf("GemmStageCycles is %v, not %d × %v", st.GemmStageCycles, n, first.GemmStageCycles)
+	}
+	if len(st.PEBusy) != len(first.PEBusy) {
+		return fmt.Sprintf("PEBusy has %d PEs, the first execution %d", len(st.PEBusy), len(first.PEBusy))
+	}
+	for i, b := range st.PEBusy {
+		if b != float64(n)*first.PEBusy[i] {
+			return fmt.Sprintf("PEBusy[%d] is %v, not %d × %v", i, b, n, first.PEBusy[i])
+		}
+	}
+	return ""
 }
 
 // coldGraphStreamLen is the number of novel graphs in one measured window of

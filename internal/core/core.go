@@ -656,15 +656,22 @@ func (c *Compiler) Simulate(shape tensor.GemmShape) (sim.Result, error) {
 }
 
 // sharedLibs caches offline libraries per (hardware, options) so tests,
-// benchmarks and examples pay the offline stage once per process.
+// benchmarks and examples pay the offline stage once per process. The key is
+// the hardware's whole content, not its name: a modified preset under its
+// preset name is another device.
 var (
 	sharedMu   sync.Mutex
-	sharedLibs = map[string]*tune.Library{}
+	sharedLibs = map[sharedKey]*tune.Library{}
 )
+
+type sharedKey struct {
+	h   hw.Hardware
+	opt tune.Options
+}
 
 // SharedLibrary returns a process-wide cached offline library.
 func SharedLibrary(h hw.Hardware, opt tune.Options) (*tune.Library, error) {
-	key := fmt.Sprintf("%s/%d/%d/%d/%d", h.Name, opt.NGen, opt.NSyn, opt.NMik, opt.NPred)
+	key := sharedKey{h, opt}
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 	if lib, ok := sharedLibs[key]; ok {

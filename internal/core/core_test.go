@@ -154,6 +154,16 @@ func TestSharedLibraryReuse(t *testing.T) {
 	if l3 == l1 {
 		t.Fatal("different options must not share a library")
 	}
+	// A modified preset under its preset name is another device.
+	half := hw.A100()
+	half.NumPEs /= 2
+	l4, err := SharedLibrary(half, testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l4 == l1 || l4.HW.NumPEs != half.NumPEs {
+		t.Fatalf("a100 with %d PEs got the library tuned for %d", half.NumPEs, l4.HW.NumPEs)
+	}
 }
 
 func TestPlanConcurrentSafety(t *testing.T) {

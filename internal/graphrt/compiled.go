@@ -34,11 +34,10 @@ type compiledExec struct {
 	// plans are the distinct GEMM shapes the graph ran and the program each
 	// was answered with — what a replay asks the plan cache to confirm.
 	plans []plannedShape
-	// results are the distinct stage results, shared with the stage memo;
-	// stages lists the launched stages in execution order as indices into
-	// results.
-	results []*sim.Result
-	stages  []uint8
+	// launched counts the stages the run launched, one health observation
+	// each; pe is what those stages added to the runtime's PE counters.
+	launched int
+	pe       peCycles
 }
 
 type plannedShape struct {
@@ -48,15 +47,14 @@ type plannedShape struct {
 
 const (
 	// compiledCap bounds the table like simCacheCap bounds the stage memo:
-	// per-process scratch, dropped wholesale when full. An entry is a few
-	// hundred bytes and pins its stage results (about a kilobyte each) past a
-	// drop of the stage memo, and a dropped entry costs one interpretation to
-	// get back, so the cap is sized to a server's hot graphs, not to its
-	// history.
+	// per-process scratch, dropped wholesale when full. An entry is about a
+	// kilobyte, most of it per-PE totals, and pins nothing of the stage memo;
+	// a dropped entry costs one interpretation to get back, so the cap is
+	// sized to a server's hot graphs, not to its history.
 	compiledCap = 128
-	// maxDistinct bounds the distinct shapes and the distinct stage results
-	// of one compiled execution (stage indices are bytes). A graph past it
-	// keeps being interpreted.
+	// maxDistinct bounds the distinct shapes of one compiled execution (each
+	// is one plan-cache probe per replay). A graph past it keeps being
+	// interpreted.
 	maxDistinct = 256
 )
 
@@ -67,8 +65,6 @@ type recording struct {
 	key  compiledKey
 	off  bool
 	exec compiledExec
-	// keys are the stage-memo keys of exec.results, index for index.
-	keys []digest
 }
 
 // planned notes that shape was answered with prog.
@@ -103,19 +99,8 @@ func (c *recording) launched(key stageKey, res *sim.Result) {
 		c.off = true
 		return
 	}
-	i := 0
-	for i < len(c.keys) && c.keys[i] != key.ops {
-		i++
-	}
-	if i == len(c.keys) {
-		if i == maxDistinct {
-			c.off = true
-			return
-		}
-		c.keys = append(c.keys, key.ops)
-		c.exec.results = append(c.exec.results, res)
-	}
-	c.exec.stages = append(c.exec.stages, uint8(i))
+	c.exec.launched++
+	c.exec.pe.addStage(res)
 }
 
 // pristine reports whether observing res can tell the health registry nothing.
@@ -143,11 +128,11 @@ func (r *Runtime) storeLocked(c *recording, rep Report) {
 // trusted. One plan-cache probe per distinct shape must return the program
 // the compiled run used — by address, else by content — which is what a
 // library swap, a changed health view, an eviction or an invalidation would
-// alter, and which keeps LRU recency and the hot-shape tracker fed. The health registry must then accept the stages' observations
-// in bulk, which it does exactly when they would change nothing but its
-// counters. Only then are the stage results folded into the cumulative stats,
-// one by one in execution order — the sums are floating point, so any other
-// order or a pre-summed total would change their bits.
+// alter, and which keeps LRU recency and the hot-shape tracker fed. The health
+// registry must then accept the stages' observations in bulk, which it does
+// exactly when they would change nothing but its counters. Only then is the
+// run's PE total added to the runtime's counters in one step: they are
+// integers, so that equals adding its stages one by one.
 func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Report, bool) {
 	r.mu.Lock()
 	e, ok := r.compiled[key]
@@ -162,16 +147,14 @@ func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Repo
 			return Report{}, false
 		}
 	}
-	if r.cfg.Health != nil && !r.cfg.Health.ObserveClean(len(e.stages)) {
+	if r.cfg.Health != nil && !r.cfg.Health.ObserveClean(e.launched) {
 		return Report{}, false
 	}
 	_, sp := r.o.T().Start(ctx, "graphrt.execute")
 	rep := e.rep
 	rep.Graph = g.Name
 	r.mu.Lock()
-	for _, i := range e.stages {
-		r.accumulateStageLocked(e.results[i])
-	}
+	r.pe.add(e.pe)
 	r.accumulateReportLocked(rep)
 	r.mu.Unlock()
 	sp.Attr("ops", float64(rep.Ops)).Attr("stages", float64(rep.Stages)).

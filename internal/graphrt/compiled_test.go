@@ -524,6 +524,78 @@ func TestCompiledTableIsBounded(t *testing.T) {
 	}
 }
 
+// TestPECountersAreOrderFree: two runtimes execute one multiset of graphs in
+// two seeded orders. Every stage adds whole cycles, so the cumulative PE
+// counters come out equal bit for bit whatever order the stages, and the
+// compiled executions that replay them, were added in.
+func TestPECountersAreOrderFree(t *testing.T) {
+	graphs := []nn.Graph{
+		nn.Transformer(nn.BERTBaseConfig, 37, 1), nn.Transformer(nn.BERTBaseConfig, 128, 1),
+		nn.Llama2Decode(1, 128), nn.Llama2Decode(4, 256), nn.Llama2Prefill(1, 48),
+		randomDAG(rand.New(rand.NewSource(7)), "dag", 24),
+	}
+	var runs []nn.Graph
+	for _, g := range graphs {
+		runs = append(runs, g, g, g)
+	}
+	var stats [2]Stats
+	for i, seed := range []int64{1, 2} {
+		rt := newPair(t, Config{PlanAhead: 2}, true).rt
+		rng := rand.New(rand.NewSource(seed))
+		for _, j := range rng.Perm(len(runs)) {
+			if _, err := rt.Execute(context.Background(), runs[j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stats[i] = rt.Stats()
+	}
+	a, b := stats[0], stats[1]
+	if a.Graphs != b.Graphs || a.Stages != b.Stages || len(a.PEBusy) != len(b.PEBusy) || len(a.PEBusy) == 0 {
+		t.Fatalf("%d graphs, %d stages, %d PEs in one order; %d, %d, %d in the other",
+			a.Graphs, a.Stages, len(a.PEBusy), b.Graphs, b.Stages, len(b.PEBusy))
+	}
+	differ := 0
+	for i := range a.PEBusy {
+		if math.Float64bits(a.PEBusy[i]) != math.Float64bits(b.PEBusy[i]) {
+			differ++
+		}
+	}
+	if differ != 0 || math.Float64bits(a.GemmStageCycles) != math.Float64bits(b.GemmStageCycles) {
+		t.Fatalf("between two orders PEBusy differs on %d of %d PEs; stage cycles %v and %v",
+			differ, len(a.PEBusy), a.GemmStageCycles, b.GemmStageCycles)
+	}
+}
+
+// TestCompiledSurvivesMemoDrop: the stage memo is dropped wholesale when full.
+// A compiled execution stored before the drop holds its totals, not memo
+// entries, so it still replays after the drop, and the runtime that replays it
+// stays in the interpreter's state bit for bit.
+func TestCompiledSurvivesMemoDrop(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	graphs := []nn.Graph{
+		nn.Transformer(nn.BERTBaseConfig, 37, 1), nn.Llama2Decode(1, 128),
+		nn.Llama2Decode(4, 256), randomDAG(rng, "dag", 16),
+	}
+	p := newPair(t, Config{PlanAhead: 2}, true)
+	for step := 0; step < 24; step++ {
+		p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))], 0)
+	}
+	p.each(func(rt *Runtime) {
+		rt.mu.Lock()
+		rt.simCache = make(map[stageKey]*sim.Result)
+		rt.mu.Unlock()
+	})
+	replays := 0
+	for step := 0; step < 24; step++ {
+		_, interpreted := p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))], 0)
+		replays += 1 - interpreted
+	}
+	if replays == 0 {
+		t.Fatal("no execution after the memo drop was replayed")
+	}
+	p.sameState(t)
+}
+
 // graphFromBytes decodes fuzz input into a graph, not necessarily a valid
 // one: every byte steers one field the digest covers.
 func graphFromBytes(data []byte) nn.Graph {

@@ -106,11 +106,13 @@ type Runtime struct {
 	lookupFn func(shape tensor.GemmShape) *poly.Program
 
 	mu  sync.Mutex
-	agg Stats
+	agg Stats // all but the PE counters, which pe keeps in whole cycles
+	pe  peCycles
 	// simCache memoizes stage executions. The full Result is retained:
 	// memoized replays still accumulate per-PE utilization, and the recovery
 	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
-	// cached dirty stage replays.
+	// cached dirty stage replays. Compiled executions hold totals, not these
+	// results, so dropping the memo leaves every entry whole.
 	simCache map[stageKey]*sim.Result
 	digests  map[*poly.Program]digest
 	// compiled holds whole clean executions by graph content (compiled.go).
@@ -155,7 +157,8 @@ type Stats struct {
 	// GemmStageCycles accumulates co-scheduled GEMM stage makespans — the
 	// denominator of per-PE utilization. PEBusy accumulates per-PE busy
 	// cycles across stages (length = NumPEs once any stage has run);
-	// memoized stage replays accumulate like fresh simulations.
+	// memoized stage replays accumulate like fresh simulations. Both count
+	// whole cycles, each stage's truncated toward zero, in any stage order.
 	GemmStageCycles float64
 	PEBusy          []float64
 }
@@ -278,14 +281,17 @@ func (r *Runtime) healthView() (health.View, string, hw.Hardware) {
 	return v, fp, v.Apply(r.h)
 }
 
-// Stats returns the cumulative counters. The PEBusy slice is deep-copied:
-// callers (metric scrapes, /stats snapshots) may hold the result while
-// executions keep accumulating.
+// Stats returns the cumulative counters. PEBusy is a fresh slice: callers
+// (metric scrapes, /stats snapshots) may hold the result while executions
+// keep accumulating.
 func (r *Runtime) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.agg
-	s.PEBusy = append([]float64(nil), r.agg.PEBusy...)
+	s.GemmStageCycles = float64(r.pe.stage)
+	for _, b := range r.pe.busy {
+		s.PEBusy = append(s.PEBusy, float64(b))
+	}
 	return s
 }
 
@@ -327,9 +333,6 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 	stages, err := g.Schedule()
 	if err != nil {
 		return Report{}, err
-	}
-	if !rec.off {
-		rec.exec.stages = make([]uint8, 0, len(stages))
 	}
 	rep := Report{Graph: g.Name, Ops: len(g.Ops), Stages: len(stages)}
 	ctx, esp := r.o.T().Start(ctx, "graphrt.execute")

@@ -210,7 +210,7 @@ func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape 
 func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h hw.Hardware, v health.View, ops []stageOp, lowerOn hw.Hardware) *sim.Result {
 	r.mu.Lock()
 	if res, ok := r.simCache[key]; ok {
-		r.accumulateStageLocked(res)
+		r.pe.addStage(res)
 		r.mu.Unlock()
 		return res
 	}
@@ -230,7 +230,7 @@ func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h
 		r.simCache = make(map[stageKey]*sim.Result)
 	}
 	r.simCache[key] = res
-	r.accumulateStageLocked(res)
+	r.pe.addStage(res)
 	r.mu.Unlock()
 	return res
 }
@@ -252,25 +252,38 @@ func lowerStage(ops []stageOp, h hw.Hardware) []sim.Task {
 	return tasks
 }
 
-// accumulateStageLocked folds one executed (or memo-replayed) stage into the
-// cumulative utilization counters. Callers hold r.mu. The memoized result is
-// shared with the compiled executions that replay it and only ever read; its
-// PEBusy slice is never aliased into agg.PEBusy. Degraded stages report
-// fewer PEs than healthy ones; the shorter series folds into the prefix, so
-// cumulative utilization reflects survivor positions — an accepted
-// approximation while quarantines are live.
-func (r *Runtime) accumulateStageLocked(res *sim.Result) {
-	r.agg.GemmStageCycles += res.Cycles
-	if len(res.PEBusy) == 0 {
-		return
-	}
-	if len(r.agg.PEBusy) < len(res.PEBusy) {
-		grown := make([]float64, len(res.PEBusy))
-		copy(grown, r.agg.PEBusy)
-		r.agg.PEBusy = grown
-	}
+// peCycles are whole-cycle PE counters: the sum of stage makespans and the
+// per-PE busy sums. A stage's values are truncated toward zero before they are
+// added. Truncation is monotone, so no PE's busy count passes the makespan
+// count, and integer sums are exact, so a total does not depend on the order
+// its stages were added in. A degraded stage's shorter series folds into the
+// prefix (survivor positions): an accepted approximation while quarantines
+// are live.
+type peCycles struct {
+	stage int64
+	busy  []int64
+}
+
+// addStage adds one stage result's makespan and per-PE busy cycles.
+func (c *peCycles) addStage(res *sim.Result) {
+	c.stage += int64(res.Cycles)
+	c.grow(len(res.PEBusy))
 	for i, b := range res.PEBusy {
-		r.agg.PEBusy[i] += b
+		c.busy[i] += int64(b)
+	}
+}
+
+func (c *peCycles) add(o peCycles) {
+	c.stage += o.stage
+	c.grow(len(o.busy))
+	for i, b := range o.busy {
+		c.busy[i] += b
+	}
+}
+
+func (c *peCycles) grow(n int) {
+	if len(c.busy) < n {
+		c.busy = append(c.busy, make([]int64, n-len(c.busy))...)
 	}
 }
 

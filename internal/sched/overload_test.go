@@ -296,7 +296,9 @@ func TestLoopLiveSubmitShutdown(t *testing.T) {
 			}(g)
 		}
 		// Let some waves run, then slam the door mid-flight.
-		time.Sleep(time.Duration(1+round) * time.Millisecond)
+		for s.Stats().Waves < int64(1+round) {
+			runtime.Gosched()
+		}
 		loop.Close()
 		wg.Wait()
 		close(results)
