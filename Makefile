@@ -39,19 +39,18 @@ deadpkg:
 	if [ -n "$$dead" ]; then echo "packages no command, example, benchmark or root package reaches:"; \
 		echo "$$dead"; exit 1; fi
 
-# mikserve's flag budget: -h may list at most 18 flags; the count is printed.
+# mikserve's flag budget: -h may list at most 17 flags; the count is printed.
 budget:
 	@out="$$($(GO) run ./cmd/mikserve -h 2>&1)" || { echo "$$out"; exit 1; }; \
 	n="$$(echo "$$out" | grep -c '^  -')"; \
-	echo "mikserve flags: $$n (budget 18)"; \
-	if [ "$$n" -gt 18 ]; then echo "mikserve -h lists $$n flags, over the budget of 18"; exit 1; fi
+	echo "mikserve flags: $$n (budget 17)"; \
+	if [ "$$n" -gt 17 ]; then echo "mikserve -h lists $$n flags, over the budget of 17"; exit 1; fi
 
 # Short fuzzing burst against the serving layer's input handling (/plan,
 # /execute, /model and /generate bodies, GEMM shapes), the planner's sweep ≡ reference
 # oracle, the NPU allocator and the simulator's cohort event loop ≡ their
 # references, the graph digest the compiled table is keyed by (equal
-# digest ⇒ equal content), and the two on-disk or flag loaders: fleet specs
-# and tuned libraries.
+# digest ⇒ equal content), and the on-disk tuned-library loader.
 fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzPlanRequest -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzGemmShape -fuzztime 10s
@@ -61,7 +60,6 @@ fuzz:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzStaticAssign -fuzztime 10s
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSimRun -fuzztime 10s
 	$(GO) test ./internal/graphrt/ -run '^$$' -fuzz FuzzGraphDigest -fuzztime 10s
-	$(GO) test ./internal/fleet/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s
 	$(GO) test ./internal/tune/ -run '^$$' -fuzz FuzzLoadLibrary -fuzztime 10s
 
 bench:

@@ -29,17 +29,13 @@
 // KV-arena pressure the least-important running sequence parks and later
 // restores losslessly via prefix-cache recompute.
 //
-// -chaos-seed is the one fault knob: alone it runs the device under
-// sim.ChaosSchedule (PE death, sticky faults, brownouts); with -fleet it runs
-// the devices under sim.FleetChaosSchedule (crash, hang, brownout, slow
-// replica).
+// -chaos-seed is the one fault knob: it runs the device under
+// sim.ChaosSchedule (PE death, sticky faults, brownouts).
 //
 // The socket binds immediately; the micro-kernel library loads (-library,
 // an artifact written by cmd/mikgen) or tunes in the background, and
-// /healthz answers 503 until it is ready. With -fleet, the class the
-// artifact targets loads it and every other class tunes. The program cache
-// lives in memory only: a restarted server re-plans each shape on its first
-// request.
+// /healthz answers 503 until it is ready. The program cache lives in memory
+// only: a restarted server re-plans each shape on its first request.
 package main
 
 import (
@@ -57,7 +53,6 @@ import (
 	"time"
 
 	"mikpoly/internal/core"
-	"mikpoly/internal/fleet"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
 	"mikpoly/internal/serve"
@@ -73,11 +68,10 @@ func main() {
 		inFlight    = flag.Int("inflight", 0, "max in-flight requests (0 = default)")
 		planTimeout = flag.Duration("plan-timeout", 0, "planner deadline; exceeded plans degrade to the fallback program (0 = default, negative = always degrade)")
 		reqTimeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default)")
-		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule: PE death, sticky faults and brownouts on the device, or crash, hang, brownout and slow replica on each -fleet device; 0 disables")
-		library     = flag.String("library", "", "load the micro-kernel library written by mikgen -o from this file instead of tuning; with -fleet, for the class it targets (falls back to tuning if unreadable)")
+		chaosSeed   = flag.Uint64("chaos-seed", 0, "run under a seeded chaos schedule: PE death, sticky faults and brownouts on the device; 0 disables")
+		library     = flag.String("library", "", "load the micro-kernel library written by mikgen -o from this file instead of tuning (falls back to tuning if unreadable)")
 		withTrace   = flag.Bool("trace", true, "record execution spans, served at GET /trace")
 		withPprof   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		fleetSpec   = flag.String("fleet", "", `device-fleet spec, JSON or @file: [{"hw":"a100","replicas":2},{"hw":"ascend910","replicas":1}]; enables POST /gemm and fleet-routed /model`)
 		kvPages     = flag.Int("kv-pages", 0, "KV-cache capacity in pages for /generate (0 = default)")
 		prefillChk  = flag.Int("prefill-chunk", 0, "largest prefill chunk in tokens for /generate (0 = default)")
 		stepSLO     = flag.Float64("slo-ms", 0, "decode-step latency SLO in milliseconds for /generate (0 = default)")
@@ -117,7 +111,7 @@ func main() {
 			}
 		}
 	}
-	if *chaosSeed != 0 && *fleetSpec == "" {
+	if *chaosSeed != 0 {
 		f := sim.ChaosSchedule(*chaosSeed, h)
 		cfg.Faults = &f
 		log.Printf("mikserve: chaos schedule enabled (seed=%d): PE death %v, sticky %v, brownout %v, task fault rate %g",
@@ -148,12 +142,6 @@ func main() {
 	}
 
 	go func() {
-		if *fleetSpec != "" {
-			if err := bindFleet(srv, o, *fleetSpec, *chaosSeed, *cacheCap, *library); err != nil {
-				log.Fatalf("mikserve: -fleet: %v", err)
-			}
-			return
-		}
 		lib := loadOrTune(h, *library)
 		srv.SetCompiler(core.NewCompilerFromLibrary(lib,
 			core.WithCacheCapacity(*cacheCap), core.WithObs(o)))
@@ -171,76 +159,14 @@ func main() {
 		}
 	}()
 
-	log.Printf("mikserve: serving on http://%s (plan, execute, model, healthz, stats, metrics, trace)", *addr)
+	log.Printf("mikserve: serving on http://%s (plan, execute, model, generate, healthz, stats, metrics, trace)", *addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	// HTTP connections are drained; now stop the background machinery (the
-	// generation scheduler and, when -fleet is set, the device workers and
-	// prober) so the process exits with no work in flight.
+	// generation scheduler) so the process exits with no work in flight.
 	srv.Close()
 	log.Print("mikserve: drained and stopped")
-}
-
-// bindFleet parses the -fleet spec (raw JSON or @file), builds and starts the
-// device fleet, and binds it to the server. The class the -library artifact
-// targets runs that artifact; every other class is tuned. The first device
-// class's library also backs the single-device endpoints (/plan, /execute),
-// so the server goes fully ready in one step.
-func bindFleet(srv *serve.Server, o *obs.Obs, spec string, chaosSeed uint64, cacheCap int, libPath string) error {
-	raw := []byte(spec)
-	if strings.HasPrefix(spec, "@") {
-		data, err := os.ReadFile(spec[1:])
-		if err != nil {
-			return err
-		}
-		raw = data
-	}
-	entries, err := fleet.ParseSpec(raw)
-	if err != nil {
-		return err
-	}
-	total := 0
-	for _, e := range entries {
-		total += e.Replicas
-	}
-	var devFaults []sim.DeviceFaults
-	if chaosSeed != 0 {
-		devFaults = sim.FleetChaosSchedule(chaosSeed, total, 64)
-		log.Printf("mikserve: fleet chaos schedule enabled (seed=%d over %d devices)", chaosSeed, total)
-	}
-	var loaded *tune.Library
-	if libPath != "" {
-		if lib, err := tune.LoadFile(libPath); err != nil {
-			log.Printf("mikserve: -library %s: %v; tuning every class instead", libPath, err)
-		} else {
-			loaded = lib
-		}
-	}
-	libFor := func(h hw.Hardware) (*tune.Library, error) {
-		if loaded != nil && loaded.HW.Name == h.Name {
-			log.Printf("mikserve: fleet class %s: loaded library from %s (%d kernels)", h.Name, libPath, len(loaded.Kernels))
-			return loaded, nil
-		}
-		log.Printf("mikserve: fleet class %s: tuning micro-kernel library ...", h.Name)
-		return core.SharedLibrary(h, tune.DefaultOptions())
-	}
-	devices, err := fleet.BuildDevices(entries, libFor, fleet.DeviceConfig{Obs: o}, devFaults)
-	if err != nil {
-		return err
-	}
-	f := fleet.NewDispatcher(devices, fleet.Config{
-		ProbeInterval: time.Second,
-		Obs:           o,
-	})
-	f.Start()
-	srv.SetFleet(f)
-	// The fleet shares one library per class; reuse the first device's for
-	// the classic endpoints.
-	srv.SetCompiler(core.NewCompilerFromLibrary(devices[0].Library(),
-		core.WithCacheCapacity(cacheCap), core.WithObs(o)))
-	log.Printf("mikserve: fleet ready (%d devices)", total)
-	return nil
 }
 
 // loadOrTune produces the micro-kernel library: from libPath when given and

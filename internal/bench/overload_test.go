@@ -14,7 +14,7 @@ import (
 
 // dumpOverload writes one seed's overload decision log to $OVERLOAD_LOG_DIR
 // (when set — CI uploads it as an artifact) and, on failure, into the test
-// log, mirroring the fleet-chaos harness.
+// log.
 func dumpOverload(t *testing.T, seed uint64, res Case, events []sched.Event) {
 	t.Helper()
 	data, err := json.MarshalIndent(events, "", "  ")

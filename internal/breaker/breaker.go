@@ -1,8 +1,7 @@
-// Package breaker is the three-state circuit-breaker automaton shared by the
-// serving layer (one breaker per model name) and the device fleet (one per
-// device). The type holds only the primitive transitions; who sends the
-// half-open probe — live traffic in serve, the dispatcher's prober in the
-// fleet — is the caller's composition of them.
+// Package breaker is the three-state circuit-breaker automaton behind the
+// serving layer's per-model breakers. The type holds only the primitive
+// transitions; who sends the half-open probe — live traffic in serve — is
+// the caller's composition of them.
 package breaker
 
 import (
@@ -111,19 +110,4 @@ func (b *Breaker) ProbeResult(ok bool) {
 		b.state = Open
 		b.openedAt = b.Now()
 	}
-}
-
-// ForceOpen trips the breaker regardless of streak (a device that crashed
-// outright need not be counted to the threshold). Returns true if the state
-// actually changed.
-func (b *Breaker) ForceOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state == Open {
-		return false
-	}
-	b.state = Open
-	b.openedAt = b.Now()
-	b.failures = 0
-	return true
 }

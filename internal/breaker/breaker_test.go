@@ -164,32 +164,6 @@ func TestProbeResult(t *testing.T) {
 	}
 }
 
-// TestForceOpen trips from closed and from half-open (with a fresh cooldown)
-// and is a no-op on an open breaker, which it does not re-arm.
-func TestForceOpen(t *testing.T) {
-	b, clk := newTest(3)
-	b.Record(false)
-	if !b.ForceOpen() {
-		t.Fatal("ForceOpen from closed reported no change")
-	}
-	wantState(t, b, Open)
-	clk.advance(cooldown / 2)
-	if b.ForceOpen() {
-		t.Fatal("ForceOpen on an open breaker reported a change")
-	}
-	clk.advance(cooldown / 2)
-	if !b.BeginProbe(cooldown) {
-		t.Fatal("ForceOpen on an open breaker re-armed the cooldown")
-	}
-	if !b.ForceOpen() {
-		t.Fatal("ForceOpen from half-open reported no change")
-	}
-	wantState(t, b, Open)
-	if b.BeginProbe(cooldown) {
-		t.Fatal("ForceOpen from half-open did not start a fresh cooldown")
-	}
-}
-
 func TestStateString(t *testing.T) {
 	for s, want := range map[State]string{Closed: "closed", Open: "open", HalfOpen: "half-open"} {
 		if s.String() != want {

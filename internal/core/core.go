@@ -112,14 +112,6 @@ func WithCacheCapacity(n int) Option {
 	return func(c *Compiler) { c.cache = newLRU(n) }
 }
 
-// WithHealth attaches a health registry: every plan targets the registry's
-// current degraded view H' instead of the pristine H, the program cache is
-// keyed by (shape, view fingerprint), and a view change triggers background
-// replanning of the hot shapes (see SetHealth).
-func WithHealth(reg *health.Registry) Option {
-	return func(c *Compiler) { c.hreg = reg }
-}
-
 // WithObs attaches an observability bundle: the planner records search spans
 // through o's tracer, and the compiler feeds the planner-latency histogram
 // and online-stage counters into o's registry. A nil o is a no-op, and all
@@ -175,9 +167,12 @@ func NewCompilerFromLibrary(lib *tune.Library, opts ...Option) *Compiler {
 	return c
 }
 
-// SetHealth attaches (or replaces) the health registry after construction —
-// the serving layer wires one registry across compiler, runtime and
-// handlers. Passing nil restores pristine-only planning.
+// SetHealth attaches (or replaces) the health registry: every plan targets
+// the registry's current degraded view H' instead of the pristine H, the
+// program cache is keyed by (shape, view fingerprint), and a view change
+// triggers background replanning of the hot shapes. The serving layer wires
+// one registry across compiler, runtime and handlers. Passing nil restores
+// pristine-only planning.
 func (c *Compiler) SetHealth(reg *health.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -30,7 +30,8 @@ func TestHealthKeyedCacheIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := health.NewRegistry(lib.HW.NumPEs, health.Config{})
-	c := NewCompilerFromLibrary(lib, WithHealth(reg))
+	c := NewCompilerFromLibrary(lib)
+	c.SetHealth(reg)
 
 	shape := tensor.GemmShape{M: 300, N: 300, K: 300}
 	healthyProg, err := c.Plan(shape)
@@ -85,7 +86,8 @@ func TestHealthViewChangeTriggersBackgroundReplan(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := health.NewRegistry(lib.HW.NumPEs, health.Config{})
-	c := NewCompilerFromLibrary(lib, WithHealth(reg))
+	c := NewCompilerFromLibrary(lib)
+	c.SetHealth(reg)
 
 	shapes := []tensor.GemmShape{
 		{M: 128, N: 128, K: 128},
@@ -120,7 +122,8 @@ func TestPlanOrFallbackTargetsDegradedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := health.NewRegistry(lib.HW.NumPEs, health.Config{})
-	c := NewCompilerFromLibrary(lib, WithHealth(reg))
+	c := NewCompilerFromLibrary(lib)
+	c.SetHealth(reg)
 	quarantineOne(t, reg, 7)
 
 	// Expired context: the fallback must price the degraded hardware.
@@ -145,7 +148,8 @@ func TestPlanningSurvivesMaximallyDegradedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := health.NewRegistry(lib.HW.NumPEs, health.Config{})
-	c := NewCompilerFromLibrary(lib, WithHealth(reg))
+	c := NewCompilerFromLibrary(lib)
+	c.SetHealth(reg)
 
 	// Kill view-PE 0 repeatedly: each observation quarantines the next
 	// surviving base PE until only one remains (the registry refuses the

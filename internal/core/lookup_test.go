@@ -76,7 +76,8 @@ func TestLookupRespectsHealthView(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := health.NewRegistry(lib.HW.NumPEs, health.Config{})
-	c := NewCompilerFromLibrary(lib, WithHealth(reg))
+	c := NewCompilerFromLibrary(lib)
+	c.SetHealth(reg)
 	shape := tensor.GemmShape{M: 300, N: 300, K: 300}
 	healthy, err := c.Plan(shape)
 	if err != nil {

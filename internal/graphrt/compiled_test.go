@@ -462,10 +462,8 @@ func TestCompiledReplayConcurrent(t *testing.T) {
 	if st.Graphs != n || st.Stages != int64(n*want.Stages) || st.Plans != int64(n*want.Plans) {
 		t.Fatalf("%d graphs, %d stages, %d plans counted for %d executions of %+v", st.Graphs, st.Stages, st.Plans, n, want)
 	}
-	var cycles float64
-	for i := 0; i < n; i++ {
-		cycles += want.Cycles
-	}
+	// The tally counts whole cycles, each execution's truncated.
+	cycles := float64(n * int64(want.Cycles))
 	if math.Float64bits(st.Cycles) != math.Float64bits(cycles) {
 		t.Fatalf("cumulative cycles %v, want %v", st.Cycles, cycles)
 	}
@@ -525,8 +523,9 @@ func TestCompiledTableIsBounded(t *testing.T) {
 }
 
 // TestPECountersAreOrderFree: two runtimes execute one multiset of graphs in
-// two seeded orders. Every stage adds whole cycles, so the cumulative PE
-// counters come out equal bit for bit whatever order the stages, and the
+// two seeded orders. Every stage adds whole cycles, and every execution whole
+// cycles and spill bytes, so the cumulative PE counters and the cycle and
+// spill tallies come out equal bit for bit whatever order the stages, and the
 // compiled executions that replay them, were added in.
 func TestPECountersAreOrderFree(t *testing.T) {
 	graphs := []nn.Graph{
@@ -541,6 +540,7 @@ func TestPECountersAreOrderFree(t *testing.T) {
 	var stats [2]Stats
 	for i, seed := range []int64{1, 2} {
 		rt := newPair(t, Config{PlanAhead: 2}, true).rt
+		rt.h.GlobalMemBytes = 1 << 20 // the larger graphs spill: the spill tally counts too
 		rng := rand.New(rand.NewSource(seed))
 		for _, j := range rng.Perm(len(runs)) {
 			if _, err := rt.Execute(context.Background(), runs[j]); err != nil {
@@ -563,6 +563,14 @@ func TestPECountersAreOrderFree(t *testing.T) {
 	if differ != 0 || math.Float64bits(a.GemmStageCycles) != math.Float64bits(b.GemmStageCycles) {
 		t.Fatalf("between two orders PEBusy differs on %d of %d PEs; stage cycles %v and %v",
 			differ, len(a.PEBusy), a.GemmStageCycles, b.GemmStageCycles)
+	}
+	if a.SpillBytes == 0 {
+		t.Fatal("no execution spilled")
+	}
+	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) ||
+		math.Float64bits(a.SpillBytes) != math.Float64bits(b.SpillBytes) {
+		t.Fatalf("between two orders cycles %v and %v, spill bytes %v and %v",
+			a.Cycles, b.Cycles, a.SpillBytes, b.SpillBytes)
 	}
 }
 

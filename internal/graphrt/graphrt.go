@@ -106,8 +106,12 @@ type Runtime struct {
 	lookupFn func(shape tensor.GemmShape) *poly.Program
 
 	mu  sync.Mutex
-	agg Stats // all but the PE counters, which pe keeps in whole cycles
+	agg Stats // all but the whole-unit tallies below
 	pe  peCycles
+	// cycles and spillBytes tally Stats.Cycles and Stats.SpillBytes in whole
+	// units, each execution's truncated toward zero, so the totals do not
+	// depend on the order executions complete in.
+	cycles, spillBytes int64
 	// simCache memoizes stage executions. The full Result is retained:
 	// memoized replays still accumulate per-PE utilization, and the recovery
 	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
@@ -151,7 +155,8 @@ type Stats struct {
 	// ladder.
 	RetriedStages, MigratedStages, ReplannedStages, UnrecoverableStages int64
 	// Cycles and SpillBytes accumulate end-to-end device cycles and
-	// memory-planner spill traffic.
+	// memory-planner spill traffic in whole units, each execution's
+	// truncated toward zero, in any execution order.
 	Cycles     float64
 	SpillBytes float64
 	// GemmStageCycles accumulates co-scheduled GEMM stage makespans — the
@@ -288,6 +293,8 @@ func (r *Runtime) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.agg
+	s.Cycles = float64(r.cycles)
+	s.SpillBytes = float64(r.spillBytes)
 	s.GemmStageCycles = float64(r.pe.stage)
 	for _, b := range r.pe.busy {
 		s.PEBusy = append(s.PEBusy, float64(b))
@@ -432,6 +439,6 @@ func (r *Runtime) accumulateReportLocked(rep Report) {
 	r.agg.HiddenWall += rep.HiddenWall
 	r.agg.Degraded += int64(rep.Degraded)
 	r.agg.FaultedTasks += int64(rep.FaultedTasks)
-	r.agg.Cycles += rep.Cycles
-	r.agg.SpillBytes += rep.Mem.SpillBytes
+	r.cycles += int64(rep.Cycles)
+	r.spillBytes += int64(rep.Mem.SpillBytes)
 }

@@ -2,6 +2,7 @@ package graphrt
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func TestExecuteBasic(t *testing.T) {
 	checkWallInvariants(t, rep)
 
 	st := rt.Stats()
-	if st.Graphs != 1 || st.Plans != int64(rep.Plans) || st.Cycles != rep.Cycles {
+	if st.Graphs != 1 || st.Plans != int64(rep.Plans) || st.Cycles != math.Trunc(rep.Cycles) {
 		t.Fatalf("stats not aggregated: %+v", st)
 	}
 }

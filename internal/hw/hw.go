@@ -203,8 +203,8 @@ func Ascend910() Hardware {
 	}
 }
 
-// ByName resolves a preset from the names the commands and fleet specs
-// accept: a100 (or A100), a100cuda (or a100-cuda), and ascend910 (or npu).
+// ByName resolves a preset from the names the commands accept: a100 (or
+// A100), a100cuda (or a100-cuda), and ascend910 (or npu).
 func ByName(name string) (Hardware, error) {
 	switch name {
 	case "a100", "A100":

@@ -2,8 +2,7 @@ package sched
 
 // Event is one overload decision (preempt, restore, shed-deadline,
 // limit-cut), recorded when Config.RecordEvents is set. The surge harness
-// dumps the log as a CI artifact when an invariant trips, mirroring the
-// fleet chaos event log.
+// dumps the log as a CI artifact when an invariant trips.
 type Event struct {
 	Wave   int64   `json:"wave"`
 	Clock  float64 `json:"clock"`

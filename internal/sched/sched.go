@@ -40,9 +40,8 @@ import (
 	"mikpoly/internal/stats"
 )
 
-// Pool names passed to the Executor. An executor over a device fleet may
-// route the two to different hardware classes; one over a single device
-// ignores them.
+// Pool names passed to the Executor. Every executor runs both on its one
+// device and ignores them.
 const (
 	PoolPrefill = "prefill"
 	PoolDecode  = "decode"

@@ -15,8 +15,7 @@ import (
 )
 
 // schedExecutor adapts the graph runtime to the generation scheduler. The
-// pool label is informational on a single device; a fleet-backed deployment
-// routes it through class-restricted dispatch instead (fleet.ExecModelClass).
+// pool label is informational: every step graph runs on the one device.
 type schedExecutor struct{ rt *graphrt.Runtime }
 
 // generateRequest is the wire format of one generation request. The prompt

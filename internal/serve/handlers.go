@@ -10,7 +10,6 @@ import (
 
 	"mikpoly/internal/core"
 	"mikpoly/internal/engine"
-	"mikpoly/internal/fleet"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kvcache"
@@ -63,8 +62,7 @@ type execRequest struct {
 }
 
 // execResponse reports the numeric digest and the (possibly fault-injected)
-// simulated execution. Device is set only on the fleet-backed /gemm path:
-// the replica that served the winning attempt.
+// simulated execution.
 type execResponse struct {
 	Shape        string    `json:"shape"`
 	Degraded     bool      `json:"degraded"`
@@ -73,7 +71,6 @@ type execResponse struct {
 	SimCycles    float64   `json:"sim_cycles"`
 	Checksum     float64   `json:"checksum"`
 	Sample       []float32 `json:"sample"`
-	Device       string    `json:"device,omitempty"`
 }
 
 // errorResponse is the wire format of every non-2xx answer.
@@ -125,8 +122,8 @@ func (s *Server) checkShape(shape tensor.GemmShape) (int, error) {
 	return 0, nil
 }
 
-// checkExecOperands bounds the materialized operand sizes for endpoints that
-// run real arithmetic (/execute and the fleet-backed /gemm).
+// checkExecOperands bounds the materialized operand sizes /execute runs real
+// arithmetic on.
 func (s *Server) checkExecOperands(shape tensor.GemmShape) (int, error) {
 	for _, operand := range [][2]int{{shape.M, shape.K}, {shape.K, shape.N}, {shape.M, shape.N}} {
 		if elems := int64(operand[0]) * int64(operand[1]); elems > s.lim.execElems {
@@ -350,10 +347,6 @@ type healthResponse struct {
 	BandwidthFactor float64           `json:"bandwidth_factor,omitempty"`
 	Fingerprint     string            `json:"health_fingerprint,omitempty"`
 	Breakers        map[string]string `json:"breakers,omitempty"`
-
-	// Devices summarizes the fleet when one is bound: per-replica lifecycle
-	// state, breaker state, health fingerprint, and routing weight.
-	Devices []fleet.DeviceSummary `json:"devices,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -376,15 +369,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(resp.Breakers) > 0 {
 		resp.Status = "degraded"
-	}
-	if f := s.fleetD(); f != nil {
-		resp.Devices = f.Summaries()
-		for _, d := range resp.Devices {
-			if d.State != "healthy" || d.Breaker != "closed" {
-				resp.Status = "degraded"
-				break
-			}
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

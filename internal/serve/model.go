@@ -53,10 +53,6 @@ type modelResponse struct {
 	// Tokens is the number of decode steps run (llama2-decode only).
 	Tokens int `json:"tokens,omitempty"`
 
-	// Device names the fleet replica that served the (last) graph
-	// (fleet-backed path only).
-	Device string `json:"device,omitempty"`
-
 	PeakMemBytes    int64   `json:"peak_mem_bytes,omitempty"`
 	WorkingSetBytes int64   `json:"working_set_bytes,omitempty"`
 	SpilledBuffers  int     `json:"spilled_buffers,omitempty"`
@@ -125,7 +121,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		steps, tokens = req.Steps, req.Steps
 	}
 	var sum graphrt.Report
-	var device string
 	attempts := 0
 	for i := 0; i < steps; i++ {
 		g, err := nn.BuildModel(req.Model, dims)
@@ -138,7 +133,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.lim.modelOps))
 			return
 		}
-		rep, dev, n, err := s.runGraph(r.Context(), c, rt, g)
+		rep, n, err := s.runGraph(r.Context(), c, rt, g)
 		attempts += n
 		if err != nil {
 			var ge *graphError
@@ -150,7 +145,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		addStep(&sum, rep)
-		device = dev
 		dims.KVLen++
 	}
 	s.breakers.record(req.Model, true)
@@ -178,7 +172,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		RecoveredStages: sum.RecoveredStages,
 		RecoveredFaults: sum.RecoveredFaults,
 		Tokens:          tokens,
-		Device:          device,
 		PeakMemBytes:    sum.Mem.PeakBytes,
 		WorkingSetBytes: sum.Mem.WorkingSetBytes,
 		SpilledBuffers:  sum.Mem.SpilledBuffers,
@@ -196,28 +189,15 @@ type graphError struct {
 
 func (e *graphError) Error() string { return e.err.Error() }
 
-// runGraph executes one graph and returns its report, the fleet replica
-// that served it ("" on a single device) and the attempt count; a non-nil
-// error is a *graphError.
+// runGraph executes one graph and returns its report and the attempt count;
+// a non-nil error is a *graphError.
 //
-// A fleet-backed server dispatches the graph: the dispatcher owns retries
-// (failover across replicas with per-attempt fault salts). Otherwise it runs
-// on the local runtime with fault-triggered re-planning. The runtime's
-// recovery ladder absorbs most faults stage-locally; what reaches the loop is
-// a typed StageError (ladder exhausted) or, defensively, residual faulted
-// tasks. Both get the whole-graph treatment: drop the graph's cached
-// programs, back off, and retry under a fresh fault salt — bounded by
-// maxRetries.
-func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, string, int, error) {
-	if f := s.fleetD(); f != nil {
-		rep, device, attempts, err := f.ExecModel(ctx, g)
-		if err != nil {
-			// A model no replica can run is shed just like on one device.
-			s.nUnrecoverable.Add(1)
-			return rep, device, attempts, &graphError{fleetStatus(err), true, err}
-		}
-		return rep, device, attempts, nil
-	}
+// The runtime's recovery ladder absorbs most faults stage-locally; what
+// reaches the loop is a typed StageError (ladder exhausted) or, defensively,
+// residual faulted tasks. Both get the whole-graph treatment: drop the
+// graph's cached programs, back off, and retry under a fresh fault salt —
+// bounded by maxRetries.
+func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, int, error) {
 	var stageErr *graphrt.StageError
 	for attempts := 0; ; {
 		rep, err := rt.ExecuteSalted(ctx, g, uint64(attempts))
@@ -228,21 +208,21 @@ func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Run
 			retryable = true
 		}
 		if err != nil && !retryable {
-			return rep, "", attempts, &graphError{http.StatusInternalServerError, false, err}
+			return rep, attempts, &graphError{http.StatusInternalServerError, false, err}
 		}
 		if !retryable || attempts > maxRetries {
 			if err != nil {
 				// Retries exhausted on an unrecoverable stage: typed 503 (the
 				// device genuinely cannot run this graph right now) and a
 				// strike against the model's circuit breaker.
-				return rep, "", attempts, &graphError{http.StatusServiceUnavailable, true, err}
+				return rep, attempts, &graphError{http.StatusServiceUnavailable, true, err}
 			}
-			return rep, "", attempts, nil
+			return rep, attempts, nil
 		}
 		s.nFaults.Add(1)
 		s.nRetries.Add(1)
 		if berr := s.bo.sleep(ctx, attempts-1); berr != nil {
-			return rep, "", attempts, &graphError{http.StatusServiceUnavailable, false,
+			return rep, attempts, &graphError{http.StatusServiceUnavailable, false,
 				fmt.Errorf("retry budget interrupted: %w", berr)}
 		}
 		for shape := range g.GemmShapes() {

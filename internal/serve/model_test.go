@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"mikpoly/internal/fleet"
 	"mikpoly/internal/nn"
 )
 
@@ -40,35 +39,20 @@ func TestModelEndpoint(t *testing.T) {
 }
 
 // TestModelEndpointDecodeSteps: llama2-decode with steps N decodes N tokens
-// as N step graphs at KV lengths kv, kv+1, ..., on the local path at any
-// batch and on the fleet path alike. Its sim_cycles are, bit for bit, the
-// sum of those step graphs' cycles.
+// as N step graphs at KV lengths kv, kv+1, ..., at any batch. Its
+// sim_cycles are, bit for bit, the sum of those step graphs' cycles.
 func TestModelEndpointDecodeSteps(t *testing.T) {
 	const kv, steps = 100, 4
 	for _, row := range []struct {
 		name  string
 		batch int
-		fleet bool
 	}{
-		{"local batch 1", 1, false},
-		{"local batch 2", 2, false},
-		{"fleet", 1, true},
+		{"local batch 1", 1},
+		{"local batch 2", 2},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			var srv *Server
-			var ts *httptest.Server
-			if row.fleet {
-				var f *fleet.Dispatcher
-				srv, ts, f = newFleetServer(t, Config{}, nil)
-				// Only the A100 replicas serve, so every step costs what the
-				// server's own A100 runtime charges for it.
-				if err := f.Drain("npu-0"); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				srv, ts = newTestServer(t, Config{})
-				t.Cleanup(srv.Close)
-			}
+			srv, ts := newTestServer(t, Config{})
+			t.Cleanup(srv.Close)
 			resp, data := postJSON(t, ts.URL+"/model",
 				modelRequest{Model: "llama2-decode", Batch: row.batch, KVLen: kv, Steps: steps})
 			if resp.StatusCode != http.StatusOK {
@@ -80,9 +64,6 @@ func TestModelEndpointDecodeSteps(t *testing.T) {
 			}
 			if mr.Tokens != steps {
 				t.Fatalf("tokens %d, want %d: %s", mr.Tokens, steps, data)
-			}
-			if row.fleet == (mr.Device == "") {
-				t.Fatalf("device %q on the fleet=%v path", mr.Device, row.fleet)
 			}
 			var want float64
 			for i := 0; i < steps; i++ {

@@ -317,6 +317,5 @@ func (s *Server) registerObs() {
 			}
 		})
 
-	s.registerFleetObs()
 	s.registerOverloadObs()
 }

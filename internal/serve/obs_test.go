@@ -155,3 +155,40 @@ func TestConcurrentModelStatsClearCache(t *testing.T) {
 		t.Fatal("metrics unavailable after churn")
 	}
 }
+
+// TestBreakerStateMetric pins the per-model breaker gauge: 0 while closed,
+// 1 once tripped open, back to 0 after a successful close.
+func TestBreakerStateMetric(t *testing.T) {
+	o := obs.New(obs.DefaultTraceCapacity)
+	srv, ts := newObsServer(t, o, Config{})
+
+	if resp, data := postJSON(t, ts+"/model", modelRequest{Model: "distilbert", Seq: 32}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("model status %d: %s", resp.StatusCode, data)
+	}
+	if _, body := getBody(t, ts+"/metrics"); !strings.Contains(body, `mik_serve_breaker_state{model="distilbert"} 0`) {
+		t.Fatalf("metrics missing closed breaker gauge for distilbert:\n%s", grepLines(body, "mik_serve_breaker_state"))
+	}
+
+	// Trip the breaker directly (the scrape path is what's under test).
+	for i := 0; i < breakerThreshold; i++ {
+		srv.breakers.record("distilbert", false)
+	}
+	if _, body := getBody(t, ts+"/metrics"); !strings.Contains(body, `mik_serve_breaker_state{model="distilbert"} 1`) {
+		t.Fatalf("metrics missing open breaker gauge for distilbert:\n%s", grepLines(body, "mik_serve_breaker_state"))
+	}
+
+	srv.breakers.record("distilbert", true)
+	if _, body := getBody(t, ts+"/metrics"); !strings.Contains(body, `mik_serve_breaker_state{model="distilbert"} 0`) {
+		t.Fatalf("breaker gauge did not return to 0 after re-close:\n%s", grepLines(body, "mik_serve_breaker_state"))
+	}
+}
+
+func grepLines(body, substr string) string {
+	var out []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.Contains(line, substr) {
+			out = append(out, line)
+		}
+	}
+	return strings.Join(out, "\n")
+}

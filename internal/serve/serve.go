@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"mikpoly/internal/core"
-	"mikpoly/internal/fleet"
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
@@ -141,7 +140,7 @@ type limits struct {
 	dim        int   // each of M, N, K and every model dimension
 	planElems  int64 // M·N·K; larger shapes are rejected with 413
 	simTasks   int   // /plan simulates programs of at most this many tasks
-	execElems  int64 // each materialized /execute and /gemm operand
+	execElems  int64 // each materialized /execute operand
 	modelSteps int   // decode steps of one /model or /generate request
 	modelOps   int   // operators of one built model graph
 }
@@ -182,7 +181,6 @@ type Server struct {
 	runtime  atomic.Pointer[graphrt.Runtime]
 	sched    atomic.Pointer[sched.Loop]
 	health   atomic.Pointer[health.Registry]
-	fleet    atomic.Pointer[fleet.Dispatcher]
 	cfg      Config
 	lim      limits
 	o        *obs.Obs
@@ -269,14 +267,10 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 // comp returns the bound compiler, or nil while the server is not ready.
 func (s *Server) comp() *core.Compiler { return s.compiler.Load() }
 
-// Close releases background resources: the generation scheduler loop and,
-// when a fleet is bound, its device workers and prober.
+// Close releases background resources: the generation scheduler loop.
 func (s *Server) Close() {
 	if l := s.sched.Load(); l != nil {
 		l.Close()
-	}
-	if f := s.fleet.Load(); f != nil {
-		f.Close()
 	}
 }
 
@@ -287,14 +281,9 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /plan", s.guard(http.HandlerFunc(s.handlePlan)))
 	mux.Handle("POST /execute", s.guard(http.HandlerFunc(s.handleExecute)))
 	mux.Handle("POST /model", s.guard(http.HandlerFunc(s.handleModel)))
-	mux.Handle("POST /gemm", s.guard(http.HandlerFunc(s.handleGemm)))
 	mux.Handle("POST /generate", s.guard(http.HandlerFunc(s.handleGenerate)))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /stats", s.handleStats)
-	// Fleet admin endpoints bypass admission: an operator must be able to
-	// inspect and drain replicas while the work endpoints shed load.
-	mux.HandleFunc("GET /fleet", s.handleFleetSummary)
-	mux.HandleFunc("POST /fleet/drain", s.handleFleetDrain)
 	// Observability endpoints bypass admission like the probes: a scrape
 	// must succeed while the work endpoints shed load.
 	if m := s.o.M(); m != nil {

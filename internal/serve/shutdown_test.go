@@ -8,56 +8,31 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"mikpoly/internal/core"
-	"mikpoly/internal/fleet"
-	"mikpoly/internal/hw"
-	"mikpoly/internal/sim"
-	"mikpoly/internal/tune"
 )
 
 // TestShutdownLeaksNoGoroutines is the graceful-drain regression test: a
-// server running every background subsystem (plan-ahead workers, fleet
-// device workers + prober) must return to the baseline goroutine count after
-// Close. A leaked worker here is what turns SIGTERM
-// into a hung pod in production.
+// server running every background subsystem (the generation scheduler loop
+// and the plan-ahead workers) must return to the baseline goroutine count
+// after Close. A leaked worker here is what turns SIGTERM into a hung pod in
+// production.
 func TestShutdownLeaksNoGoroutines(t *testing.T) {
-	opts := tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256}
-	// Warm the class-shared libraries so lazy tuning doesn't muddy the
-	// baseline measurement below.
-	for _, h := range []hw.Hardware{hw.A100(), hw.Ascend910()} {
-		if _, err := core.SharedLibrary(h, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// Warm the shared library so lazy tuning doesn't muddy the baseline
+	// measurement below.
+	c := testCompiler(t)
 	// Give goroutines from earlier tests in the package a moment to wind
 	// down, then take the baseline.
 	time.Sleep(50 * time.Millisecond)
 	before := runtime.NumGoroutine()
 
-	devices := make([]*fleet.Device, 0, 2)
-	for i, h := range []hw.Hardware{hw.A100(), hw.Ascend910()} {
-		lib, err := core.SharedLibrary(h, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := []string{"gpu-0", "npu-0"}[i]
-		devices = append(devices, fleet.NewDevice(lib, fleet.DeviceConfig{Name: name}))
-	}
-	f := fleet.NewDispatcher(devices, fleet.Config{
-		ProbeInterval: 10 * time.Millisecond, // background prober must stop too
-	})
-	f.Start()
-
-	srv := New(testCompiler(t), Config{PlanAhead: 2})
-	srv.SetFleet(f)
+	srv := New(c, Config{PlanAhead: 2, SchedDecode: true})
 	ts := httptest.NewServer(srv.Handler())
 
-	// Exercise every background path: fleet-routed gemm and model, and a
-	// single-device model to spin up plan-ahead workers.
+	// Exercise every background path: scheduled generation through the
+	// scheduler loop, and single-device models to spin up plan-ahead workers.
 	for i := 0; i < 3; i++ {
-		if resp, data := postJSON(t, ts.URL+"/gemm", execRequest{M: 96, N: 96, K: 64}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("gemm status %d: %s", resp.StatusCode, data)
+		if resp, data := postTenant(t, ts.URL+"/generate", "acme",
+			generateRequest{PromptLen: 48, Group: 1, PrefixLen: 32, Steps: 2, Fanout: 1 + i%2}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("generate status %d: %s", resp.StatusCode, data)
 		}
 	}
 	if resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32}); resp.StatusCode != http.StatusOK {
@@ -89,10 +64,10 @@ func TestShutdownLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestServerCloseIsIdempotent: mikserve calls Close explicitly after
-// ListenAndServe returns and again via defer; both must be safe, fleet
-// bound or not.
+// ListenAndServe returns and again via defer; both must be safe.
 func TestServerCloseIsIdempotent(t *testing.T) {
-	srv, _, _ := newFleetServer(t, Config{}, []sim.DeviceFaults{})
+	srv, _ := newTestServer(t, Config{SchedDecode: true})
+	t.Cleanup(srv.Close)
 	srv.Close()
-	srv.Close() // t.Cleanup from the helper adds a third call
+	srv.Close() // t.Cleanup adds a third call
 }
