@@ -20,10 +20,13 @@
 //
 // Eviction: when a sequence releases its pages, sealed prefix pages are
 // retained in a cached LRU (refcount zero, still indexed) and reclaimed only
-// when the free list runs dry. Every block whose recompute was avoided by a
-// prefix hit is accounted in SavedBytes; every block that *would* have hit a
-// page the LRU already reclaimed is accounted in RecomputedBytes — the exact
-// bytes-saved-versus-recomputed ledger the eviction policy is judged by.
+// when the free list runs dry. The cached pages sit on an intrusive doubly
+// linked list in the order they were cached, so caching, reviving and
+// evicting a page are O(1) whatever the arena size. Every block whose
+// recompute was avoided by a prefix hit is accounted in SavedBytes; every
+// block that *would* have hit a page the LRU already reclaimed is accounted
+// in RecomputedBytes — the exact bytes-saved-versus-recomputed ledger the
+// eviction policy is judged by.
 package kvcache
 
 import (
@@ -85,10 +88,15 @@ type page struct {
 	sealed bool
 	hash   uint64
 	// cached pages are sealed pages with zero references retained for
-	// future prefix hits; lru is their reclaim ordering tick.
-	cached bool
-	lru    uint64
+	// future prefix hits, linked oldest first through prev and next.
+	cached     bool
+	prev, next PageID
+	// onFree marks a page on the free list.
+	onFree bool
 }
+
+// nilPage ends the cached list.
+const nilPage PageID = -1
 
 // Sequence is one sequence's view of the cache: an ordered page table plus
 // the chain hash of its sealed prefix.
@@ -152,13 +160,18 @@ type Manager struct {
 	// index maps a chain hash to the sealed pages carrying it (a short
 	// collision list; token contents are always verified before sharing).
 	index map[uint64][]PageID
+	// lruHead and lruTail are the oldest and newest cached pages (nilPage
+	// when none is cached); eviction pops the head.
+	lruHead, lruTail PageID
 	// evicted is the bounded ledger of chain hashes whose page was
-	// reclaimed, backing the recomputed-bytes accounting.
+	// reclaimed, backing the recomputed-bytes accounting. evictedFIFO is
+	// its ring of at most evictedLedger hashes in eviction order; once
+	// full, evictedNext is the oldest slot, overwritten by the next hash.
 	evicted     map[uint64]struct{}
 	evictedFIFO []uint64
+	evictedNext int
 	seqs        int
 	nextSeq     uint64
-	tick        uint64
 	stats       Stats
 	// active and cached count the pages with refs > 0 and the cached
 	// pages, kept at every refs and cached transition so Stats never
@@ -174,11 +187,14 @@ func New(cfg Config) *Manager {
 		pages:   make([]page, cfg.NumPages),
 		free:    make([]PageID, cfg.NumPages),
 		index:   make(map[uint64][]PageID),
+		lruHead: nilPage,
+		lruTail: nilPage,
 		evicted: make(map[uint64]struct{}),
 	}
 	for i := range m.pages {
 		m.pages[i].tokens = make([]int32, 0, cfg.TokensPerPage)
 		m.pages[i].data = make([]uint64, 0, cfg.TokensPerPage)
+		m.pages[i].onFree = true
 		// Free list in reverse so allocation order starts at page 0.
 		m.free[i] = PageID(cfg.NumPages - 1 - i)
 	}
@@ -192,13 +208,6 @@ func (m *Manager) Config() Config { return m.cfg }
 // PageBytes returns one page's KV footprint.
 func (m *Manager) PageBytes() int64 {
 	return int64(m.cfg.TokensPerPage) * BytesPerToken
-}
-
-// PaddedLen rounds a KV length up to the page boundary — the only padding a
-// paged cache needs.
-func (m *Manager) PaddedLen(n int) int {
-	q := m.cfg.TokensPerPage
-	return (n + q - 1) / q * q
 }
 
 // kvWord is the simulated KV content of token tok at absolute position pos:
@@ -413,19 +422,6 @@ func (m *Manager) KV(s *Sequence) []uint64 {
 	return out
 }
 
-// EvictCached reclaims up to n cached pages (oldest first), returning how
-// many were reclaimed. The allocator calls this implicitly when the free
-// list runs dry; the scheduler may call it to make room proactively.
-func (m *Manager) EvictCached(n int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	evicted := 0
-	for evicted < n && m.evictOneLocked() {
-		evicted++
-	}
-	return evicted
-}
-
 // Stats snapshots the accounting.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
@@ -440,8 +436,10 @@ func (m *Manager) Stats() Stats {
 // CheckInvariants verifies the arena's books: every page is exactly one of
 // free, cached, or referenced; refcounts are non-negative; the index holds
 // only sealed pages; the running active and cached counts equal a full
-// scan. It returns the first violation found (tests and the chaos harness
-// call it after every scenario).
+// scan; every onFree flag matches the free list; and the cached list is a
+// well-formed chain through exactly the cached pages. It returns the first
+// violation found (tests and the chaos harness call it after every
+// scenario).
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -463,16 +461,18 @@ func (m *Manager) CheckInvariants() error {
 			cached++
 		}
 		switch {
+		case p.onFree != onFree[id]:
+			return fmt.Errorf("kvcache: page %d onFree=%v but on free list=%v", id, p.onFree, onFree[id])
 		case p.refs < 0:
 			return fmt.Errorf("kvcache: page %d refcount %d < 0", id, p.refs)
-		case onFree[id] && (p.refs > 0 || p.cached):
+		case p.onFree && (p.refs > 0 || p.cached):
 			return fmt.Errorf("kvcache: page %d free but refs=%d cached=%v", id, p.refs, p.cached)
 		case p.cached && p.refs != 0:
 			return fmt.Errorf("kvcache: page %d cached with refs=%d", id, p.refs)
-		case p.refs == 0 && !p.cached && !onFree[id]:
+		case p.refs == 0 && !p.cached && !p.onFree:
 			return fmt.Errorf("kvcache: page %d leaked (refs=0, not cached, not free)", id)
 		}
-		if onFree[id] {
+		if p.onFree {
 			counted++
 		}
 	}
@@ -490,6 +490,36 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("kvcache: index[%x] holds page %d sealed=%v hash=%x", h, id, p.sealed, p.hash)
 			}
 		}
+	}
+	return m.checkCachedListLocked()
+}
+
+// checkCachedListLocked walks the cached list from its head: every node is
+// a cached page, prev and next links agree, the walk ends at lruTail without
+// a cycle, and it visits exactly m.cached pages.
+func (m *Manager) checkCachedListLocked() error {
+	n, prev := 0, nilPage
+	for id := m.lruHead; id != nilPage; id = m.pages[id].next {
+		if id < 0 || int(id) >= len(m.pages) {
+			return fmt.Errorf("kvcache: cached list links to page %d outside the arena", id)
+		}
+		if n++; n > m.cached {
+			return fmt.Errorf("kvcache: cached list is longer than %d cached pages (a cycle?)", m.cached)
+		}
+		p := &m.pages[id]
+		if !p.cached {
+			return fmt.Errorf("kvcache: page %d on the cached list is not cached", id)
+		}
+		if p.prev != prev {
+			return fmt.Errorf("kvcache: page %d prev=%d, list reached it from %d", id, p.prev, prev)
+		}
+		prev = id
+	}
+	if prev != m.lruTail {
+		return fmt.Errorf("kvcache: cached list ends at page %d, tail is %d", prev, m.lruTail)
+	}
+	if n != m.cached {
+		return fmt.Errorf("kvcache: cached list holds %d pages, %d are cached", n, m.cached)
 	}
 	return nil
 }
@@ -528,8 +558,8 @@ func (m *Manager) foldDigestLocked(s *Sequence, id PageID) {
 	}
 }
 
-// lookupLocked finds a sealed page for (chain, tokens), reviving it from the
-// cached LRU if necessary.
+// lookupLocked finds a sealed page for (chain, tokens); refLocked revives it
+// if it is cached.
 func (m *Manager) lookupLocked(chain uint64, blk []int32) (PageID, bool) {
 	for _, id := range m.index[chain] {
 		p := &m.pages[id]
@@ -544,11 +574,6 @@ func (m *Manager) lookupLocked(chain uint64, blk []int32) (PageID, bool) {
 			}
 		}
 		if match {
-			if p.cached {
-				p.cached = false
-				m.cached--
-				m.stats.Revived++
-			}
 			return id, true
 		}
 	}
@@ -558,8 +583,7 @@ func (m *Manager) lookupLocked(chain uint64, blk []int32) (PageID, bool) {
 func (m *Manager) refLocked(id PageID) {
 	p := &m.pages[id]
 	if p.cached {
-		p.cached = false
-		m.cached--
+		m.uncacheLocked(id)
 		m.stats.Revived++
 	}
 	if p.refs == 0 {
@@ -581,13 +605,42 @@ func (m *Manager) unrefLocked(id PageID) {
 	}
 	m.active--
 	if p.sealed && !m.cfg.DisableSharing {
-		m.tick++
-		p.cached = true
-		m.cached++
-		p.lru = m.tick
+		m.cacheLocked(id)
 		return
 	}
 	m.freeLocked(id)
+}
+
+// cacheLocked appends a page to the tail of the cached list.
+func (m *Manager) cacheLocked(id PageID) {
+	p := &m.pages[id]
+	p.cached = true
+	p.prev, p.next = m.lruTail, nilPage
+	if m.lruTail == nilPage {
+		m.lruHead = id
+	} else {
+		m.pages[m.lruTail].next = id
+	}
+	m.lruTail = id
+	m.cached++
+}
+
+// uncacheLocked unlinks a cached page from the cached list.
+func (m *Manager) uncacheLocked(id PageID) {
+	p := &m.pages[id]
+	if p.prev == nilPage {
+		m.lruHead = p.next
+	} else {
+		m.pages[p.prev].next = p.next
+	}
+	if p.next == nilPage {
+		m.lruTail = p.prev
+	} else {
+		m.pages[p.next].prev = p.prev
+	}
+	p.cached = false
+	p.prev, p.next = nilPage, nilPage
+	m.cached--
 }
 
 // allocLocked pops a free page, evicting the oldest cached page when the
@@ -600,6 +653,7 @@ func (m *Manager) allocLocked() (PageID, error) {
 	id := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	p := &m.pages[id]
+	p.onFree = false
 	p.refs = 1
 	m.active++
 	p.n = 0
@@ -607,38 +661,31 @@ func (m *Manager) allocLocked() (PageID, error) {
 	p.data = p.data[:0]
 	p.sealed = false
 	p.hash = 0
-	p.cached = false
 	m.stats.Allocs++
 	return id, nil
 }
 
-// evictOneLocked reclaims the least-recently-used cached page, recording its
-// hash in the evicted ledger so a later miss on it is accounted as
-// recomputed bytes.
+// evictOneLocked reclaims the least-recently-used cached page — the head of
+// the cached list — recording its hash in the evicted ledger so a later
+// miss on it is accounted as recomputed bytes.
 func (m *Manager) evictOneLocked() bool {
-	victim, oldest := PageID(-1), uint64(0)
-	for i := range m.pages {
-		p := &m.pages[i]
-		if p.cached && (victim < 0 || p.lru < oldest) {
-			victim, oldest = PageID(i), p.lru
-		}
-	}
-	if victim < 0 {
+	victim := m.lruHead
+	if victim == nilPage {
 		return false
 	}
-	p := &m.pages[victim]
+	h := m.pages[victim].hash
 	m.stats.Evictions++
-	if _, dup := m.evicted[p.hash]; !dup {
-		m.evicted[p.hash] = struct{}{}
-		m.evictedFIFO = append(m.evictedFIFO, p.hash)
-		if len(m.evictedFIFO) > evictedLedger {
-			drop := m.evictedFIFO[0]
-			m.evictedFIFO = m.evictedFIFO[1:]
-			delete(m.evicted, drop)
+	if _, dup := m.evicted[h]; !dup {
+		m.evicted[h] = struct{}{}
+		if len(m.evictedFIFO) < evictedLedger {
+			m.evictedFIFO = append(m.evictedFIFO, h)
+		} else {
+			delete(m.evicted, m.evictedFIFO[m.evictedNext])
+			m.evictedFIFO[m.evictedNext] = h
+			m.evictedNext = (m.evictedNext + 1) % evictedLedger
 		}
 	}
-	p.cached = false
-	m.cached--
+	m.uncacheLocked(victim)
 	m.freeLocked(victim)
 	return true
 }
@@ -665,11 +712,10 @@ func (m *Manager) freeLocked(id PageID) {
 		}
 		p.sealed = false
 	}
-	for _, f := range m.free {
-		if f == id {
-			panic(fmt.Sprintf("kvcache: page %d freed twice", id))
-		}
+	if p.onFree {
+		panic(fmt.Sprintf("kvcache: page %d freed twice", id))
 	}
+	p.onFree = true
 	m.free = append(m.free, id)
 	m.stats.Frees++
 }

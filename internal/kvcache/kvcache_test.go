@@ -305,15 +305,6 @@ func TestFragmentationChurnRace(t *testing.T) {
 	}
 }
 
-func TestPaddedLen(t *testing.T) {
-	m := New(Config{TokensPerPage: 16})
-	for _, tc := range []struct{ in, want int }{{1, 16}, {16, 16}, {17, 32}, {100, 112}} {
-		if got := m.PaddedLen(tc.in); got != tc.want {
-			t.Fatalf("PaddedLen(%d)=%d want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 // BenchmarkStats reads the accounting of an arena holding active and cached
 // pages. The scheduler calls Stats on every wave, so its cost must not grow
 // with the arena: the 65 536-page case should match the 2 048-page one.

@@ -306,8 +306,11 @@ type Scheduler struct {
 	parked   []*reqState // preempted requests awaiting restore (FIFO)
 
 	// lastDecode is the decode wave before this one, whose step graphs
-	// decodeGraphLocked reuses.
-	lastDecode []decodeJob
+	// decodeGraphLocked reuses; lastPrefill holds the prefill graphs of the
+	// last wave that granted prefill (graphs and chunk lengths only, no
+	// request), which buildPrefillLocked reuses.
+	lastDecode  []decodeJob
+	lastPrefill []prefillJob
 
 	chunk         int     // last prefill budget granted (stats)
 	cyclesPerTk   float64 // EWMA prefill cycles per token
@@ -548,7 +551,9 @@ type decodeJob struct {
 // decodeGraphLocked returns the step graph for n branches at padded KV length
 // kv. A sequence decodes at one padded length for up to decodeBucket waves, so
 // the wave before this one has usually built the same graph: it is looked for
-// among that wave's jobs first, and nothing older is kept.
+// among that wave's jobs first, and nothing older is kept. Prefill graphs
+// follow the same rule in prefillGraphLocked. Both rely on a Graph being
+// read-only once built, so one graph may run in any number of waves.
 func (s *Scheduler) decodeGraphLocked(n, kv int) nn.Graph {
 	for _, job := range s.lastDecode {
 		if len(job.entries) == n && job.kv == kv {
@@ -603,6 +608,18 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 	return decode
 }
 
+// prefillGraphLocked returns the prefill graph for an n-token chunk: the one
+// the last prefill wave ran when a chunk there had the same length (most
+// chunks are the full configured chunk, wave after wave), else a new one.
+func (s *Scheduler) prefillGraphLocked(n int) nn.Graph {
+	for _, job := range s.lastPrefill {
+		if job.chunk == n {
+			return job.g
+		}
+	}
+	return nn.Llama2Prefill(1, n)
+}
+
 // starvedWaves is the starvation-guard bound: a request whose prefill went
 // ungranted this many consecutive waves is owed a chunk regardless of
 // decode slack or higher-priority contention.
@@ -627,7 +644,7 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 			n = budget
 		}
 		prefill = append(prefill, prefillJob{
-			st: st, chunk: n, g: nn.Llama2Prefill(1, n),
+			st: st, chunk: n, g: s.prefillGraphLocked(n),
 		})
 		budget -= n
 		granted[st] = true
@@ -671,6 +688,12 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 		st.deferred++
 		if int64(st.deferred) > s.stats.MaxDeferredWaves {
 			s.stats.MaxDeferredWaves = int64(st.deferred)
+		}
+	}
+	if len(prefill) > 0 {
+		s.lastPrefill = s.lastPrefill[:0]
+		for _, job := range prefill {
+			s.lastPrefill = append(s.lastPrefill, prefillJob{chunk: job.chunk, g: job.g})
 		}
 	}
 	return prefill
@@ -929,7 +952,8 @@ func (s *Scheduler) finishLocked(st *reqState, err error) {
 		}
 	}
 	if len(s.running) == 0 {
-		s.lastDecode = nil // an idle scheduler keeps no step graph alive
+		// An idle scheduler keeps no step graph alive.
+		s.lastDecode, s.lastPrefill = nil, nil
 	}
 	var digest uint64
 	decoded := 0

@@ -364,3 +364,47 @@ func TestDecodeWavesReuseStepGraphs(t *testing.T) {
 		t.Fatalf("%d of %d decode graphs were the previous wave's", reused, decodes)
 	}
 }
+
+// TestPrefillWavesReuseGraphs: two waves that each grant a full 256-token
+// chunk hand the executor one prefill graph, equal to a fresh build, and
+// once the last request finishes the scheduler holds no step graph at all.
+func TestPrefillWavesReuseGraphs(t *testing.T) {
+	var prefills []nn.Graph
+	exec := newFakeExec()
+	s := New(ExecutorFunc(func(ctx context.Context, g nn.Graph, pool string) (float64, error) {
+		if pool == PoolPrefill {
+			prefills = append(prefills, g)
+		}
+		return exec.ExecGraph(ctx, g, pool)
+	}), testCfg())
+	prompt := make([]int32, 600) // chunks of 256, 256 and 88 tokens
+	for i := range prompt {
+		prompt[i] = int32(i)
+	}
+	s.mu.Lock()
+	s.enqueueLocked(&reqState{req: Request{ID: 1, Tenant: "t", Prompt: prompt, Decode: 2}})
+	s.mu.Unlock()
+	for {
+		if _, worked := s.runWave(context.Background()); !worked {
+			break
+		}
+	}
+	if st := s.Stats(); st.Completed != 1 || len(prefills) != 3 {
+		t.Fatalf("completed %d requests over %d prefill chunks, want 1 over 3", st.Completed, len(prefills))
+	}
+	first, second := prefills[0], prefills[1]
+	if &first.Ops[0] != &second.Ops[0] {
+		t.Fatal("the second 256-token chunk built its prefill graph again")
+	}
+	if !reflect.DeepEqual(second, nn.Llama2Prefill(1, 256)) {
+		t.Fatalf("reused graph %s differs from a fresh build", second.Name)
+	}
+	if !reflect.DeepEqual(prefills[2], nn.Llama2Prefill(1, 88)) {
+		t.Fatalf("tail chunk ran %s, want a fresh 88-token graph", prefills[2].Name)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lastPrefill != nil || s.lastDecode != nil {
+		t.Fatalf("idle scheduler holds %d prefill and %d decode graphs", len(s.lastPrefill), len(s.lastDecode))
+	}
+}
