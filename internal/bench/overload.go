@@ -148,7 +148,7 @@ func (c overloadCase) schedConfig(h hw.Hardware, r overloadRun) sched.Config {
 		Adaptive:          r.adaptive,
 		AdaptiveMinTokens: c.AdaptiveMin,
 		ShedDeadlines:     r.shed,
-		PreemptKV:         r.preempt,
+		DisableKVPreempt:  !r.preempt,
 		RecordEvents:      r.events,
 	}
 }

@@ -157,7 +157,6 @@ func (c serveCase) schedConfig(h hw.Hardware, disableSharing bool) sched.Config 
 		MaxInFlightTokens: c.InFlightTokens,
 		Adaptive:          true,
 		ShedDeadlines:     true,
-		PreemptKV:         true,
 	}
 }
 

@@ -11,6 +11,11 @@
 // (singleflight), planning accepts a context for deadlines/cancellation,
 // planner panics are isolated into errors, and PlanOrFallback degrades to
 // the always-legal single-kernel program instead of failing a request.
+//
+// LRU, the generic bounded table the plan cache is built on, is exported:
+// the graph runtime keeps its compiled executions, stage memo and program
+// digests in it too, so every memo table on the serving path evicts in
+// recency order and none is dropped wholesale.
 package core
 
 import (

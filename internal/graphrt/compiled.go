@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"mikpoly/internal/nn"
-	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 )
@@ -26,32 +25,37 @@ type compiledKey struct {
 }
 
 // compiledExec is what one clean execution of a graph did, in the form a
-// replay needs.
+// replay needs. It references no program: a plan-cache eviction releases the
+// programs of every graph that ran them, while the entry stays replayable by
+// content.
 type compiledExec struct {
 	// rep is the report a warm run returns: Graph is patched in from the
 	// graph being replayed, the wall-clock planning fields are zero.
 	rep Report
-	// plans are the distinct GEMM shapes the graph ran and the program each
-	// was answered with — what a replay asks the plan cache to confirm.
+	// plans are the distinct GEMM shapes the graph ran and the digest of the
+	// program each was answered with — what a replay asks the plan cache to
+	// confirm.
 	plans []plannedShape
 	// launched counts the stages the run launched, one health observation
-	// each; pe is what those stages added to the runtime's PE counters.
+	// each; stage and busy are what those stages added to the runtime's PE
+	// counters, the per-PE totals as runs of equal values.
 	launched int
-	pe       peCycles
+	stage    int64
+	busy     []peRun
 }
 
 type plannedShape struct {
-	shape tensor.GemmShape
-	prog  *poly.Program
+	shape  tensor.GemmShape
+	digest digest
 }
 
 const (
-	// compiledCap bounds the table like simCacheCap bounds the stage memo:
-	// per-process scratch, dropped wholesale when full. An entry is about a
-	// kilobyte, most of it per-PE totals, and pins nothing of the stage memo;
-	// a dropped entry costs one interpretation to get back, so the cap is
-	// sized to a server's hot graphs, not to its history.
-	compiledCap = 128
+	// compiledCap bounds the table. It is sized to a server's working set:
+	// generate-unique runs about 500 distinct graphs, and at 256 entries its
+	// hot set does not fit. An entry is a few hundred bytes (the report, one
+	// shape and digest per distinct shape, a handful of PE runs) and pins
+	// neither programs nor stage-memo results.
+	compiledCap = 512
 	// maxDistinct bounds the distinct shapes of one compiled execution (each
 	// is one plan-cache probe per replay). A graph past it keeps being
 	// interpreted.
@@ -65,10 +69,11 @@ type recording struct {
 	key  compiledKey
 	off  bool
 	exec compiledExec
+	pe   peCycles // the stages' PE counters, run-length encoded when stored
 }
 
-// planned notes that shape was answered with prog.
-func (c *recording) planned(shape tensor.GemmShape, prog *poly.Program) {
+// planned notes that shape was answered with the program of digest d.
+func (c *recording) planned(shape tensor.GemmShape, d digest) {
 	if c.off {
 		return
 	}
@@ -76,7 +81,7 @@ func (c *recording) planned(shape tensor.GemmShape, prog *poly.Program) {
 		if p.shape == shape {
 			// One shape, two programs in one run (an eviction and a replan in
 			// between): a replay has one lookup to check per shape.
-			c.off = p.prog != prog
+			c.off = p.digest != d
 			return
 		}
 	}
@@ -84,7 +89,7 @@ func (c *recording) planned(shape tensor.GemmShape, prog *poly.Program) {
 		c.off = true
 		return
 	}
-	c.exec.plans = append(c.exec.plans, plannedShape{shape, prog})
+	c.exec.plans = append(c.exec.plans, plannedShape{shape, d})
 }
 
 // launched notes one stage's first result. Only a pristine result under the
@@ -100,7 +105,7 @@ func (c *recording) launched(key stageKey, res *sim.Result) {
 		return
 	}
 	c.exec.launched++
-	c.exec.pe.addStage(res)
+	c.pe.addStage(res)
 }
 
 // pristine reports whether observing res can tell the health registry nothing.
@@ -118,24 +123,25 @@ func (r *Runtime) storeLocked(c *recording, rep Report) {
 	rep.Graph = ""
 	rep.Stalls, rep.PlanWall, rep.StallWall, rep.HiddenWall = 0, 0, 0, 0
 	c.exec.rep = rep
-	if len(r.compiled) >= compiledCap {
-		r.compiled = make(map[compiledKey]compiledExec)
+	c.exec.stage, c.exec.busy = c.pe.stage, c.pe.runs()
+	if _, _, evicted := r.compiled.Put(c.key, c.exec); evicted {
+		r.compiledEvictions++
 	}
-	r.compiled[c.key] = c.exec
 }
 
-// replay answers an execution from the compiled table. A hit is guarded, not
-// trusted. One plan-cache probe per distinct shape must return the program
-// the compiled run used — by address, else by content — which is what a
-// library swap, a changed health view, an eviction or an invalidation would
-// alter, and which keeps LRU recency and the hot-shape tracker fed. The health
+// replay answers an execution from the compiled table, refreshing the entry's
+// recency. A hit is guarded, not trusted. One plan-cache probe per distinct
+// shape must return a program with the content the compiled run used — which
+// is what a library swap, a changed health view or an invalidation would
+// alter, while an eviction and a replan of the same shape would not — and
+// which keeps LRU recency and the hot-shape tracker fed. The health
 // registry must then accept the stages' observations in bulk, which it does
 // exactly when they would change nothing but its counters. Only then is the
 // run's PE total added to the runtime's counters in one step: they are
 // integers, so that equals adding its stages one by one.
 func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Report, bool) {
 	r.mu.Lock()
-	e, ok := r.compiled[key]
+	e, ok := r.compiled.Get(key)
 	r.mu.Unlock()
 	if !ok || ctx.Err() != nil {
 		// A cancelled execution fails where it always did, in the interpreter.
@@ -143,7 +149,7 @@ func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Repo
 	}
 	for _, p := range e.plans {
 		got := r.lookupFn(p.shape)
-		if got != p.prog && (got == nil || r.progDigest(got) != r.progDigest(p.prog)) {
+		if got == nil || r.progDigest(got) != p.digest {
 			return Report{}, false
 		}
 	}
@@ -154,7 +160,8 @@ func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Repo
 	rep := e.rep
 	rep.Graph = g.Name
 	r.mu.Lock()
-	r.pe.add(e.pe)
+	r.pe.addRuns(e.stage, e.busy)
+	r.compiledHits++
 	r.accumulateReportLocked(rep)
 	r.mu.Unlock()
 	sp.Attr("ops", float64(rep.Ops)).Attr("stages", float64(rep.Stages)).

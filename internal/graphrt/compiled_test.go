@@ -13,6 +13,7 @@ import (
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
+	"mikpoly/internal/poly"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
@@ -103,6 +104,7 @@ func (p pair) sameState(t *testing.T) {
 			got.Cycles, got.GemmStageCycles, got.SpillBytes, want.Cycles, want.GemmStageCycles, want.SpillBytes)
 	}
 	got.PEBusy, want.PEBusy = nil, nil
+	got.Compiled = CompiledStats{} // the interpreter keeps no table
 	got.Stalls, got.PlanWall, got.StallWall, got.HiddenWall = 0, 0, 0, 0
 	want.Stalls, want.PlanWall, want.StallWall, want.HiddenWall = 0, 0, 0, 0
 	if !reflect.DeepEqual(got, want) {
@@ -317,7 +319,7 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 				t.Fatal("PlanTimeout < 0 degraded nothing")
 			}
 		}
-		if n := len(p.rt.compiled); n != 0 {
+		if n := p.rt.compiled.Len(); n != 0 {
 			t.Fatalf("%d degraded executions were stored", n)
 		}
 		p.sameState(t)
@@ -342,7 +344,7 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 				t.Fatalf("run %d recovered %d stages, want the faulted one alone", i, rep.RecoveredStages)
 			}
 		}
-		if n := len(p.rt.compiled); n != 0 {
+		if n := p.rt.compiled.Len(); n != 0 {
 			t.Fatalf("%d executions with a recovered stage were stored", n)
 		}
 		p.sameState(t)
@@ -516,8 +518,167 @@ func TestCompiledTableIsBounded(t *testing.T) {
 		if _, err := rt.Execute(context.Background(), g); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(rt.compiled); n > compiledCap {
+		if n := rt.compiled.Len(); n > compiledCap {
 			t.Fatalf("table holds %d entries, cap %d", n, compiledCap)
+		}
+	}
+}
+
+// TestCompiledTableKeepsHotGraphs streams three tables' worth of distinct
+// graphs through the runtime with a few hot graphs interleaved. The table
+// evicts its least recently used entry and a replay refreshes recency, so
+// every hot execution after the first replays, however many cold graphs pass
+// through, and the table's counters account for every execution.
+func TestCompiledTableKeepsHotGraphs(t *testing.T) {
+	rt := fastRuntime(t, Config{PlanAhead: 2})
+	run := func(g nn.Graph) int64 {
+		t.Helper()
+		before := rt.interpreted.Load()
+		if _, err := rt.Execute(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+		return rt.interpreted.Load() - before
+	}
+	hot := make([]nn.Graph, 4)
+	for i := range hot {
+		hot[i] = chainGraph(3)
+		hot[i].Ops[2].OtherBytes = float64(i)
+	}
+	cold := chainGraph(2)
+	const colds = 3 * compiledCap
+	replays := 0
+	for i := 0; i < colds; i++ {
+		cold.Ops[1].OtherBytes = float64(i)
+		if run(cold) != 1 {
+			t.Fatalf("cold graph %d was replayed", i)
+		}
+		if i%16 != 0 {
+			continue
+		}
+		for j, g := range hot {
+			if n := run(g); i > 0 && n != 0 {
+				t.Fatalf("hot graph %d was interpreted again after %d cold graphs", j, i)
+			}
+			if i > 0 {
+				replays++
+			}
+		}
+	}
+	want := CompiledStats{
+		Hits:      int64(replays),
+		Misses:    int64(colds + len(hot)),
+		Evictions: int64(colds + len(hot) - compiledCap),
+		Size:      compiledCap,
+	}
+	if got := rt.Stats().Compiled; got != want {
+		t.Fatalf("compiled table stats %+v, want %+v", got, want)
+	}
+}
+
+// holdsType reports whether a value of type t can reach a value of type want
+// through its fields, elements or pointers.
+func holdsType(t, want reflect.Type, seen map[reflect.Type]bool) bool {
+	if t == want {
+		return true
+	}
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsType(t.Field(i).Type, want, seen) {
+				return true
+			}
+		}
+	case reflect.Map:
+		return holdsType(t.Key(), want, seen) || holdsType(t.Elem(), want, seen)
+	case reflect.Array, reflect.Chan, reflect.Pointer, reflect.Slice:
+		return holdsType(t.Elem(), want, seen)
+	case reflect.Interface, reflect.Func, reflect.UnsafePointer:
+		return true // could hold anything
+	}
+	return false
+}
+
+// TestCompiledEntryPinsNoProgram: a compiled entry holds program digests, not
+// programs, so a plan-cache eviction frees a graph's programs. After the plan
+// cache evicts the graph's shapes and plans them again — new programs, equal
+// content — the entry still replays, by content.
+func TestCompiledEntryPinsNoProgram(t *testing.T) {
+	if holdsType(reflect.TypeOf(compiledExec{}), reflect.TypeOf(poly.Program{}), map[reflect.Type]bool{}) {
+		t.Fatal("a compiled entry can reach a poly.Program")
+	}
+	g := nn.Transformer(nn.BERTBaseConfig, 37, 1)
+	shapes := map[tensor.GemmShape]bool{}
+	for _, op := range g.Ops {
+		if op.Kind != nn.OpOther {
+			shapes[op.Gemm] = true
+		}
+	}
+	p := newPair(t, Config{PlanAhead: 2}, true, core.WithCacheCapacity(len(shapes)))
+	p.compile(t, g, 0)
+	before := map[tensor.GemmShape]*poly.Program{}
+	for s := range shapes {
+		before[s] = p.rt.comp.Lookup(s)
+	}
+	p.each(func(rt *Runtime) {
+		for i := 0; i < len(shapes); i++ {
+			if _, err := rt.comp.Plan(tensor.GemmShape{M: 300 + i, N: 64, K: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for s := range shapes {
+		if p.rt.comp.Cached(s, "") {
+			t.Fatalf("%v is still cached", s)
+		}
+	}
+	p.each(func(rt *Runtime) {
+		for s := range shapes {
+			if _, err := rt.comp.Plan(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	for s, old := range before {
+		if p.rt.comp.Lookup(s) == old {
+			t.Fatalf("%v was answered with the evicted program itself", s)
+		}
+	}
+	if _, interpreted := p.execute(t, context.Background(), g, 0); interpreted != 0 {
+		t.Fatal("the entry was not replayed after its shapes were evicted and planned again")
+	}
+	p.sameState(t)
+}
+
+// TestPERunsAddLikeTheVector: a total stored as runs of equal per-PE values
+// adds exactly what the dense vector it encodes adds, lengths included.
+func TestPERunsAddLikeTheVector(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		var total peCycles
+		total.stage = rng.Int63n(1000)
+		total.busy = make([]int64, rng.Intn(12))
+		for i := range total.busy {
+			total.busy[i] = int64(rng.Intn(3)) // few values: long runs
+		}
+		var start []int64
+		for i := rng.Intn(14); i > 0; i-- {
+			start = append(start, rng.Int63n(50))
+		}
+		dense := peCycles{stage: 5, busy: append([]int64(nil), start...)}
+		dense.stage += total.stage
+		dense.grow(len(total.busy))
+		for i, b := range total.busy {
+			dense.busy[i] += b
+		}
+		runs := peCycles{stage: 5, busy: append([]int64(nil), start...)}
+		runs.addRuns(total.stage, total.runs())
+		if !reflect.DeepEqual(dense, runs) {
+			t.Fatalf("trial %d: adding %v to %v gives %+v densely, %+v from runs %v",
+				trial, total.busy, start, dense, runs, total.runs())
 		}
 	}
 }
@@ -574,10 +735,10 @@ func TestPECountersAreOrderFree(t *testing.T) {
 	}
 }
 
-// TestCompiledSurvivesMemoDrop: the stage memo is dropped wholesale when full.
-// A compiled execution stored before the drop holds its totals, not memo
-// entries, so it still replays after the drop, and the runtime that replays it
-// stays in the interpreter's state bit for bit.
+// TestCompiledSurvivesMemoDrop: the stage memo is emptied. A compiled
+// execution stored before the drop holds its totals, not memo entries, so it
+// still replays after the drop, and the runtime that replays it stays in the
+// interpreter's state bit for bit.
 func TestCompiledSurvivesMemoDrop(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	graphs := []nn.Graph{
@@ -590,7 +751,7 @@ func TestCompiledSurvivesMemoDrop(t *testing.T) {
 	}
 	p.each(func(rt *Runtime) {
 		rt.mu.Lock()
-		rt.simCache = make(map[stageKey]*sim.Result)
+		rt.simCache.Clear()
 		rt.mu.Unlock()
 	})
 	replays := 0

@@ -116,11 +116,13 @@ type Runtime struct {
 	// memoized replays still accumulate per-PE utilization, and the recovery
 	// ladder needs the fault breakdown (faulted, stranded, dead PEs) when a
 	// cached dirty stage replays. Compiled executions hold totals, not these
-	// results, so dropping the memo leaves every entry whole.
-	simCache map[stageKey]*sim.Result
-	digests  map[*poly.Program]digest
-	// compiled holds whole clean executions by graph content (compiled.go).
-	compiled map[compiledKey]compiledExec
+	// results, so evicting a memo entry leaves every compiled entry whole.
+	simCache *core.LRU[stageKey, *sim.Result]
+	digests  *core.LRU[*poly.Program, digest]
+	// compiled holds whole clean executions by graph content (compiled.go);
+	// the counters are its CompiledStats.
+	compiled                                        *core.LRU[compiledKey, compiledExec]
+	compiledHits, compiledMisses, compiledEvictions int64
 
 	// noCompile switches the compiled table off and interpreted counts the
 	// executions that went through the interpreter: the seams the tests that
@@ -166,6 +168,20 @@ type Stats struct {
 	// whole cycles, each stage's truncated toward zero, in any stage order.
 	GemmStageCycles float64
 	PEBusy          []float64
+	// Compiled is the compiled-execution table's behaviour.
+	Compiled CompiledStats
+}
+
+// CompiledStats reports the compiled-execution table. Hits count executions
+// answered by a replay; Misses count executions the table could have answered
+// that went through the interpreter, for want of an entry or because the
+// entry's guard failed. Size is the current entry count. JSON tags match the
+// serving layer's /stats.
+type CompiledStats struct {
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Size      int   `json:"size"`
 }
 
 // PEUtilization returns each PE's busy fraction of the cumulative
@@ -240,9 +256,9 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 		o:        cfg.Obs,
 		lowerFn:  lowerStage,
 		lookupFn: comp.Lookup,
-		simCache: make(map[stageKey]*sim.Result),
-		digests:  make(map[*poly.Program]digest),
-		compiled: make(map[compiledKey]compiledExec),
+		simCache: core.NewLRU[stageKey, *sim.Result](simCacheCap),
+		digests:  core.NewLRU[*poly.Program, digest](digestCap),
+		compiled: core.NewLRU[compiledKey, compiledExec](compiledCap),
 	}
 	r.planFn = func(ctx context.Context, shape tensor.GemmShape) (*poly.Program, bool, error) {
 		pctx := ctx
@@ -299,6 +315,12 @@ func (r *Runtime) Stats() Stats {
 	for _, b := range r.pe.busy {
 		s.PEBusy = append(s.PEBusy, float64(b))
 	}
+	s.Compiled = CompiledStats{
+		Hits:      r.compiledHits,
+		Misses:    r.compiledMisses,
+		Evictions: r.compiledEvictions,
+		Size:      r.compiled.Len(),
+	}
 	return s
 }
 
@@ -335,6 +357,9 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 		if rep, ok := r.replay(ctx, g, rec.key); ok {
 			return rep, nil
 		}
+		r.mu.Lock()
+		r.compiledMisses++
+		r.mu.Unlock()
 	}
 	r.interpreted.Add(1)
 	stages, err := g.Schedule()
@@ -389,8 +414,9 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 				return Report{}, fmt.Errorf("graphrt: graph %s op %s: %w", g.Name, op.Name, err)
 			}
 			ops = append(ops, stageOp{shape: op.Gemm, count: op.Count, prog: t.prog})
-			key.add(r.progDigest(t.prog), op.Count)
-			rec.planned(op.Gemm, t.prog)
+			d := r.progDigest(t.prog)
+			key.add(d, op.Count)
+			rec.planned(op.Gemm, d)
 			numTasks += t.prog.NumTasks() * op.Count
 		}
 		if numTasks > 0 {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 
+	"mikpoly/internal/core"
 	"mikpoly/internal/nn"
 	"mikpoly/internal/poly"
 )
@@ -110,9 +111,12 @@ func digestProgram(p *poly.Program) digest {
 	}
 }
 
-// digestCap bounds the per-program digest table, like simCacheCap bounds the
-// stage memo: per-process scratch, dropped wholesale when full.
-const digestCap = 4096
+// digestCap bounds the per-program digest table at the plan cache's default
+// capacity: the programs a replay asks about are the ones the plan cache
+// holds. An LRU stays full where a table dropped wholesale averaged half its
+// cap, and every entry pins its program, so a larger cap keeps thousands of
+// evicted programs alive on a shape-churning workload.
+const digestCap = core.DefaultCacheCapacity
 
 // progDigest returns p's content digest, computing it at most once while p
 // stays in the table. The table is keyed by the program's address and thereby
@@ -122,17 +126,14 @@ const digestCap = 4096
 // (/plan) that never reach the graph runtime.
 func (r *Runtime) progDigest(p *poly.Program) digest {
 	r.mu.Lock()
-	d, ok := r.digests[p]
+	d, ok := r.digests.Get(p)
 	r.mu.Unlock()
 	if ok {
 		return d
 	}
 	d = digestProgram(p)
 	r.mu.Lock()
-	if len(r.digests) >= digestCap {
-		r.digests = make(map[*poly.Program]digest)
-	}
-	r.digests[p] = d
+	r.digests.Put(p, d)
 	r.mu.Unlock()
 	return d
 }

@@ -209,7 +209,7 @@ func (r *Runtime) consumePlan(ctx context.Context, pipe *pipeline, i int, shape 
 // graphrt.execute span's counters.
 func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h hw.Hardware, v health.View, ops []stageOp, lowerOn hw.Hardware) *sim.Result {
 	r.mu.Lock()
-	if res, ok := r.simCache[key]; ok {
+	if res, ok := r.simCache.Get(key); ok {
 		r.pe.addStage(res)
 		r.mu.Unlock()
 		return res
@@ -224,12 +224,7 @@ func (r *Runtime) runStageCached(ctx context.Context, stage int, key stageKey, h
 		Attr("cycles", res.Cycles).End()
 
 	r.mu.Lock()
-	if len(r.simCache) >= simCacheCap {
-		// The cache is per-process scratch, not a correctness structure:
-		// dropping it wholesale keeps memory flat under shape churn.
-		r.simCache = make(map[stageKey]*sim.Result)
-	}
-	r.simCache[key] = res
+	r.simCache.Put(key, res)
 	r.pe.addStage(res)
 	r.mu.Unlock()
 	return res
@@ -273,11 +268,46 @@ func (c *peCycles) addStage(res *sim.Result) {
 	}
 }
 
-func (c *peCycles) add(o peCycles) {
-	c.stage += o.stage
-	c.grow(len(o.busy))
-	for i, b := range o.busy {
-		c.busy[i] += b
+// peRun is one run of equal per-PE totals: every PE from the previous run's
+// end up to end added n.
+type peRun struct {
+	end int
+	n   int64
+}
+
+// runs encodes the per-PE totals as runs of equal values. A served graph's
+// totals have a handful of runs where the dense vector has one value per PE.
+func (c *peCycles) runs() []peRun {
+	n := 0
+	for i, b := range c.busy {
+		if i == 0 || b != c.busy[i-1] {
+			n++
+		}
+	}
+	out := make([]peRun, 0, n)
+	for i, b := range c.busy {
+		if i > 0 && b == c.busy[i-1] {
+			out[len(out)-1].end = i + 1
+			continue
+		}
+		out = append(out, peRun{end: i + 1, n: b})
+	}
+	return out
+}
+
+// addRuns adds a stored total: stage makespan cycles and run-length per-PE
+// busy cycles, the same integer sums as adding the dense vector.
+func (c *peCycles) addRuns(stage int64, runs []peRun) {
+	c.stage += stage
+	if len(runs) == 0 {
+		return
+	}
+	c.grow(runs[len(runs)-1].end)
+	i := 0
+	for _, run := range runs {
+		for ; i < run.end; i++ {
+			c.busy[i] += run.n
+		}
 	}
 }
 
@@ -287,5 +317,8 @@ func (c *peCycles) grow(n int) {
 	}
 }
 
-// simCacheCap bounds the stage-simulation memo.
+// simCacheCap bounds the stage-simulation memo. No served workload fills it
+// (model-dynamic peaks near 3 100 distinct stages, generate-unique near 1 000),
+// and it is what serves a graph re-interpreted after a plan-cache eviction:
+// halving it doubled model-dynamic's allocation per request.
 const simCacheCap = 4096

@@ -2,10 +2,11 @@ package sched
 
 // Overload defenses: deadline shedding, KV-pressure preemption with a
 // parked/restore queue, and the AIMD admission limiter. Each has its own
-// Config switch (ShedDeadlines, PreemptKV, Adaptive). The serving layer turns
-// all three on; the switches stay for the overload harness, which replays the
-// same surge undefended (the reference its goodput check measures against)
-// and with preemption alone (the tight-vs-wide arena restore check).
+// Config switch (ShedDeadlines, DisableKVPreempt, Adaptive); preemption is on
+// unless opted out, the other two are opt-in. The serving layer runs all
+// three; the switches stay for the overload harness, which replays the same
+// surge undefended (the reference its goodput check measures against) and
+// with preemption alone (the tight-vs-wide arena restore check).
 
 import (
 	"errors"
@@ -125,7 +126,7 @@ func (s *Scheduler) preemptLocked(st *reqState, detail string) {
 // request always keeps running so every wave makes progress (and a lone
 // restored request can never ping-pong back out).
 func (s *Scheduler) preemptForPressureLocked() {
-	if !s.cfg.PreemptKV || s.availableFracLocked() >= kvLowWater {
+	if s.cfg.DisableKVPreempt || s.availableFracLocked() >= kvLowWater {
 		return
 	}
 	for len(s.running) > 1 && s.availableFracLocked() < kvHighWater {
@@ -140,12 +141,12 @@ func (s *Scheduler) preemptForPressureLocked() {
 // appendWithPreemptLocked appends one decode token, preempting the least-
 // important running request on arena exhaustion and retrying. When the
 // appending request is itself the least important, it parks instead (its
-// own failed token is regenerated deterministically after restore). Without
-// PreemptKV this is a plain append and exhaustion fails the request.
+// own failed token is regenerated deterministically after restore). With
+// DisableKVPreempt this is a plain append and exhaustion fails the request.
 func (s *Scheduler) appendWithPreemptLocked(st *reqState, seq *kvcache.Sequence, tok int32) error {
 	for {
 		err := s.kv.Append(seq, tok)
-		if err == nil || !s.cfg.PreemptKV || !errors.Is(err, kvcache.ErrNoPages) {
+		if err == nil || s.cfg.DisableKVPreempt || !errors.Is(err, kvcache.ErrNoPages) {
 			return err
 		}
 		v := s.leastImportantRunningLocked()
@@ -171,7 +172,7 @@ func (s *Scheduler) appendWithPreemptLocked(st *reqState, seq *kvcache.Sequence,
 // otherwise idle, mirroring the preemption hysteresis.
 func (s *Scheduler) restoreParkedLocked() {
 	for len(s.parked) > 0 {
-		if len(s.running) > 0 && s.cfg.PreemptKV && s.availableFracLocked() < kvHighWater {
+		if len(s.running) > 0 && !s.cfg.DisableKVPreempt && s.availableFracLocked() < kvHighWater {
 			return
 		}
 		st := s.parked[0]

@@ -42,7 +42,7 @@ func TestPreemptRestoreBitwise(t *testing.T) {
 	run := func(pages int, preempt bool) (Report, Stats) {
 		cfg := testCfg()
 		cfg.KV.NumPages = pages
-		cfg.PreemptKV = preempt
+		cfg.DisableKVPreempt = !preempt
 		s := New(newFakeExec(), cfg)
 		rep, _, err := s.Replay(context.Background(), trace)
 		if err != nil {
@@ -85,7 +85,6 @@ func TestPreemptRestoreBitwise(t *testing.T) {
 func TestPreemptionPrefersLowPriorityYoungest(t *testing.T) {
 	cfg := testCfg()
 	cfg.KV.NumPages = 160
-	cfg.PreemptKV = true
 	cfg.RecordEvents = true
 	s := New(newFakeExec(), cfg)
 
@@ -269,7 +268,6 @@ func TestLoopLiveSubmitShutdown(t *testing.T) {
 		cfg.KV.NumPages = 192
 		cfg.Adaptive = true
 		cfg.ShedDeadlines = true
-		cfg.PreemptKV = true
 		s := New(newFakeExec(), cfg)
 		loop := NewLoop(s)
 
@@ -327,4 +325,32 @@ func TestLoopLiveSubmitShutdown(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestZeroConfigPreemptsOnExhaustion: KV preemption is the default. A
+// scheduler whose Config leaves DisableKVPreempt unset rides out a tight
+// arena by preempting and fails nothing; opted out, the same trace over the
+// same arena fails requests whose decode append finds it full.
+func TestZeroConfigPreemptsOnExhaustion(t *testing.T) {
+	trace := testTrace(13, 48)
+	run := func(disable bool) (Report, Stats) {
+		cfg := testCfg()
+		cfg.KV.NumPages = 192
+		cfg.DisableKVPreempt = disable
+		s := New(newFakeExec(), cfg)
+		rep, _, err := s.Replay(context.Background(), trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.KV().Quiescent(); err != nil {
+			t.Fatalf("DisableKVPreempt=%v: %v", disable, err)
+		}
+		return rep, s.Stats()
+	}
+	if rep, st := run(false); rep.Failed != 0 || st.Preemptions == 0 {
+		t.Fatalf("default config: %d failed, %d preemptions; want 0 failed and some preemptions", rep.Failed, st.Preemptions)
+	}
+	if rep, st := run(true); rep.Failed == 0 || st.Preemptions != 0 {
+		t.Fatalf("preemption opted out: %d failed, %d preemptions; want failures and no preemption", rep.Failed, st.Preemptions)
+	}
 }

@@ -109,14 +109,17 @@ type Config struct {
 	// explicit DeadlineCycles use the TTFT SLO bound as their deadline.
 	ShedDeadlines bool
 
-	// PreemptKV preempts the least-important running requests (lowest
-	// priority class, then youngest arrival) when the paged KV arena runs
-	// out under decode pressure: their pages are released through the
-	// normal refcount machinery and they park in a restore queue, resuming
-	// later via prefix-cache recompute — bitwise-identical to
-	// uninterrupted execution because KV words and decode tokens are pure
-	// functions of (token, position).
-	PreemptKV bool
+	// DisableKVPreempt turns KV preemption off, so a request whose decode
+	// append finds the arena full fails. With it on (the default) the
+	// least-important running requests (lowest priority class, then
+	// youngest arrival) are preempted when the paged KV arena runs out
+	// under decode pressure: their pages are released through the normal
+	// refcount machinery and they park in a restore queue, resuming later
+	// via prefix-cache recompute — bitwise-identical to uninterrupted
+	// execution because KV words and decode tokens are pure functions of
+	// (token, position). The undefended reference of the overload harness
+	// and the tests that must see exhaustion fail a request turn it off.
+	DisableKVPreempt bool
 
 	// RecordEvents keeps a bounded in-memory log of overload decisions
 	// (preempt, restore, deadline sheds, limit cuts) for harness
@@ -260,8 +263,8 @@ type reqState struct {
 	filled  int                 // prefill tokens executed so far
 	decoded []int               // decode steps completed per branch
 
-	// gen is the per-branch generated-token history, kept only under
-	// PreemptKV: it is the restore recipe (prompt ++ gen[b] rebuilds the
+	// gen is the per-branch generated-token history, kept only while KV
+	// preemption is on: it is the restore recipe (prompt ++ gen[b] rebuilds the
 	// branch's exact KV state via prefix-cache recompute).
 	gen      [][]int32
 	parked   bool // preempted, waiting in the restore queue
@@ -485,7 +488,7 @@ func (s *Scheduler) admitLocked() {
 					fan = 1
 				}
 				st.decoded = make([]int, 1, fan)
-				if s.cfg.PreemptKV {
+				if !s.cfg.DisableKVPreempt {
 					st.gen = make([][]int32, 1, fan)
 				}
 				s.running = append(s.running, st)
@@ -875,7 +878,7 @@ func (s *Scheduler) applyWaveLocked(w waveExec, prefillCycles, decodeCycles floa
 			if st.parked {
 				continue // preempted itself under KV pressure; restored later
 			}
-			if s.cfg.PreemptKV {
+			if !s.cfg.DisableKVPreempt {
 				st.gen[e.branch] = append(st.gen[e.branch], tok)
 			}
 			st.decoded[e.branch]++
@@ -932,7 +935,7 @@ func (s *Scheduler) forkLocked(st *reqState) {
 	for len(st.decoded) < cap(st.decoded) {
 		st.seqs = append(st.seqs, s.kv.Fork(st.seqs[0]))
 		st.decoded = append(st.decoded, 0)
-		if s.cfg.PreemptKV {
+		if !s.cfg.DisableKVPreempt {
 			st.gen = append(st.gen, append([]int32(nil), st.gen[0]...))
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"mikpoly/internal/core"
 	"mikpoly/internal/engine"
+	"mikpoly/internal/graphrt"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kvcache"
@@ -387,6 +388,10 @@ type graphStats struct {
 	Cycles       float64 `json:"cycles"`
 	SpillBytes   float64 `json:"spill_bytes"`
 
+	// Compiled is the compiled-execution table: replays, interpretations
+	// it could not spare, evictions and entries.
+	Compiled graphrt.CompiledStats `json:"compiled"`
+
 	// Stage-recovery ladder outcomes.
 	RetriedStages       int64 `json:"retried_stages,omitempty"`
 	MigratedStages      int64 `json:"migrated_stages,omitempty"`
@@ -514,6 +519,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			FaultedTasks:        gs.FaultedTasks,
 			Cycles:              gs.Cycles,
 			SpillBytes:          gs.SpillBytes,
+			Compiled:            gs.Compiled,
 			RetriedStages:       gs.RetriedStages,
 			MigratedStages:      gs.MigratedStages,
 			ReplannedStages:     gs.ReplannedStages,

@@ -75,6 +75,27 @@ func (s *Server) registerObs() {
 			}
 			return one(float64(rt.Stats().Graphs))
 		})
+	m.Collect("mik_graph_compiled_ops_total", "Compiled-execution table hits (replays), misses (interpretations) and evictions.", "counter",
+		func() []obs.Sample {
+			rt := s.runtime.Load()
+			if rt == nil {
+				return nil
+			}
+			cs := rt.Stats().Compiled
+			return []obs.Sample{
+				{Labels: [][2]string{{"op", "hit"}}, Value: float64(cs.Hits)},
+				{Labels: [][2]string{{"op", "miss"}}, Value: float64(cs.Misses)},
+				{Labels: [][2]string{{"op", "eviction"}}, Value: float64(cs.Evictions)},
+			}
+		})
+	m.Collect("mik_graph_compiled_entries", "Compiled executions the graph runtime holds.", "gauge",
+		func() []obs.Sample {
+			rt := s.runtime.Load()
+			if rt == nil {
+				return nil
+			}
+			return one(float64(rt.Stats().Compiled.Size))
+		})
 	m.Collect("mik_graph_plan_wall_seconds", "Plan-ahead wall-time split: total planning, executor stalls, and the portion hidden behind execution.", "counter",
 		func() []obs.Sample {
 			rt := s.runtime.Load()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"mikpoly/internal/core"
+	"mikpoly/internal/graphrt"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
 	"mikpoly/internal/tune"
@@ -191,4 +193,39 @@ func grepLines(body, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestCompiledTableCounters: a repeated /model request is interpreted once and
+// replayed after that, and /stats and /metrics show the compiled table's
+// hits, misses, evictions and size.
+func TestCompiledTableCounters(t *testing.T) {
+	o := obs.New(obs.DefaultTraceCapacity)
+	_, ts := newObsServer(t, o, Config{})
+	for i := 0; i < 3; i++ {
+		if resp, data := postJSON(t, ts+"/model", modelRequest{Model: "distilbert", Seq: 32}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("model status %d: %s", resp.StatusCode, data)
+		}
+	}
+	_, body := getBody(t, ts+"/stats")
+	var st statsResponse
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Graph == nil {
+		t.Fatalf("no graph section in /stats: %s", body)
+	}
+	if want := (graphrt.CompiledStats{Hits: 2, Misses: 1, Size: 1}); st.Graph.Compiled != want {
+		t.Fatalf("/stats graph.compiled = %+v, want %+v", st.Graph.Compiled, want)
+	}
+	_, body = getBody(t, ts+"/metrics")
+	for _, want := range []string{
+		`mik_graph_compiled_ops_total{op="hit"} 2`,
+		`mik_graph_compiled_ops_total{op="miss"} 1`,
+		`mik_graph_compiled_ops_total{op="eviction"} 0`,
+		"mik_graph_compiled_entries 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
 }

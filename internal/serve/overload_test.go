@@ -24,9 +24,9 @@ func TestOverloadDefensesAlwaysOn(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	sc := srv.sched.Load().Scheduler()
-	if cfg := sc.Config(); !cfg.Adaptive || !cfg.ShedDeadlines || !cfg.PreemptKV {
+	if cfg := sc.Config(); !cfg.Adaptive || !cfg.ShedDeadlines || cfg.DisableKVPreempt {
 		t.Fatalf("scheduler defenses adaptive=%v shed=%v preempt=%v, want all on",
-			cfg.Adaptive, cfg.ShedDeadlines, cfg.PreemptKV)
+			cfg.Adaptive, cfg.ShedDeadlines, !cfg.DisableKVPreempt)
 	}
 	resp, data := postTenant(t, ts+"/generate", "acme", generateRequest{PromptLen: 32, Steps: 2})
 	if resp.StatusCode != http.StatusOK {

@@ -255,7 +255,6 @@ func (s *Server) SetCompiler(c *core.Compiler) {
 			MaxInFlightTokens: s.cfg.SchedInFlightTokens,
 			Adaptive:          true,
 			ShedDeadlines:     true,
-			PreemptKV:         true,
 		}))
 		if old := s.sched.Swap(loop); old != nil {
 			old.Close()
