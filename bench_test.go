@@ -64,12 +64,8 @@ func BenchmarkAblationPruning(b *testing.B)      { runExperiment(b, "ablation-pr
 func BenchmarkAblationWinograd(b *testing.B) {
 	runExperiment(b, "ablation-winograd", 0, 1, "vs-im2col")
 }
-func BenchmarkAblationFusion(b *testing.B) { runExperiment(b, "ablation-fusion", 0, 3, "fusion-gain") }
 func BenchmarkAblationSplitK(b *testing.B) { runExperiment(b, "ablation-splitk", 1, 3, "splitk-gain") }
-func BenchmarkAblationEvolve(b *testing.B) {
-	runExperiment(b, "ablation-evolve", 1, 1, "evolved-speedup")
-}
-func BenchmarkExtDetection(b *testing.B) { runExperiment(b, "ext-detection", 0, 1, "det-speedup") }
+func BenchmarkExtDetection(b *testing.B)   { runExperiment(b, "ext-detection", 0, 1, "det-speedup") }
 
 // Component micro-benchmarks.
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mikpoly/internal/hw"
+	"mikpoly/internal/kernel"
 	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
 )
@@ -323,4 +324,13 @@ func TestDietCodeKernelsCarryPenalty(t *testing.T) {
 	if got := p.Regions[0].Kern.Premium; got != dietCodeGenericityPenalty {
 		t.Fatalf("DietCode kernel premium = %g, want %g", got, dietCodeGenericityPenalty)
 	}
+}
+
+// Kernels exposes the library's kernel set (for reporting).
+func (v *Vendor) Kernels() []kernel.MicroKernel {
+	out := make([]kernel.MicroKernel, len(v.kernels))
+	for i, kr := range v.kernels {
+		out[i] = kr.k
+	}
+	return out
 }

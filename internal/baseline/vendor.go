@@ -130,15 +130,6 @@ func CANNConv(h hw.Hardware) *Vendor {
 // Name implements Planner.
 func (v *Vendor) Name() string { return v.name }
 
-// Kernels exposes the library's kernel set (for reporting).
-func (v *Vendor) Kernels() []kernel.MicroKernel {
-	out := make([]kernel.MicroKernel, len(v.kernels))
-	for i, kr := range v.kernels {
-		out[i] = kr.k
-	}
-	return out
-}
-
 // Plan implements the dispatch heuristic: minimize padded work × per-kernel
 // cost density, discounted when the grid is too small to occupy the device
 // (vendor libraries switch to smaller or split-K kernels for degenerate

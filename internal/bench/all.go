@@ -28,9 +28,7 @@ func Experiments() []Experiment {
 		{"ablation-patterns", AblationPatterns},
 		{"ablation-pruning", AblationPruning},
 		{"ablation-winograd", AblationWinograd},
-		{"ablation-fusion", AblationFusion},
 		{"ablation-splitk", AblationSplitK},
-		{"ablation-evolve", AblationEvolve},
 		{"ext-detection", ExtDetection},
 		{"ext-graphrt", ExtGraphRT},
 		{"ext-obs-overhead", ExtObsOverhead},

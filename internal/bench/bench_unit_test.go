@@ -28,8 +28,8 @@ func TestTableFormatting(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 25 {
-		t.Fatalf("experiment count = %d, want 25", len(exps))
+	if len(exps) != 23 {
+		t.Fatalf("experiment count = %d, want 23", len(exps))
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {

@@ -41,9 +41,8 @@ type Compiler struct {
 	lib     *tune.Library
 	planner *poly.Planner
 
-	// libHash is the content digest of lib; every cache key carries it so
-	// a retuned or reloaded library can never serve another library's
-	// programs.
+	// libHash is the content digest of lib, which is fixed for the
+	// compiler's life; every cache key carries it.
 	libHash string
 
 	// tracker maintains decayed per-shape request counts (HotShapes).
@@ -199,10 +198,10 @@ func (c *Compiler) currentView() (health.View, string) {
 const plannersCap = 16
 
 // plannerForView returns (building if needed) the planner targeting the
-// view's degraded hardware. The degraded planner inherits the base
-// planner's search configuration — cost model, pattern subset, pruning and
-// tracing — and shares the offline library's kernels and models; only the
-// hardware abstraction differs.
+// view's degraded hardware. It shares the offline library's kernels and
+// models, and copies the base planner's search settings field by field: a
+// field added to poly.Planner and missed here reverts on degraded views
+// (ROADMAP item 16). Only the hardware abstraction differs.
 func (c *Compiler) plannerForView(v health.View, fp string) *poly.Planner {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -251,38 +250,6 @@ func (c *Compiler) Hardware() hw.Hardware { return c.lib.HW }
 // Library exposes the offline-stage output.
 func (c *Compiler) Library() *tune.Library { return c.lib }
 
-// LibraryHash returns the content digest of the compiler's kernel library —
-// the component of every cache key that invalidates programs across library
-// swaps.
-func (c *Compiler) LibraryHash() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.libHash
-}
-
-// SetLibrary swaps the offline kernel library (e.g. after a retune or a
-// reload from disk). The base planner is rebuilt against the new library,
-// preserving its search configuration; per-fingerprint degraded planners are
-// dropped (they are derived state and rebuild on demand). Cached programs
-// are NOT cleared: their keys carry the old library's hash, so they can
-// never be served against the new kernels — and swapping back to the
-// original library rehits them.
-func (c *Compiler) SetLibrary(lib *tune.Library) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	base := c.planners[""]
-	p := poly.NewPlanner(lib)
-	p.Patterns = base.Patterns
-	p.Cost = base.Cost
-	p.DisablePruning = base.DisablePruning
-	p.EnableSplitK = base.EnableSplitK
-	p.Trace = base.Trace
-	c.lib = lib
-	c.libHash = lib.Hash()
-	c.planner = p
-	c.planners = map[string]*poly.Planner{"": p}
-}
-
 // HotShapes returns up to n shapes ordered by decayed request count, hottest
 // first — the traffic-shaped working set.
 func (c *Compiler) HotShapes(n int) []tensor.GemmShape {
@@ -290,16 +257,10 @@ func (c *Compiler) HotShapes(n int) []tensor.GemmShape {
 }
 
 // Planner exposes the online planner for configuration (cost-model variant,
-// pattern subset, pruning) before first use. Mutating it after programs are
-// cached does not invalidate the cache; call ClearCache as needed.
+// pattern subset, pruning) before first use. The plan cache is not keyed by
+// these settings: mutating the planner after programs are cached serves the
+// stale programs (ROADMAP item 16).
 func (c *Compiler) Planner() *poly.Planner { return c.planner }
-
-// ClearCache drops all cached programs (cumulative cache counters persist).
-func (c *Compiler) ClearCache() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cache.clear()
-}
 
 // Invalidate drops the cached program for one shape — e.g. after an
 // execution fault report — so the next request re-plans it. The shape is
@@ -308,15 +269,6 @@ func (c *Compiler) Invalidate(shape tensor.GemmShape) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cache.removeShape(shape)
-}
-
-// Cached reports whether a program for (shape, health fingerprint) is
-// currently cached, without affecting recency or hit/miss counters. The
-// chaos harness uses it to assert healthy↔degraded cache isolation.
-func (c *Compiler) Cached(shape tensor.GemmShape, fp string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cache.peek(cacheKey{shape: shape, lib: c.libHash, fp: fp})
 }
 
 // CacheStats reports the program cache bound and cumulative hit/miss/eviction
@@ -611,20 +563,6 @@ func (c *Compiler) GEMMContext(ctx context.Context, a, b *tensor.Matrix) (*tenso
 		return nil, err
 	}
 	return engine.Execute(prog, a, b)
-}
-
-// GEMMFused plans (or reuses) a program and executes it with a fused
-// epilogue (bias and/or activation applied during output write-back) — the
-// numeric counterpart of the graph-level fusion pass.
-func (c *Compiler) GEMMFused(a, b *tensor.Matrix, ep engine.Epilogue) (*tensor.Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("core: GEMM dim mismatch %dx%d × %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	prog, err := c.Plan(tensor.GemmShape{M: a.Rows, N: b.Cols, K: a.Cols})
-	if err != nil {
-		return nil, err
-	}
-	return engine.ExecuteFused(prog, a, b, ep)
 }
 
 // Conv plans and executes a convolution through the implicit-GEMM path.

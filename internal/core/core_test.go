@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestConvEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tensor.ConvRef(in, w, cs)
-	if d := tensor.Tensor4MaxAbsDiff(got, want); d > 1e-3 {
+	if d := maxAbsDiff(got.Data, want.Data); d > 1e-3 {
 		t.Fatalf("conv differs by %g", d)
 	}
 	if _, err := c.Conv(in, w, tensor.ConvShape{}); err == nil {
@@ -204,4 +205,17 @@ func TestSimulateInvalidShape(t *testing.T) {
 	if _, err := c.Simulate(tensor.GemmShape{}); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
+}
+
+// maxAbsDiff is the largest element-wise |a−b| of two compact buffers, +Inf
+// when their lengths differ.
+func maxAbsDiff(a, b []float32) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var max float64
+	for i := range a {
+		max = math.Max(max, math.Abs(float64(a[i])-float64(b[i])))
+	}
+	return max
 }

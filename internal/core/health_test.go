@@ -62,7 +62,7 @@ func TestHealthKeyedCacheIsolation(t *testing.T) {
 		t.Fatalf("healthy program mutated: %d PEs", healthyProg.HW.NumPEs)
 	}
 
-	reg.Reset()
+	c.SetHealth(nil) // the device recovers: plans target the pristine H again
 	before, _ := c.PlanStats()
 	back, err := c.Plan(shape)
 	if err != nil {

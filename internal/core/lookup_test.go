@@ -103,7 +103,7 @@ func TestLookupRespectsHealthView(t *testing.T) {
 		t.Fatalf("degraded view: Lookup returned %p, want the degraded plan %p", got, degraded)
 	}
 
-	reg.Reset()
+	c.SetHealth(nil) // the device recovers: plans target the pristine H again
 	if c.Lookup(shape) != healthy {
 		t.Fatal("recovered view did not get the healthy program back")
 	}

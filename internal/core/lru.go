@@ -123,14 +123,6 @@ func (c *LRU[K, V]) Walk(fn func(K, V) bool) {
 	}
 }
 
-// Clear deletes every entry, keeping the slots for reuse.
-func (c *LRU[K, V]) Clear() {
-	clear(c.index)
-	clear(c.nodes) // drop what the values reference
-	c.nodes = c.nodes[:0]
-	c.head, c.tail, c.free = -1, -1, -1
-}
-
 // drop unlinks slot i, forgets its key and chains the slot onto the free list.
 func (c *LRU[K, V]) drop(i int32) {
 	c.unlink(i)
@@ -177,8 +169,7 @@ type CacheStats struct {
 	// (Size <= Capacity always holds).
 	Capacity int `json:"capacity"`
 	Size     int `json:"size"`
-	// Hits, Misses and Evictions are cumulative since compiler creation;
-	// ClearCache resets Size but not the counters.
+	// Hits, Misses and Evictions are cumulative since compiler creation.
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
@@ -240,12 +231,6 @@ func (c *lruCache) get(key cacheKey) (*poly.Program, bool) {
 	return nil, false
 }
 
-// peek reports whether key is cached without touching recency or counters.
-func (c *lruCache) peek(key cacheKey) bool {
-	_, ok := c.entries.Peek(key)
-	return ok
-}
-
 // add inserts (or refreshes) a program, evicting the least recently used
 // entry when the bound is exceeded.
 func (c *lruCache) add(key cacheKey, prog *poly.Program) {
@@ -292,12 +277,6 @@ func (c *lruCache) shapesMRU(limit int) []tensor.GemmShape {
 		return true
 	})
 	return out
-}
-
-// clear drops every entry, keeping the cumulative counters.
-func (c *lruCache) clear() {
-	c.entries.Clear()
-	c.degraded = 0
 }
 
 func (c *lruCache) stats() CacheStats {

@@ -73,7 +73,7 @@ func (r *refLRU) removeIf(drop func(k, v int) bool) int {
 }
 
 // TestLRUMatchesSliceReference drives the LRU and the slice reference with one
-// seeded stream of Get, Peek, Put, single-key and predicate RemoveIf, Clear
+// seeded stream of Get, Peek, Put, single-key and predicate RemoveIf
 // and partial MRU walks at every capacity from 1 to 8, over a key space larger than the
 // capacity so evictions and slot reuse after removals both happen, and
 // requires every answer and the full recency order to agree after each step,
@@ -143,12 +143,7 @@ func TestLRUMatchesSliceReference(t *testing.T) {
 						t.Fatalf("cap %d seed %d step %d %s = %v; reference %v", capacity, seed, step, op, got, want)
 					}
 				default:
-					if rng.Intn(10) > 0 {
-						continue
-					}
-					op = "Clear()"
-					c.Clear()
-					r.entries = nil
+					continue
 				}
 				var order []refEntry
 				c.Walk(func(key, v int) bool { order = append(order, refEntry{key, v}); return true })

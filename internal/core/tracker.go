@@ -21,7 +21,6 @@ type shapeTracker struct {
 	mu     sync.Mutex
 	counts map[tensor.GemmShape]float64
 	seen   int // observations since the last decay step
-	total  uint64
 }
 
 // newShapeTracker returns an empty tracker.
@@ -34,7 +33,6 @@ func (t *shapeTracker) Observe(shape tensor.GemmShape) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.counts[shape]++
-	t.total++
 	t.seen++
 	if t.seen >= trackerEpoch {
 		t.seen = 0
@@ -87,18 +85,4 @@ func (t *shapeTracker) Hot(n int) []tensor.GemmShape {
 		out[i] = e.shape
 	}
 	return out
-}
-
-// Len reports how many distinct shapes currently have non-zero weight.
-func (t *shapeTracker) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.counts)
-}
-
-// Total reports the lifetime observation count (not decayed).
-func (t *shapeTracker) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
 }

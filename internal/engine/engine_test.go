@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -53,7 +54,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 		want := tensor.Gemm(a, b)
 		if !tensor.AllClose(got, want, 1e-3) {
 			t.Fatalf("%v: polymerized result differs from reference (max diff %g)",
-				s, tensor.MaxAbsDiff(got, want))
+				s, maxAbsDiff(got.Data, want.Data))
 		}
 	}
 }
@@ -65,8 +66,8 @@ func TestExecuteMultiRegionProgram(t *testing.T) {
 		Shape:   s,
 		Pattern: poly.PatternII,
 		Regions: []poly.Region{
-			{M0: 0, N0: 0, M: 64, N: 48, K: 32, Kern: kernel.New(32, 16, 32, kernel.DefaultConfig())},
-			{M0: 64, N0: 0, M: 32, N: 48, K: 32, Kern: kernel.New(16, 48, 16, kernel.DefaultConfig())},
+			{M0: 0, N0: 0, M: 64, N: 48, K: 32, Kern: kernel.New(32, 16, 32, kernel.Config{Stages: 2, Vec: 4})},
+			{M0: 64, N0: 0, M: 32, N: 48, K: 32, Kern: kernel.New(16, 48, 16, kernel.Config{Stages: 2, Vec: 4})},
 		},
 	}
 	a := tensor.RandomMatrix(s.M, s.K, 7)
@@ -117,7 +118,7 @@ func TestExecuteConvMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tensor.ConvRef(in, w, cs)
-	if d := tensor.Tensor4MaxAbsDiff(got, want); d > 1e-3 {
+	if d := maxAbsDiff(got.Data, want.Data); d > 1e-3 {
 		t.Fatalf("conv differs from direct by %g", d)
 	}
 }
@@ -192,7 +193,9 @@ func TestExecuteReusesWorkspaces(t *testing.T) {
 func TestScratchZeroesReusedBuffers(t *testing.T) {
 	var ws scratch
 	m := ws.matrix(4, 4)
-	m.Fill(7)
+	for i := range m.Data {
+		m.Data[i] = 7
+	}
 	ws.release()
 	m2 := ws.matrix(4, 4)
 	defer ws.release()
@@ -207,7 +210,7 @@ func TestScratchZeroesReusedBuffers(t *testing.T) {
 // the shared output; numeric execution must still match reference GEMM.
 func TestExecuteSplitKProgram(t *testing.T) {
 	s := tensor.GemmShape{M: 48, N: 32, K: 100}
-	k := kernel.New(16, 16, 16, kernel.DefaultConfig())
+	k := kernel.New(16, 16, 16, kernel.Config{Stages: 2, Vec: 4})
 	prog := &poly.Program{
 		Shape:   s,
 		Pattern: poly.PatternSplitK,
@@ -247,4 +250,17 @@ func TestExecutePlannedSplitK(t *testing.T) {
 	if !tensor.AllClose(got, tensor.Gemm(a, b), 1e-3) {
 		t.Fatalf("planned %s program differs from reference", prog.Pattern)
 	}
+}
+
+// maxAbsDiff is the largest element-wise |a−b| of two compact buffers, +Inf
+// when their lengths differ.
+func maxAbsDiff(a, b []float32) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var max float64
+	for i := range a {
+		max = math.Max(max, math.Abs(float64(a[i])-float64(b[i])))
+	}
+	return max
 }

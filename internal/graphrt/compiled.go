@@ -132,13 +132,13 @@ func (r *Runtime) storeLocked(c *recording, rep Report) {
 // replay answers an execution from the compiled table, refreshing the entry's
 // recency. A hit is guarded, not trusted. One plan-cache probe per distinct
 // shape must return a program with the content the compiled run used — which
-// is what a library swap, a changed health view or an invalidation would
-// alter, while an eviction and a replan of the same shape would not — and
-// which keeps LRU recency and the hot-shape tracker fed. The health
-// registry must then accept the stages' observations in bulk, which it does
-// exactly when they would change nothing but its counters. Only then is the
-// run's PE total added to the runtime's counters in one step: they are
-// integers, so that equals adding its stages one by one.
+// is what a changed health view or an invalidation would alter, while an
+// eviction and a replan of the same shape would not — and which keeps LRU
+// recency and the hot-shape tracker fed. The health registry must then
+// accept the stages' observations in bulk, which it does exactly when they
+// would change nothing but its counters. Only then is the run's PE total
+// added to the runtime's counters in one step: they are integers, so that
+// equals adding its stages one by one.
 func (r *Runtime) replay(ctx context.Context, g nn.Graph, key compiledKey) (Report, bool) {
 	r.mu.Lock()
 	e, ok := r.compiled.Get(key)

@@ -275,12 +275,6 @@ func New(comp *core.Compiler, cfg Config) *Runtime {
 	return r
 }
 
-// Compiler returns the compiler the runtime plans through.
-func (r *Runtime) Compiler() *core.Compiler { return r.comp }
-
-// Hardware returns the target device.
-func (r *Runtime) Hardware() hw.Hardware { return r.h }
-
 // SetSimulator overrides stage execution (fault injection in the serving
 // layer). fn must be deterministic for a given (h, v, tasks, salt).
 func (r *Runtime) SetSimulator(fn func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result) {

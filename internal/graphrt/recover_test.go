@@ -92,7 +92,7 @@ func TestRecoveryRetryInPlaceClearsTransient(t *testing.T) {
 // stage must run on NumPEs-1 hardware.
 func TestRecoveryMigratesOntoDegradedView(t *testing.T) {
 	rt, reg := healthyRuntime(t)
-	base := rt.Hardware().NumPEs
+	base := rt.h.NumPEs
 	var migratedPEs int
 	var mu sync.Mutex
 	fs := &faultScript{decide: func(call int, v health.View, salt uint64) sim.Result {
@@ -134,7 +134,7 @@ func TestRecoveryMigratesOntoDegradedView(t *testing.T) {
 // shrunken hardware, and the replan is visible in the report's plan counters.
 func TestRecoveryReplansOnDegradedView(t *testing.T) {
 	rt, reg := healthyRuntime(t)
-	base := rt.Hardware().NumPEs
+	base := rt.h.NumPEs
 	fs := &faultScript{decide: func(call int, v health.View, salt uint64) sim.Result {
 		if call < 3 { // initial + rung1 + rung2 all dirty
 			return sim.Result{FaultedTasks: 1, DeadPEs: []int{7}}
@@ -164,8 +164,8 @@ func TestRecoveryReplansOnDegradedView(t *testing.T) {
 	if fp == "" {
 		t.Fatal("registry still pristine after repeated PE death")
 	}
-	c := rt.Compiler()
-	if !c.Cached(g.Ops[0].Gemm, fp) {
+	c := rt.comp
+	if c.Lookup(g.Ops[0].Gemm) == nil {
 		t.Fatalf("replanned program not cached under fp %q", fp)
 	}
 	prog, err := c.PlanContext(context.Background(), g.Ops[0].Gemm)
@@ -392,7 +392,7 @@ func TestRecoveryLadderBeatsBlindRetry(t *testing.T) {
 				break
 			}
 			for shape := range g.GemmShapes() {
-				blind.Compiler().Invalidate(shape)
+				blind.comp.Invalidate(shape)
 			}
 		}
 	}

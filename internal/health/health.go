@@ -315,24 +315,6 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Reset returns the registry to the pristine state (all PEs live, full
-// bandwidth) and bumps the generation so cached degraded plans age out.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.streak {
-		r.streak[i] = 0
-		r.quarantined[i] = false
-	}
-	if r.nQuar > 0 || r.bwFactor != 1 {
-		r.gen++
-		r.stats.Generation = r.gen
-	}
-	r.nQuar = 0
-	r.bwStreak, r.bwClear = 0, 0
-	r.bwFactor, r.bwSeen = 1, 0
-}
-
 // View is an immutable snapshot of the degraded hardware state:
 // H' = (NumPEs − |Quarantined|, M_local, BandwidthFactor · M_global).
 type View struct {

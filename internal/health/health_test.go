@@ -226,19 +226,6 @@ func TestRemapFaults(t *testing.T) {
 	}
 }
 
-func TestResetRestoresPristine(t *testing.T) {
-	reg := NewRegistry(4, Config{})
-	r := res(4)
-	r.DeadPEs = []int{2}
-	reg.ObserveResult(reg.View(), r)
-	genBefore := reg.View().Generation
-	reg.Reset()
-	v := reg.View()
-	if !v.Healthy() || v.Generation <= genBefore {
-		t.Fatalf("reset view: %+v (gen before %d)", v, genBefore)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	reg := NewRegistry(8, Config{StreakThreshold: 1})
 	v := reg.View()

@@ -39,9 +39,6 @@ type Config struct {
 	Vec int
 }
 
-// DefaultConfig is a safe middle-of-the-road schedule.
-func DefaultConfig() Config { return Config{Stages: 2, Vec: 4} }
-
 // MicroKernel is one fixed-size micro-kernel K ∈ S_K̃.
 type MicroKernel struct {
 	// UM, UN, UK are the tile sizes of the offline loops.

@@ -240,8 +240,11 @@ func TestExecutePaddedViewsProperty(t *testing.T) {
 		a := tensor.RandomMatrix(um+3, uk+2, seed|1)
 		b := tensor.RandomMatrix(uk+2, un+1, seed|2)
 		dst := tensor.NewMatrix(um, un)
-		k.Execute(dst, a.View(0, 0, um, uk), b.View(0, 0, uk, un))
-		want := tensor.Gemm(a.View(0, 0, um, uk).Clone(), b.View(0, 0, uk, un).Clone())
+		var av, bv tensor.Matrix
+		a.ViewInto(&av, 0, 0, um, uk)
+		b.ViewInto(&bv, 0, 0, uk, un)
+		k.Execute(dst, &av, &bv)
+		want := tensor.Gemm(&av, &bv)
 		return tensor.AllClose(dst, want, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -292,3 +295,6 @@ func TestTaskCostMonotoneInVolume(t *testing.T) {
 		prev = cost
 	}
 }
+
+// DefaultConfig is a safe middle-of-the-road schedule.
+func DefaultConfig() Config { return Config{Stages: 2, Vec: 4} }

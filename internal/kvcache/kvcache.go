@@ -112,21 +112,12 @@ type Sequence struct {
 	ndigest int    // tokens folded into digest so far
 }
 
-// ID returns the sequence's manager-unique id.
-func (s *Sequence) ID() uint64 { return s.id }
-
-// Tenant returns the owning tenant.
-func (s *Sequence) Tenant() string { return s.tenant }
-
 // Len returns the sequence length in tokens.
 func (s *Sequence) Len() int { return s.length }
 
 // Reused returns how many prompt tokens were satisfied by prefix hits —
 // tokens whose KV entries the scheduler does not have to prefill.
 func (s *Sequence) Reused() int { return s.reused }
-
-// Pages returns the page-table length.
-func (s *Sequence) Pages() int { return len(s.pages) }
 
 // Stats is the manager's cumulative + instantaneous accounting. All byte
 // fields are exact: they are derived from page-granularity events, never
@@ -408,18 +399,6 @@ func (m *Manager) Digest(s *Sequence) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return s.digest
-}
-
-// KV returns a copy of the sequence's full simulated KV contents (tests).
-func (m *Manager) KV(s *Sequence) []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]uint64, 0, s.length)
-	for _, id := range s.pages {
-		p := &m.pages[id]
-		out = append(out, p.data[:p.n]...)
-	}
-	return out
 }
 
 // Stats snapshots the accounting.

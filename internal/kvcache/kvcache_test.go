@@ -333,3 +333,15 @@ func BenchmarkStats(b *testing.B) {
 		})
 	}
 }
+
+// KV returns a copy of the sequence's full simulated KV contents (tests).
+func (m *Manager) KV(s *Sequence) []uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]uint64, 0, s.length)
+	for _, id := range s.pages {
+		p := &m.pages[id]
+		out = append(out, p.data[:p.n]...)
+	}
+	return out
+}

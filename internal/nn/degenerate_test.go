@@ -74,18 +74,19 @@ func TestGraphValidateBadEdges(t *testing.T) {
 
 func TestDepsChainDefaultAndExplicit(t *testing.T) {
 	g := chainGemm("a", "b", "c")
-	if d := g.Deps(0); len(d) != 0 {
+	var chain [1]int
+	if d := g.deps(0, &chain); len(d) != 0 {
 		t.Errorf("first op deps %v, want none", d)
 	}
-	if d := g.Deps(2); !reflect.DeepEqual(d, []int{1}) {
+	if d := g.deps(2, &chain); !reflect.DeepEqual(d, []int{1}) {
 		t.Errorf("chain default deps %v, want [1]", d)
 	}
 	g.Ops[2].Inputs = []int{0}
-	if d := g.Deps(2); !reflect.DeepEqual(d, []int{0}) {
+	if d := g.deps(2, &chain); !reflect.DeepEqual(d, []int{0}) {
 		t.Errorf("explicit deps %v, want [0]", d)
 	}
 	g.Ops[2].Inputs = []int{}
-	if d := g.Deps(2); len(d) != 0 {
+	if d := g.deps(2, &chain); len(d) != 0 {
 		t.Errorf("explicit source deps %v, want none", d)
 	}
 }

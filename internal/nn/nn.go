@@ -130,17 +130,10 @@ func (g Graph) Schedule() ([][]int, error) {
 	return stages, nil
 }
 
-// Deps returns the effective dependency list of op i: its explicit Inputs
-// edges, or — when Inputs is nil — the chain default (the preceding op).
-func (g Graph) Deps(i int) []int {
-	if in := g.Ops[i].Inputs; in != nil || i == 0 {
-		return in
-	}
-	return []int{i - 1}
-}
-
-// deps is Deps with the chain default written into caller-owned storage, so
-// walking every op's dependencies allocates nothing.
+// deps returns the effective dependency list of op i: its explicit Inputs
+// edges, or — when Inputs is nil — the chain default (the preceding op),
+// written into caller-owned storage so walking every op's dependencies
+// allocates nothing.
 func (g Graph) deps(i int, chain *[1]int) []int {
 	if in := g.Ops[i].Inputs; in != nil {
 		return in
@@ -259,17 +252,6 @@ func (g Graph) GemmShapes() map[tensor.GemmShape]int {
 		}
 	}
 	return out
-}
-
-// TotalFLOPs sums the GEMM work of the graph.
-func (g Graph) TotalFLOPs() float64 {
-	var f float64
-	for _, o := range g.Ops {
-		if o.Kind == OpGemm || o.Kind == OpConv {
-			f += o.Gemm.FLOPs() * float64(o.Count)
-		}
-	}
-	return f
 }
 
 // gemm appends a GEMM op.

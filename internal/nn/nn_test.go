@@ -301,3 +301,14 @@ func TestFasterRCNNPanicsOnBadInput(t *testing.T) {
 	}()
 	FasterRCNN(1, 600, 800, 0)
 }
+
+// TotalFLOPs sums the GEMM work of the graph.
+func (g Graph) TotalFLOPs() float64 {
+	var f float64
+	for _, o := range g.Ops {
+		if o.Kind == OpGemm || o.Kind == OpConv {
+			f += o.Gemm.FLOPs() * float64(o.Count)
+		}
+	}
+	return f
+}

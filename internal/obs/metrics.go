@@ -39,38 +39,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable float metric; nil-safe.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments by delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram is a fixed-bucket cumulative histogram; nil-safe. Bounds are
 // upper-inclusive per Prometheus convention (le).
 type Histogram struct {
@@ -128,7 +96,6 @@ type family struct {
 	name, help, typ string
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	collect func() []Sample
 }
@@ -169,14 +136,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(&family{name: name, help: help, typ: "counter", counter: &Counter{}}).counter
 }
 
-// Gauge returns the gauge named name, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(&family{name: name, help: help, typ: "gauge", gauge: &Gauge{}}).gauge
-}
-
 // Histogram returns the histogram named name with the given bucket bounds
 // (nil selects DefBuckets), creating it on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -204,7 +163,7 @@ func (r *Registry) Collect(name, help, typ string, fn func() []Sample) {
 		// Replacement keeps the scrape bound to the live producer when a
 		// server or compiler is rebuilt over a shared registry.
 		old.help, old.typ, old.collect = help, typ, fn
-		old.counter, old.gauge, old.hist = nil, nil, nil
+		old.counter, old.hist = nil, nil
 		return
 	}
 	r.fams[name] = &family{name: name, help: help, typ: typ, collect: fn}
@@ -264,8 +223,6 @@ func (r *Registry) WritePrometheus(w *strings.Builder) {
 		switch {
 		case f.counter != nil:
 			fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-		case f.gauge != nil:
-			fmt.Fprintf(w, "%s %s\n", f.name, fmtFloat(f.gauge.Value()))
 		case f.hist != nil:
 			h := f.hist
 			var cum int64

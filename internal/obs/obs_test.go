@@ -22,8 +22,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("disabled tracer touched the context")
 	}
 	o.M().Counter("c", "").Inc()
-	o.M().Gauge("g", "").Set(3)
-	o.M().Gauge("g", "").Add(1)
 	o.M().Histogram("h", "", nil).Observe(0.5)
 	o.M().Collect("f", "", "gauge", func() []Sample { return nil })
 	o.T().SetEnabled(true)
@@ -125,8 +123,6 @@ func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mik_test_ops_total", "ops")
 	c.Add(3)
-	g := r.Gauge("mik_test_depth", "depth")
-	g.Set(2.5)
 	h := r.Histogram("mik_test_latency_seconds", "latency", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -143,7 +139,6 @@ func TestRegistryPrometheusText(t *testing.T) {
 	text := b.String()
 	for _, want := range []string{
 		"# TYPE mik_test_ops_total counter\nmik_test_ops_total 3\n",
-		"# TYPE mik_test_depth gauge\nmik_test_depth 2.5\n",
 		`mik_test_latency_seconds_bucket{le="0.1"} 1`,
 		`mik_test_latency_seconds_bucket{le="1"} 2`,
 		`mik_test_latency_seconds_bucket{le="+Inf"} 3`,
@@ -183,15 +178,14 @@ func TestRegistryDedupAndReplace(t *testing.T) {
 			t.Fatal("type-mismatched re-registration did not panic")
 		}
 	}()
-	r.Gauge("c", "now a gauge")
+	r.Histogram("c", "now a histogram", nil)
 }
 
 func TestConcurrentInstruments(t *testing.T) {
-	// Exercised under -race by CI: counters, gauges, histograms, span
+	// Exercised under -race by CI: counters, histograms, span
 	// recording and scraping must all be data-race free.
 	o := New(64)
 	c := o.M().Counter("n", "")
-	g := o.M().Gauge("v", "")
 	h := o.M().Histogram("l", "", nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -200,7 +194,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i) * 1e-5)
 				ctx, sp := o.T().Start(context.Background(), "w")
 				_, inner := o.T().Start(ctx, "inner")
@@ -220,7 +213,7 @@ func TestConcurrentInstruments(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if c.Value() != 1600 || g.Value() != 1600 || h.Count() != 1600 {
-		t.Fatalf("lost updates: c=%d g=%g h=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 1600 || h.Count() != 1600 {
+		t.Fatalf("lost updates: c=%d h=%d", c.Value(), h.Count())
 	}
 }

@@ -80,9 +80,3 @@ func (m *Model) Predict(t int) float64 {
 	y0, y1 := m.ys[i-1], m.ys[i]
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
-
-// Knots reports the number of fitted knots (for diagnostics).
-func (m *Model) Knots() int { return len(m.xs) }
-
-// MaxT reports the largest fitted t.
-func (m *Model) MaxT() int { return int(m.xs[len(m.xs)-1]) }

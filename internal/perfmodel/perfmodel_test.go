@@ -136,3 +136,9 @@ func TestFitMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Knots reports the number of fitted knots (for diagnostics).
+func (m *Model) Knots() int { return len(m.xs) }
+
+// MaxT reports the largest fitted t.
+func (m *Model) MaxT() int { return int(m.xs[len(m.xs)-1]) }

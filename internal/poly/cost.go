@@ -20,7 +20,9 @@ func WaveCount(tasks, pes int) float64 {
 
 // ProgramCost evaluates the full cost model (Eq. 2) for an already-built
 // program against a library — the authoritative scorer the planner's
-// incremental search must agree with (cross-checked by tests). Output-plane
+// incremental search must agree with. No served path calls it: it is the
+// oracle of TestExplainAgreesWithPlannerCost, TestSplitKCostAgreement and the
+// sweep ≡ reference checks (exportOracles in the root package). Output-plane
 // patterns sum waves×pipe per region; split-K regions co-run over one shared
 // output, so the wave term covers the combined grid and the pipe term is the
 // slowest slice.

@@ -45,7 +45,9 @@ func Explain(prog *Program, lib *tune.Library) []RegionCost {
 	return out
 }
 
-// TotalCost sums the breakdown.
+// TotalCost sums the breakdown. No served path calls it: it is the oracle of
+// TestExplainAgreesWithPlannerCost and TestExplainMatchesEstimatedCost
+// (exportOracles in the root package).
 func TotalCost(costs []RegionCost) float64 {
 	var sum float64
 	for _, c := range costs {

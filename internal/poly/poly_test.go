@@ -35,7 +35,7 @@ func libs(t testing.TB) (*tune.Library, *tune.Library) {
 }
 
 func TestRegionTilesAndTasks(t *testing.T) {
-	r := Region{M: 100, N: 50, K: 70, Kern: kernel.New(32, 16, 32, kernel.DefaultConfig())}
+	r := Region{M: 100, N: 50, K: 70, Kern: kernel.New(32, 16, 32, kernel.Config{Stages: 2, Vec: 4})}
 	t1, t2, t3 := r.Tiles()
 	if t1 != 4 || t2 != 4 || t3 != 3 {
 		t.Fatalf("Tiles = %d,%d,%d want 4,4,3 (local padding rounds up)", t1, t2, t3)
@@ -47,7 +47,7 @@ func TestRegionTilesAndTasks(t *testing.T) {
 
 func TestProgramValidateCoverage(t *testing.T) {
 	shape := tensor.GemmShape{M: 100, N: 60, K: 40}
-	k := kernel.New(16, 16, 16, kernel.DefaultConfig())
+	k := kernel.New(16, 16, 16, kernel.Config{Stages: 2, Vec: 4})
 	good := &Program{
 		Shape:   shape,
 		Pattern: PatternII,
@@ -120,7 +120,7 @@ func TestProgramValidateChainPattern(t *testing.T) {
 
 func TestProgramTasks(t *testing.T) {
 	shape := tensor.GemmShape{M: 64, N: 64, K: 64}
-	k := kernel.New(32, 32, 32, kernel.DefaultConfig())
+	k := kernel.New(32, 32, 32, kernel.Config{Stages: 2, Vec: 4})
 	prog := &Program{Shape: shape, Pattern: PatternI,
 		Regions: []Region{{M: 64, N: 64, K: 64, Kern: k}}}
 	h := hw.A100()
@@ -154,9 +154,9 @@ func TestPatternSets(t *testing.T) {
 // Every boundary candidate of every pattern must exactly tile the output.
 func TestBoundaryCandidatesCoverage(t *testing.T) {
 	anchors := []kernel.MicroKernel{
-		kernel.New(128, 128, 32, kernel.DefaultConfig()),
-		kernel.New(64, 64, 64, kernel.DefaultConfig()),
-		kernel.New(16, 32, 16, kernel.DefaultConfig()),
+		kernel.New(128, 128, 32, kernel.Config{Stages: 2, Vec: 4}),
+		kernel.New(64, 64, 64, kernel.Config{Stages: 2, Vec: 4}),
+		kernel.New(16, 32, 16, kernel.Config{Stages: 2, Vec: 4}),
 	}
 	shapes := [][2]int{{4096, 1024}, {105, 1024}, {100, 60}, {1, 1}, {16, 4096}, {3000, 17}}
 	for _, pat := range NPUPatterns() {
@@ -430,7 +430,7 @@ func TestSketch(t *testing.T) {
 
 func TestSplitKProgramValidation(t *testing.T) {
 	shape := tensor.GemmShape{M: 64, N: 64, K: 128}
-	k := kernel.New(16, 16, 16, kernel.DefaultConfig())
+	k := kernel.New(16, 16, 16, kernel.Config{Stages: 2, Vec: 4})
 	good := &Program{
 		Shape:   shape,
 		Pattern: PatternSplitK,

@@ -563,7 +563,7 @@ func TestEnumeratorMatchesReference(t *testing.T) {
 		if i%5 == 0 {
 			N = 1 + rng.Intn(300)
 		}
-		a := kernel.New(tiles[rng.Intn(len(tiles))], tiles[rng.Intn(len(tiles))], 32, kernel.DefaultConfig())
+		a := kernel.New(tiles[rng.Intn(len(tiles))], tiles[rng.Intn(len(tiles))], 32, kernel.Config{Stages: 2, Vec: 4})
 		pes := []int{1, 30, 32, 108}[rng.Intn(4)]
 		for _, pat := range NPUPatterns() {
 			want := refBoundaryCandidates(pat, M, N, a, pes)

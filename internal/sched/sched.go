@@ -357,9 +357,6 @@ func (s *Scheduler) KV() *kvcache.Manager { return s.kv }
 // Config returns the effective configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// StepBoundCycles returns the decode-step SLO bound in cycles.
-func (s *Scheduler) StepBoundCycles() float64 { return s.stepBound }
-
 // Stats snapshots the accounting.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()

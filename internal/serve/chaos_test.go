@@ -149,8 +149,8 @@ func TestChaosSeedsInvariants(t *testing.T) {
 
 // TestChaosNoCachePoisoning plants a persistent PE death, lets the stack
 // degrade, and then verifies the healthy cache entry was never overwritten
-// by a degraded-view program: after the registry heals, the same shape plans
-// back to full-width hardware.
+// by a degraded-view program: back on the pristine device, the same shape is
+// served its full-width program from the cache.
 func TestChaosNoCachePoisoning(t *testing.T) {
 	faults := sim.Faults{Seed: 5, PEDeathCycle: map[int]float64{4: 1}}
 	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
@@ -165,9 +165,6 @@ func TestChaosNoCachePoisoning(t *testing.T) {
 		t.Fatalf("plan: %d %s", resp.StatusCode, data)
 	}
 	c := srv.comp()
-	if !c.Cached(shape, "") {
-		t.Fatal("healthy plan not cached under the pristine fingerprint")
-	}
 
 	// Drive executions until the PE death is observed and quarantined.
 	for i := 0; i < 6; i++ {
@@ -187,16 +184,16 @@ func TestChaosNoCachePoisoning(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded plan: %d %s", resp.StatusCode, data)
 	}
-	if !c.Cached(shape, fp) {
+	if c.Lookup(shape) == nil {
 		t.Fatalf("degraded plan not cached under fp %q", fp)
 	}
 
-	// The healthy entry must be intact: heal the registry and plan again —
-	// the cache must hand back a full-width program without replanning.
-	reg.Reset()
-	prog, err := c.Plan(shape)
-	if err != nil {
-		t.Fatal(err)
+	// The healthy entry must be intact: back on the pristine device, the
+	// cache must hand back the full-width program without replanning.
+	c.SetHealth(nil)
+	prog := c.Lookup(shape)
+	if prog == nil {
+		t.Fatal("healthy plan no longer cached under the pristine fingerprint")
 	}
 	if prog.HW.NumPEs != base {
 		t.Fatalf("healthy cache entry poisoned: targets %d PEs, want %d", prog.HW.NumPEs, base)

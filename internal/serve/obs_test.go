@@ -106,12 +106,13 @@ func TestObsDisabledServes404(t *testing.T) {
 	}
 }
 
-// TestConcurrentModelStatsClearCache is the race regression for the stats
+// TestConcurrentModelStatsInvalidate is the race regression for the stats
 // snapshotting path: model executions mutate the runtime's cumulative
-// counters (including the per-PE busy slice) while /stats, /metrics, and
-// ClearCache read and reset shared compiler state. Run under -race (the CI
-// does); any unsynchronized access fails the build.
-func TestConcurrentModelStatsClearCache(t *testing.T) {
+// counters (including the per-PE busy slice) while /stats and /metrics read
+// shared compiler state and invalidations of the hot shapes drop its cached
+// programs. Run under -race (the CI does); any unsynchronized access fails
+// the build.
+func TestConcurrentModelStatsInvalidate(t *testing.T) {
 	o := obs.New(256)
 	srv, ts := newObsServer(t, o, Config{PlanAhead: 2})
 
@@ -147,7 +148,10 @@ func TestConcurrentModelStatsClearCache(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				srv.comp().ClearCache()
+				c := srv.comp()
+				for _, s := range c.HotShapes(8) {
+					c.Invalidate(s)
+				}
 			}
 		}()
 	}

@@ -147,13 +147,6 @@ func (f Faults) Validate(h hw.Hardware) error {
 	return nil
 }
 
-// Persistent reports whether the config contains any salt-independent
-// degradation a retry cannot clear.
-func (f Faults) Persistent() bool {
-	return len(f.DropPEs) > 0 || len(f.SlowPE) > 0 || f.Bandwidth > 0 ||
-		len(f.PEDeathCycle) > 0 || f.Brownout != nil || len(f.StickyFaults) > 0
-}
-
 // faultState is the per-run realization of a Faults config.
 type faultState struct {
 	dead    []bool

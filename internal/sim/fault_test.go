@@ -368,24 +368,6 @@ func TestPersistentFaultsDeterministicUnderSeed(t *testing.T) {
 	}
 }
 
-func TestFaultsPersistent(t *testing.T) {
-	if (Faults{Seed: 1, TaskFaultRate: 0.5}).Persistent() {
-		t.Fatal("transient-only config reported persistent")
-	}
-	for _, f := range []Faults{
-		{DropPEs: []int{1}},
-		{SlowPE: map[int]float64{0: 2}},
-		{Bandwidth: 0.5},
-		{PEDeathCycle: map[int]float64{0: 10}},
-		{Brownout: &Brownout{Duration: 10, Factor: 0.5}},
-		{StickyFaults: map[int]int{0: 1}},
-	} {
-		if !f.Persistent() {
-			t.Fatalf("%+v not reported persistent", f)
-		}
-	}
-}
-
 func TestChaosScheduleDeterministicAndValid(t *testing.T) {
 	h := hw.A100()
 	for seed := uint64(0); seed < 20; seed++ {

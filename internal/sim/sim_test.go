@@ -384,7 +384,4 @@ func TestImbalance(t *testing.T) {
 			t.Errorf("%s: Imbalance(%v) = %g, want %g", c.name, c.busy, got, c.want)
 		}
 	}
-	if got := (Result{PEBusy: []float64{8, 4, 8, 8}}).Imbalance(); got != 0.5 {
-		t.Errorf("Result.Imbalance = %g, want 0.5", got)
-	}
 }

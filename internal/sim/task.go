@@ -110,17 +110,11 @@ func (r Result) Waves() int {
 	return (r.NumTasks + len(r.PEBusy) - 1) / len(r.PEBusy)
 }
 
-// Imbalance returns the relative busy-time spread across PEs,
-// (max − min) / max over the per-PE busy cycles: 0 is a perfectly balanced
-// execution, values near 1 mean some PEs idled through almost the whole run
-// — the "last wave" effect the polymerized programs exist to shrink. An
-// all-idle or empty execution reports 0.
-func (r Result) Imbalance() float64 { return Imbalance(r.PEBusy) }
-
-// Imbalance computes the relative spread (max − min) / max of a per-PE busy
-// series; see Result.Imbalance. Exposed as a free function so aggregated
-// busy series (e.g. the graph runtime's cumulative per-PE counters) can be
-// scored the same way.
+// Imbalance computes the relative busy-time spread (max − min) / max of a
+// per-PE busy series: 0 is a perfectly balanced execution, values near 1 mean
+// some PEs idled through almost the whole run — the "last wave" effect the
+// polymerized programs exist to shrink. An all-idle or empty series reports
+// 0. The graph runtime scores its cumulative per-PE counters with it.
 func Imbalance(peBusy []float64) float64 {
 	if len(peBusy) == 0 {
 		return 0

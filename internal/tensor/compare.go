@@ -1,28 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
-
-// MaxAbsDiff returns the largest element-wise absolute difference between two
-// equally shaped matrices.
-func MaxAbsDiff(a, b *Matrix) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: compare shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	var max float64
-	for i := 0; i < a.Rows; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		for j := range ra {
-			d := math.Abs(float64(ra[j]) - float64(rb[j]))
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
+import "math"
 
 // AllClose reports whether all elements agree within tol absolute or
 // tol relative error (whichever is looser), the usual mixed tolerance for
@@ -46,21 +24,4 @@ func AllClose(a, b *Matrix, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Tensor4MaxAbsDiff returns the largest element-wise absolute difference
-// between two equally shaped NCHW tensors.
-func Tensor4MaxAbsDiff(a, b *Tensor4) float64 {
-	if a.N != b.N || a.C != b.C || a.H != b.H || a.W != b.W {
-		panic(fmt.Sprintf("tensor: compare shape mismatch (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
-			a.N, a.C, a.H, a.W, b.N, b.C, b.H, b.W))
-	}
-	var max float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }

@@ -42,9 +42,6 @@ func (c ConvShape) GemmShape() GemmShape {
 	return GemmShape{M: c.Batch * oh * ow, N: c.OutC, K: c.InC * c.KH * c.KW}
 }
 
-// FLOPs returns the multiply-add operation count of the convolution.
-func (c ConvShape) FLOPs() float64 { return c.GemmShape().FLOPs() }
-
 // String formats the shape compactly.
 func (c ConvShape) String() string {
 	return fmt.Sprintf("conv(n=%d c=%d %dx%d oc=%d k=%dx%d s=%d p=%d)",

@@ -109,101 +109,3 @@ func TestTensor4Basics(t *testing.T) {
 	}()
 	x.At(2, 0, 0, 0)
 }
-
-func TestGroupedConvShape(t *testing.T) {
-	g := GroupedConvShape{
-		Conv:   ConvShape{Batch: 2, InC: 8, InH: 6, InW: 6, OutC: 12, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		Groups: 4,
-	}
-	if !g.Valid() {
-		t.Fatal("valid grouped shape rejected")
-	}
-	gg := g.GroupGemmShape()
-	if gg.N != 3 || gg.K != 2*9 {
-		t.Fatalf("group GEMM = %v", gg)
-	}
-	if g.FLOPs() != gg.FLOPs()*4 {
-		t.Fatal("FLOPs must sum over groups")
-	}
-	bad := g
-	bad.Groups = 3 // 8 % 3 != 0
-	if bad.Valid() {
-		t.Fatal("indivisible channels accepted")
-	}
-}
-
-func TestGroupedConvRefMatchesUngroupedWhenGroupsIs1(t *testing.T) {
-	s := ConvShape{Batch: 1, InC: 3, InH: 7, InW: 7, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	g := GroupedConvShape{Conv: s, Groups: 1}
-	in := RandomTensor4(1, 3, 7, 7, 5)
-	w := RandomTensor4(4, 3, 3, 3, 6)
-	grouped := GroupedConvRef(in, w, g)
-	direct := ConvRef(in, w, s)
-	if d := Tensor4MaxAbsDiff(grouped, direct); d > 1e-5 {
-		t.Fatalf("groups=1 differs from plain conv by %g", d)
-	}
-}
-
-func TestGroupedConvExtractMergeRoundTrip(t *testing.T) {
-	g := GroupedConvShape{
-		Conv:   ConvShape{Batch: 2, InC: 6, InH: 5, InW: 5, OutC: 4, KH: 1, KW: 1, Stride: 1, Pad: 0},
-		Groups: 2,
-	}
-	in := RandomTensor4(2, 6, 5, 5, 9)
-	w := RandomTensor4(4, 3, 1, 1, 10)
-	want := GroupedConvRef(in, w, g)
-	// Compute per group with the plain reference and merge.
-	got := NewTensor4(2, 4, 5, 5)
-	for grp := 0; grp < 2; grp++ {
-		gi := ExtractGroup(in, g, grp)
-		gw := ExtractGroupFilters(w, g, grp)
-		gout := ConvRef(gi, gw, g.GroupShape())
-		MergeGroupOutput(got, gout, g, grp)
-	}
-	if d := Tensor4MaxAbsDiff(got, want); d > 1e-4 {
-		t.Fatalf("group decomposition differs by %g", d)
-	}
-}
-
-// Depthwise is the extreme case: Groups = InC = OutC.
-func TestDepthwiseViaGroups(t *testing.T) {
-	g := GroupedConvShape{
-		Conv:   ConvShape{Batch: 1, InC: 5, InH: 8, InW: 8, OutC: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
-		Groups: 5,
-	}
-	if !g.Valid() {
-		t.Fatal("depthwise shape rejected")
-	}
-	in := RandomTensor4(1, 5, 8, 8, 11)
-	w := RandomTensor4(5, 1, 3, 3, 12)
-	out := GroupedConvRef(in, w, g)
-	// Channel 2's output must depend only on channel 2's input: zero that
-	// channel and verify only it changes.
-	in2 := RandomTensor4(1, 5, 8, 8, 11)
-	for y := 0; y < 8; y++ {
-		for x := 0; x < 8; x++ {
-			in2.Set(0, 2, y, x, 0)
-		}
-	}
-	out2 := GroupedConvRef(in2, w, g)
-	for c := 0; c < 5; c++ {
-		var diff float64
-		for y := 0; y < out.H; y++ {
-			for x := 0; x < out.W; x++ {
-				d := float64(out.At(0, c, y, x) - out2.At(0, c, y, x))
-				if d < 0 {
-					d = -d
-				}
-				if d > diff {
-					diff = d
-				}
-			}
-		}
-		if c == 2 && diff == 0 {
-			t.Fatal("channel 2 output did not change")
-		}
-		if c != 2 && diff != 0 {
-			t.Fatalf("channel %d output changed (cross-group leakage)", c)
-		}
-	}
-}

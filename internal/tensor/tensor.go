@@ -29,22 +29,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Stride: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of rows. All rows must have equal
-// length.
-func FromRows(rows [][]float32) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("tensor: ragged row %d: got %d want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Stride:i*m.Stride+m.Cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float32 {
 	m.check(i, j)
@@ -55,12 +39,6 @@ func (m *Matrix) At(i, j int) float32 {
 func (m *Matrix) Set(i, j int, v float32) {
 	m.check(i, j)
 	m.Data[i*m.Stride+j] = v
-}
-
-// Add accumulates v into element (i, j).
-func (m *Matrix) Add(i, j int, v float32) {
-	m.check(i, j)
-	m.Data[i*m.Stride+j] += v
 }
 
 func (m *Matrix) check(i, j int) {
@@ -77,67 +55,15 @@ func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Stride : i*m.Stride+m.Cols]
 }
 
-// View returns an r×c sub-matrix starting at (i, j) that shares storage with
-// m. Mutations through the view are visible in m.
-func (m *Matrix) View(i, j, r, c int) *Matrix {
-	if r < 0 || c < 0 || i < 0 || j < 0 || i+r > m.Rows || j+c > m.Cols {
-		panic(fmt.Sprintf("tensor: view (%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
-	}
-	return &Matrix{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[i*m.Stride+j:]}
-}
-
 // ViewInto fills *dst with an r×c sub-matrix view starting at (i, j),
-// sharing storage with m. Unlike View it performs no allocation, so tight
-// tile loops can reuse one Matrix header.
+// sharing storage with m. It performs no allocation, so tight tile loops can
+// reuse one Matrix header.
 func (m *Matrix) ViewInto(dst *Matrix, i, j, r, c int) {
 	if r < 0 || c < 0 || i < 0 || j < 0 || i+r > m.Rows || j+c > m.Cols {
 		panic(fmt.Sprintf("tensor: view (%d,%d,%d,%d) out of range %dx%d", i, j, r, c, m.Rows, m.Cols))
 	}
 	dst.Rows, dst.Cols, dst.Stride = r, c, m.Stride
 	dst.Data = m.Data[i*m.Stride+j:]
-}
-
-// Clone returns a compact deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i), m.Row(i))
-	}
-	return out
-}
-
-// Zero clears all elements.
-func (m *Matrix) Zero() {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-}
-
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = v
-		}
-	}
-}
-
-// PadTo returns a copy of m zero-padded to rows×cols (each at least the
-// current dimension). Used by the local-padding technique (§3.4) so that
-// micro-kernels never need boundary checks.
-func (m *Matrix) PadTo(rows, cols int) *Matrix {
-	if rows < m.Rows || cols < m.Cols {
-		panic(fmt.Sprintf("tensor: PadTo(%d,%d) smaller than %dx%d", rows, cols, m.Rows, m.Cols))
-	}
-	out := NewMatrix(rows, cols)
-	for i := 0; i < m.Rows; i++ {
-		copy(out.Row(i)[:m.Cols], m.Row(i))
-	}
-	return out
 }
 
 // String renders small matrices for debugging; large matrices are summarized.
@@ -192,21 +118,4 @@ func (t *Tensor4) index(n, c, h, w int) int {
 		panic(fmt.Sprintf("tensor: index (%d,%d,%d,%d) out of range (%d,%d,%d,%d)", n, c, h, w, t.N, t.C, t.H, t.W))
 	}
 	return ((n*t.C+c)*t.H+h)*t.W + w
-}
-
-// Elems reports the number of elements.
-func (t *Tensor4) Elems() int { return t.N * t.C * t.H * t.W }
-
-// Transpose returns a compact copy of mᵀ. Frameworks commonly store linear
-// layer weights transposed; the runtime materializes the layout the
-// micro-kernels expect.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*out.Stride+i] = v
-		}
-	}
-	return out
 }

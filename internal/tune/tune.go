@@ -107,10 +107,6 @@ func (l *Library) computeHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Model returns the fitted g_predict model for k, or nil if k is not in the
-// library.
-func (l *Library) Model(k kernel.MicroKernel) *perfmodel.Model { return l.models[k] }
-
 // ModelAt returns the fitted model for Kernels[i], or nil when the index is
 // out of range or the library predates indexing.
 func (l *Library) ModelAt(i int) *perfmodel.Model {

@@ -6,6 +6,7 @@ import (
 
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kernel"
+	"mikpoly/internal/perfmodel"
 )
 
 // smallOpts keeps unit tests fast while exercising the whole pipeline.
@@ -134,7 +135,7 @@ func TestPredictTaskForeignKernelFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := kernel.New(48, 48, 48, kernel.DefaultConfig())
+	foreign := kernel.New(48, 48, 48, kernel.Config{Stages: 2, Vec: 4})
 	if lib.Model(foreign) != nil {
 		t.Skip("foreign kernel unexpectedly in library")
 	}
@@ -183,7 +184,7 @@ func TestGenerateInvalidInputs(t *testing.T) {
 
 func TestMeasureTaskCostMonotoneInT(t *testing.T) {
 	h := hw.A100()
-	k := kernel.New(128, 128, 32, kernel.DefaultConfig())
+	k := kernel.New(128, 128, 32, kernel.Config{Stages: 2, Vec: 4})
 	prev := 0.0
 	for tt := 1; tt <= 64; tt *= 2 {
 		c := MeasureTaskCost(h, k, tt)
@@ -214,3 +215,7 @@ func TestGenerateDeterministicAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// Model returns the fitted g_predict model for k, or nil if k is not in the
+// library.
+func (l *Library) Model(k kernel.MicroKernel) *perfmodel.Model { return l.models[k] }

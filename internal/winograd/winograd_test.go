@@ -1,6 +1,7 @@
 package winograd
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func TestConvMatchesDirect(t *testing.T) {
 			t.Fatalf("%v: %v", s, err)
 		}
 		want := tensor.ConvRef(in, w, s)
-		if d := tensor.Tensor4MaxAbsDiff(got, want); d > 1e-4 {
+		if d := maxAbsDiff(got.Data, want.Data); d > 1e-4 {
 			t.Errorf("%v: winograd differs from direct by %g", s, d)
 		}
 	}
@@ -83,7 +84,7 @@ func TestConvProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return tensor.Tensor4MaxAbsDiff(got, tensor.ConvRef(in, w, s)) <= 1e-3
+		return maxAbsDiff(got.Data, tensor.ConvRef(in, w, s).Data) <= 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -109,11 +110,24 @@ func TestLower(t *testing.T) {
 	// The arithmetic saving: 16 GEMMs of tiles×OC×IC multiplies vs the
 	// direct 36 per 4 outputs — ratio must be 36/16 = 2.25.
 	winogradMuls := 16.0 * float64(l.Gemm.M) * float64(l.Gemm.N) * float64(l.Gemm.K)
-	directMuls := s.FLOPs() / 2
+	directMuls := s.GemmShape().FLOPs() / 2
 	if ratio := directMuls / winogradMuls; ratio < 2.2 || ratio > 2.3 {
 		t.Fatalf("arithmetic reduction = %.2f, want 2.25", ratio)
 	}
 	if _, err := Lower(tensor.ConvShape{}, 2); err == nil {
 		t.Fatal("invalid shape accepted")
 	}
+}
+
+// maxAbsDiff is the largest element-wise |a−b| of two compact buffers, +Inf
+// when their lengths differ.
+func maxAbsDiff(a, b []float32) float64 {
+	if len(a) != len(b) {
+		return math.Inf(1)
+	}
+	var max float64
+	for i := range a {
+		max = math.Max(max, math.Abs(float64(a[i])-float64(b[i])))
+	}
+	return max
 }

@@ -194,28 +194,3 @@ func Subsample(cases []Case, target int) []Case {
 	}
 	return out
 }
-
-// FromGemmShapes converts a shape→count map (e.g. nn.Graph.GemmShapes) into
-// benchmark cases, so any model graph doubles as an operator suite.
-func FromGemmShapes(category string, shapes map[tensor.GemmShape]int) []Case {
-	out := make([]Case, 0, len(shapes))
-	for s := range shapes {
-		out = append(out, Case{
-			ID:       fmt.Sprintf("%s/%s", category, s.String()),
-			Category: category,
-			Shape:    s,
-		})
-	}
-	// Deterministic order for reproducible benchmarking.
-	sortCases(out)
-	return out
-}
-
-// sortCases orders cases by ID.
-func sortCases(cs []Case) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].ID < cs[j-1].ID; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"mikpoly/internal/tensor"
-)
+import "testing"
 
 func TestDeepBenchGEMMCountAndRanges(t *testing.T) {
 	cases := DeepBenchGEMM()
@@ -174,30 +170,5 @@ func TestLogInBounds(t *testing.T) {
 	}
 	if r.intIn(9, 9) != 9 {
 		t.Fatal("degenerate intIn")
-	}
-}
-
-func TestFromGemmShapes(t *testing.T) {
-	shapes := map[tensor.GemmShape]int{
-		{M: 1, N: 2, K: 3}: 5,
-		{M: 4, N: 5, K: 6}: 1,
-	}
-	cases := FromGemmShapes("model", shapes)
-	if len(cases) != 2 {
-		t.Fatalf("cases = %d", len(cases))
-	}
-	if cases[0].ID > cases[1].ID {
-		t.Fatal("cases not sorted")
-	}
-	for _, c := range cases {
-		if c.Category != "model" || !c.Shape.Valid() {
-			t.Fatalf("bad case %+v", c)
-		}
-	}
-	again := FromGemmShapes("model", shapes)
-	for i := range cases {
-		if cases[i] != again[i] {
-			t.Fatal("not deterministic")
-		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"io"
 
 	"mikpoly/internal/core"
-	"mikpoly/internal/engine"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kernel"
 	"mikpoly/internal/poly"
@@ -188,17 +187,3 @@ func WinogradConv(in, w *Tensor4, shape ConvShape) (*Tensor4, error) {
 
 // WinogradApplicable reports whether the Winograd path supports the shape.
 func WinogradApplicable(shape ConvShape) bool { return winograd.Applicable(shape) }
-
-// Epilogue is a fused GEMM tail: optional per-column bias plus activation,
-// applied during output write-back by Compiler.GEMMFused.
-type Epilogue = engine.Epilogue
-
-// Activation selects a fused epilogue nonlinearity.
-type Activation = engine.Activation
-
-// Fused epilogue activations.
-const (
-	ActNone = engine.ActNone
-	ActReLU = engine.ActReLU
-	ActGELU = engine.ActGELU
-)

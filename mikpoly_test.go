@@ -156,33 +156,3 @@ func TestWinogradPublicAPI(t *testing.T) {
 		t.Fatal("stride-2 must not be applicable")
 	}
 }
-
-func TestGEMMFusedPublicAPI(t *testing.T) {
-	c, err := mikpoly.NewCompiler(mikpoly.A100(), fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := mikpoly.RandomMatrix(40, 30, 1)
-	b := mikpoly.RandomMatrix(30, 20, 2)
-	bias := make([]float32, 20)
-	for i := range bias {
-		bias[i] = 0.5
-	}
-	got, err := c.GEMMFused(a, b, mikpoly.Epilogue{Bias: bias, Act: mikpoly.ActReLU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mikpoly.Gemm(a, b)
-	for i := 0; i < 40; i++ {
-		for j := 0; j < 20; j++ {
-			ref := want.At(i, j) + 0.5
-			if ref < 0 {
-				ref = 0
-			}
-			d := got.At(i, j) - ref
-			if d > 1e-3 || d < -1e-3 {
-				t.Fatalf("fused result wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-}
