@@ -14,8 +14,9 @@
 //
 // LRU, the generic bounded table the plan cache is built on, is exported:
 // the graph runtime keeps its compiled executions, stage memo and program
-// digests in it too, so every memo table on the serving path evicts in
-// recency order and none is dropped wholesale.
+// digests in it too, and the scheduler its step graphs, so every memo table
+// on the serving path evicts in recency order. None is dropped wholesale
+// while it serves; the scheduler empties its own only when it goes idle.
 package core
 
 import (
@@ -38,12 +39,7 @@ import (
 
 // Compiler is the MikPoly dynamic-shape tensor compiler.
 type Compiler struct {
-	lib     *tune.Library
-	planner *poly.Planner
-
-	// libHash is the content digest of lib, which is fixed for the
-	// compiler's life; every cache key carries it.
-	libHash string
+	lib *tune.Library
 
 	// tracker maintains decayed per-shape request counts (HotShapes).
 	tracker *shapeTracker
@@ -124,7 +120,7 @@ func WithCacheCapacity(n int) Option {
 func WithObs(o *obs.Obs) Option {
 	return func(c *Compiler) {
 		c.o = o
-		c.planner.Trace = o.T()
+		c.planners[""].Trace = o.T()
 		m := o.M()
 		c.planLatency = m.Histogram("mik_plan_latency_seconds",
 			"Online polymerization latency per leader (non-cached, non-coalesced) plan.", nil)
@@ -154,14 +150,11 @@ func NewCompiler(h hw.Hardware, opt tune.Options, opts ...Option) (*Compiler, er
 func NewCompilerFromLibrary(lib *tune.Library, opts ...Option) *Compiler {
 	c := &Compiler{
 		lib:      lib,
-		libHash:  lib.Hash(),
 		tracker:  newShapeTracker(),
-		planner:  poly.NewPlanner(lib),
 		cache:    newLRU(DefaultCacheCapacity),
 		inflight: make(map[cacheKey]*planCall),
-		planners: make(map[string]*poly.Planner),
+		planners: map[string]*poly.Planner{"": poly.NewPlanner(lib)},
 	}
-	c.planners[""] = c.planner
 	c.planFn = func(ctx context.Context, shape tensor.GemmShape, fp string) (*poly.Program, poly.PlanStats, error) {
 		return c.plannerByFP(fp).PlanContext(ctx, shape)
 	}
@@ -260,7 +253,7 @@ func (c *Compiler) HotShapes(n int) []tensor.GemmShape {
 // pattern subset, pruning) before first use. The plan cache is not keyed by
 // these settings: mutating the planner after programs are cached serves the
 // stale programs (ROADMAP item 16).
-func (c *Compiler) Planner() *poly.Planner { return c.planner }
+func (c *Compiler) Planner() *poly.Planner { return c.plannerByFP("") }
 
 // Invalidate drops the cached program for one shape — e.g. after an
 // execution fault report — so the next request re-plans it. The shape is
@@ -336,7 +329,7 @@ func (c *Compiler) planForView(ctx context.Context, shape tensor.GemmShape, v he
 	}
 	for {
 		c.mu.Lock()
-		key := cacheKey{shape: shape, lib: c.libHash, fp: fp}
+		key := cacheKey{shape: shape, fp: fp}
 		if prog, ok := c.cache.get(key); ok {
 			c.mu.Unlock()
 			return prog, nil
@@ -482,7 +475,7 @@ func (c *Compiler) lookup(shape tensor.GemmShape) (*poly.Program, health.View, s
 	v, fp := c.currentView()
 	c.maybeReplanOnChange(v, fp)
 	c.mu.Lock()
-	prog := c.cache.hit(cacheKey{shape: shape, lib: c.libHash, fp: fp})
+	prog := c.cache.hit(cacheKey{shape: shape, fp: fp})
 	c.mu.Unlock()
 	if prog != nil {
 		c.tracker.Observe(shape)

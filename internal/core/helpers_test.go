@@ -18,7 +18,7 @@ func (c *Compiler) ClearCache() {
 func (c *Compiler) Cached(shape tensor.GemmShape, fp string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.cache.entries.Peek(cacheKey{shape: shape, lib: c.libHash, fp: fp})
+	_, ok := c.cache.entries.Peek(cacheKey{shape: shape, fp: fp})
 	return ok
 }
 

@@ -180,23 +180,21 @@ type CacheStats struct {
 	Degraded int `json:"degraded"`
 }
 
-// cacheKey identifies a cached program: the runtime shape, the content hash
-// of the kernel library it was planned from, and the health fingerprint of
-// the hardware view it was planned against ("" = pristine). Keying on all
-// three is what prevents cache poisoning: a program polymerized for 107 live
-// PEs must never be served once PE 31 is quarantined (and the healthy plan
-// must come back verbatim once the view recovers), and a program planned
-// from a retuned or reloaded library must never be served against the old
-// one's kernels — shapes alone cannot distinguish two libraries whose
-// micro-kernel models disagree.
+// cacheKey identifies a cached program: the runtime shape and the health
+// fingerprint of the hardware view it was planned against ("" = pristine).
+// Keying on the fingerprint is what prevents cache poisoning: a program
+// polymerized for 107 live PEs must never be served once PE 31 is
+// quarantined, and the healthy plan must come back verbatim once the view
+// recovers. The kernel library needs no key slot: each cache belongs to
+// exactly one compiler, whose library is fixed for its life, so every entry
+// of a cache was planned from the same library.
 type cacheKey struct {
 	shape tensor.GemmShape
-	lib   string
 	fp    string
 }
 
 // lruCache is the bounded program cache: an LRU of programs by (shape,
-// library hash, health fingerprint) with the counters CacheStats reports. It
+// health fingerprint) with the counters CacheStats reports. It
 // is not goroutine-safe; the Compiler serializes access under its mutex.
 type lruCache struct {
 	entries *LRU[cacheKey, *poly.Program]

@@ -24,7 +24,7 @@ func Llama2Prefill(batch, seq int) Graph {
 	if batch < 1 || seq < 1 {
 		panic(fmt.Sprintf("nn: invalid llama input batch=%d seq=%d", batch, seq))
 	}
-	return llamaStep(stepName("llama2-13b-prefill@b", batch, "_s", seq), batch*seq, batch, seq)
+	return llamaStep(stepName("llama2-13b-prefill@b", batch, "_s", seq), batch*seq, batch*seq)
 }
 
 // Llama2Decode builds one autoregressive decode step: every GEMM sees
@@ -33,7 +33,18 @@ func Llama2Decode(batch, kvLen int) Graph {
 	if batch < 1 || kvLen < 1 {
 		panic(fmt.Sprintf("nn: invalid llama decode batch=%d kvLen=%d", batch, kvLen))
 	}
-	return llamaStep(stepName("llama2-13b-decode@b", batch, "_kv", kvLen), batch, batch, kvLen)
+	return llamaStep(stepName("llama2-13b-decode@b", batch, "_kv", kvLen), batch, batch*kvLen)
+}
+
+// LlamaPass builds one Llama pass with tokens in flight and kvTokens of
+// attention context summed over its sequences. It is the one pass both phases
+// reduce to: Llama2Prefill(b, s) is the pass (b·s, b·s) and Llama2Decode(b, kv)
+// the pass (b, b·kv), op for op and bit for bit; only the name differs.
+func LlamaPass(tokens, kvTokens int) Graph {
+	if tokens < 1 || kvTokens < 1 {
+		panic(fmt.Sprintf("nn: invalid llama pass tokens=%d kvTokens=%d", tokens, kvTokens))
+	}
+	return llamaStep(stepName("llama2-13b@t", tokens, "_kv", kvTokens), tokens, kvTokens)
 }
 
 // stepName formats prefix, a, sep, b into a graph name with one allocation: a
@@ -46,19 +57,23 @@ func stepName(prefix string, a int, sep string, b int) string {
 }
 
 // llamaStep lays down one full pass with `tokens` tokens in flight and an
-// attention context of kvLen per sequence. Everything but the token dimension
-// and the two bandwidth terms is the same for every pass, so a pass is a copy
-// of llamaSkeleton with those filled in: one allocation, and the op names and
-// Inputs edges of every graph alias the skeleton's — read-only by the contract
-// of Op.Inputs, which nothing writes after construction.
-func llamaStep(name string, tokens, batch, kvLen int) Graph {
+// attention context of kvTokens summed over sequences. Everything but the
+// token dimension and the two bandwidth terms is the same for every pass, so a
+// pass is a copy of llamaSkeleton with those filled in: one allocation, and
+// the op names and Inputs edges of every graph alias the skeleton's —
+// read-only by the contract of Op.Inputs, which nothing writes after
+// construction.
+func llamaStep(name string, tokens, kvTokens int) Graph {
 	skel := llamaSkeleton()
 	g := Graph{Name: name, Ops: make([]Op, len(skel))}
 	copy(g.Ops, skel)
 	// Fused attention reads Q plus the KV cache and writes the context
 	// (per-GPU slice of the hidden dim); the elementwise op is the
-	// RMSNorm/SiLU/residual passes over the token activations.
-	attnBytes := float64(batch) * float64(kvLen) * float64(llamaHidden/4) * 2 * 2
+	// RMSNorm/SiLU/residual passes over the token activations. Attention
+	// bytes scale with kvTokens alone: for a batch of equal KV lengths,
+	// float64(batch·kvLen) equals float64(batch)*float64(kvLen) exactly
+	// below 2^53.
+	attnBytes := float64(kvTokens) * float64(llamaHidden/4) * 2 * 2
 	elemBytes := 8 * float64(tokens) * float64(llamaHidden) * 2
 	for i := range g.Ops {
 		op := &g.Ops[i]

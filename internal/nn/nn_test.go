@@ -217,6 +217,7 @@ func TestBuilderPanicsOnBadInput(t *testing.T) {
 		func() { AlexNet(0, 224) },
 		func() { Llama2Prefill(1, 0) },
 		func() { Llama2Decode(0, 1) },
+		func() { LlamaPass(1, 0) },
 	} {
 		func() {
 			defer func() {

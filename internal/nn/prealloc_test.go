@@ -66,13 +66,14 @@ func TestPreallocatedBuildersBuildTheSameGraphs(t *testing.T) {
 		check(Llama2Prefill(n, kv), llamaStepGrown(fmt.Sprintf("llama2-13b-prefill@b%d_s%d", n, kv), n*kv, n, kv))
 	}
 	// llamaStep fills a copy of a skeleton built once; the loop it replaced
-	// is the reference over the whole (tokens, batch, kv) cube.
+	// is the reference over the whole (tokens, batch, kv) cube, with the
+	// attention context summed over the batch.
 	sizes := []int{1, 2, 7, 128, 2048}
 	for _, tokens := range sizes {
 		for _, batch := range sizes {
 			for _, kv := range sizes {
 				name := fmt.Sprintf("t%d_b%d_kv%d", tokens, batch, kv)
-				check(llamaStep(name, tokens, batch, kv), llamaStepGrown(name, tokens, batch, kv))
+				check(llamaStep(name, tokens, batch*kv), llamaStepGrown(name, tokens, batch, kv))
 			}
 		}
 	}
@@ -87,5 +88,41 @@ func TestLlamaStepAllocations(t *testing.T) {
 	Llama2Decode(1, 1) // builds the skeleton
 	if allocs := testing.AllocsPerRun(50, func() { Llama2Decode(2, 256) }); allocs > 2 {
 		t.Fatalf("Llama2Decode allocates %.0f times, want at most 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { LlamaPass(2, 512) }); allocs > 2 {
+		t.Fatalf("LlamaPass allocates %.0f times, want at most 2", allocs)
+	}
+}
+
+// TestLlamaPhasesArePasses: a prefill of batch b and length s is the pass
+// (b·s, b·s) and a decode step of batch b at KV length kv the pass (b, b·kv),
+// op for op and bit for bit; only the name differs. The ranges cover every
+// shape the scheduler, the benchmark workloads and the gates build — decode
+// batches up to 8 at page-padded KV lengths up to 4 096, prefill chunks and
+// prompts up to 2 048 tokens — and the Fig. 11 sweep.
+func TestLlamaPhasesArePasses(t *testing.T) {
+	same := func(phase, pass Graph) {
+		t.Helper()
+		if !reflect.DeepEqual(phase.Ops, pass.Ops) {
+			t.Fatalf("%s differs from %s", phase.Name, pass.Name)
+		}
+	}
+	for b := 1; b <= 8; b++ {
+		for kv := 128; kv <= 4096; kv += 128 {
+			same(Llama2Decode(b, kv), LlamaPass(b, b*kv))
+		}
+	}
+	for s := 1; s <= 2048; s++ {
+		same(Llama2Prefill(1, s), LlamaPass(s, s))
+	}
+	for _, b := range LlamaBatchSizes() {
+		for _, s := range LlamaSeqLengths() {
+			same(Llama2Prefill(b, s), LlamaPass(b*s, b*s))
+			kv := s + LlamaOutputLen/2
+			same(Llama2Decode(b, kv), LlamaPass(b, b*kv))
+		}
+	}
+	if g := LlamaPass(3, 384); g.Name != "llama2-13b@t3_kv384" {
+		t.Fatalf("pass named %q", g.Name)
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync"
 
+	"mikpoly/internal/core"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kvcache"
 	"mikpoly/internal/nn"
@@ -308,12 +309,9 @@ type Scheduler struct {
 	running  []*reqState
 	parked   []*reqState // preempted requests awaiting restore (FIFO)
 
-	// lastDecode is the decode wave before this one, whose step graphs
-	// decodeGraphLocked reuses; lastPrefill holds the prefill graphs of the
-	// last wave that granted prefill (graphs and chunk lengths only, no
-	// request), which buildPrefillLocked reuses.
-	lastDecode  []decodeJob
-	lastPrefill []prefillJob
+	// passes memoizes the step graphs of recent waves by what each pass
+	// contains (passLocked); an idle scheduler empties it.
+	passes *core.LRU[passKey, nn.Graph]
 
 	chunk         int     // last prefill budget granted (stats)
 	cyclesPerTk   float64 // EWMA prefill cycles per token
@@ -345,6 +343,7 @@ func New(exec Executor, cfg Config) *Scheduler {
 		stepBound: cfg.StepSLOMs / 1e3 * cfg.HW.ClockHz,
 		ttftBound: cfg.TTFTSLOMs / 1e3 * cfg.HW.ClockHz,
 		queues:    make(map[string]*[NumPriorities][]*reqState),
+		passes:    core.NewLRU[passKey, nn.Graph](passCap),
 	}
 	s.limit = float64(cfg.MaxInFlightTokens)
 	s.cond = sync.NewCond(&s.mu)
@@ -544,23 +543,33 @@ type prefillJob struct {
 
 type decodeJob struct {
 	entries []decodeEntry
-	kv      int // padded KV length the step graph was built for
 	g       nn.Graph
 }
 
-// decodeGraphLocked returns the step graph for n branches at padded KV length
-// kv. A sequence decodes at one padded length for up to decodeBucket waves, so
-// the wave before this one has usually built the same graph: it is looked for
-// among that wave's jobs first, and nothing older is kept. Prefill graphs
-// follow the same rule in prefillGraphLocked. Both rely on a Graph being
-// read-only once built, so one graph may run in any number of waves.
-func (s *Scheduler) decodeGraphLocked(n, kv int) nn.Graph {
-	for _, job := range s.lastDecode {
-		if len(job.entries) == n && job.kv == kv {
-			return job.g
-		}
+// passKey identifies a step graph by what its pass contains: tokens in flight
+// and attention context summed over sequences. A decode step over n branches
+// at padded KV length kv is (n, n·kv) and an n-token prefill chunk is (n, n);
+// the two never collide, because padded KV is at least decodeBucket.
+type passKey struct{ tokens, kvTokens int }
+
+// passCap bounds the step-graph memo. A wave runs a handful of graphs (the
+// serve gate's replays about six), and a sequence decodes at one padded
+// length for up to decodeBucket waves, so eight entries keep a wave's passes
+// and those of the waves just before it.
+const passCap = 8
+
+// passLocked returns the step graph for a pass of tokens in flight over
+// kvTokens of attention context, building it only when no recent wave ran
+// it. A Graph is read-only once built, so one graph may run in any number of
+// waves.
+func (s *Scheduler) passLocked(tokens, kvTokens int) nn.Graph {
+	key := passKey{tokens, kvTokens}
+	if g, ok := s.passes.Get(key); ok {
+		return g
 	}
-	return nn.Llama2Decode(n, kv)
+	g := nn.LlamaPass(tokens, kvTokens)
+	s.passes.Put(key, g)
+	return g
 }
 
 // buildDecodeLocked forms the decode wave: every running branch with
@@ -600,24 +609,11 @@ func (s *Scheduler) buildDecodeLocked() []decodeJob {
 			if n > maxDecodeBatch {
 				n = maxDecodeBatch
 			}
-			decode = append(decode, decodeJob{entries: group[:n], kv: kv, g: s.decodeGraphLocked(n, kv)})
+			decode = append(decode, decodeJob{entries: group[:n], g: s.passLocked(n, n*kv)})
 			group = group[n:]
 		}
 	}
-	s.lastDecode = decode
 	return decode
-}
-
-// prefillGraphLocked returns the prefill graph for an n-token chunk: the one
-// the last prefill wave ran when a chunk there had the same length (most
-// chunks are the full configured chunk, wave after wave), else a new one.
-func (s *Scheduler) prefillGraphLocked(n int) nn.Graph {
-	for _, job := range s.lastPrefill {
-		if job.chunk == n {
-			return job.g
-		}
-	}
-	return nn.Llama2Prefill(1, n)
 }
 
 // starvedWaves is the starvation-guard bound: a request whose prefill went
@@ -644,7 +640,7 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 			n = budget
 		}
 		prefill = append(prefill, prefillJob{
-			st: st, chunk: n, g: s.prefillGraphLocked(n),
+			st: st, chunk: n, g: s.passLocked(n, n),
 		})
 		budget -= n
 		granted[st] = true
@@ -688,12 +684,6 @@ func (s *Scheduler) buildPrefillLocked(budget int) []prefillJob {
 		st.deferred++
 		if int64(st.deferred) > s.stats.MaxDeferredWaves {
 			s.stats.MaxDeferredWaves = int64(st.deferred)
-		}
-	}
-	if len(prefill) > 0 {
-		s.lastPrefill = s.lastPrefill[:0]
-		for _, job := range prefill {
-			s.lastPrefill = append(s.lastPrefill, prefillJob{chunk: job.chunk, g: job.g})
 		}
 	}
 	return prefill
@@ -953,7 +943,7 @@ func (s *Scheduler) finishLocked(st *reqState, err error) {
 	}
 	if len(s.running) == 0 {
 		// An idle scheduler keeps no step graph alive.
-		s.lastDecode, s.lastPrefill = nil, nil
+		s.passes.RemoveIf(func(passKey, nn.Graph) bool { return true })
 	}
 	var digest uint64
 	decoded := 0

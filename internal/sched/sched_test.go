@@ -15,8 +15,8 @@ import (
 )
 
 // fakeExec prices graphs with a deterministic analytic model parsed from
-// the llama graph names: prefill costs per token, decode costs a base plus
-// a KV-length term. Good enough to exercise every scheduling decision
+// the pass names: prefill costs per token, decode costs a base plus a term in
+// each sequence's KV length. Good enough to exercise every scheduling decision
 // without tuning a kernel library.
 type fakeExec struct {
 	mu        sync.Mutex
@@ -31,6 +31,12 @@ func newFakeExec() *fakeExec {
 	return &fakeExec{perToken: 2000, decodeFix: 40000, perKV: 50}
 }
 
+// parsePass reads a pass's key back from the name nn.LlamaPass gives it.
+func parsePass(name string) (tokens, kvTokens int, err error) {
+	_, err = fmt.Sscanf(name, "llama2-13b@t%d_kv%d", &tokens, &kvTokens)
+	return tokens, kvTokens, err
+}
+
 func (f *fakeExec) ExecGraph(_ context.Context, g nn.Graph, pool string) (float64, error) {
 	f.mu.Lock()
 	f.calls = append(f.calls, pool+":"+g.Name)
@@ -41,14 +47,16 @@ func (f *fakeExec) ExecGraph(_ context.Context, g nn.Graph, pool string) (float6
 			return 0, err
 		}
 	}
-	var b, s int
-	if _, err := fmt.Sscanf(g.Name, "llama2-13b-prefill@b%d_s%d", &b, &s); err == nil {
-		return float64(b*s) * f.perToken, nil
+	tokens, kvTokens, err := parsePass(g.Name)
+	if err != nil {
+		return 0, fmt.Errorf("fakeExec: unknown graph %q", g.Name)
 	}
-	if _, err := fmt.Sscanf(g.Name, "llama2-13b-decode@b%d_kv%d", &b, &s); err == nil {
-		return f.decodeFix + float64(s)*f.perKV, nil
+	if pool == PoolPrefill {
+		return float64(tokens) * f.perToken, nil
 	}
-	return 0, fmt.Errorf("fakeExec: unknown graph %q", g.Name)
+	// A decode pass runs one token per sequence, so its per-sequence KV
+	// length is kvTokens/tokens.
+	return f.decodeFix + float64(kvTokens/tokens)*f.perKV, nil
 }
 
 func testCfg() Config {
@@ -343,10 +351,9 @@ func TestDecodeWavesReuseStepGraphs(t *testing.T) {
 	exec := newFakeExec()
 	s := New(ExecutorFunc(func(ctx context.Context, g nn.Graph, pool string) (float64, error) {
 		if pool == PoolDecode {
-			var b, kv int
-			if _, err := fmt.Sscanf(g.Name, "llama2-13b-decode@b%d_kv%d", &b, &kv); err != nil {
+			if tokens, kvTokens, err := parsePass(g.Name); err != nil {
 				t.Errorf("decode graph named %q", g.Name)
-			} else if fresh := nn.Llama2Decode(b, kv); !reflect.DeepEqual(g, fresh) {
+			} else if fresh := nn.LlamaPass(tokens, kvTokens); !reflect.DeepEqual(g, fresh) {
 				t.Errorf("%s differs from a fresh build", g.Name)
 			}
 			decodes++
@@ -396,15 +403,15 @@ func TestPrefillWavesReuseGraphs(t *testing.T) {
 	if &first.Ops[0] != &second.Ops[0] {
 		t.Fatal("the second 256-token chunk built its prefill graph again")
 	}
-	if !reflect.DeepEqual(second, nn.Llama2Prefill(1, 256)) {
+	if !reflect.DeepEqual(second, nn.LlamaPass(256, 256)) {
 		t.Fatalf("reused graph %s differs from a fresh build", second.Name)
 	}
-	if !reflect.DeepEqual(prefills[2], nn.Llama2Prefill(1, 88)) {
+	if !reflect.DeepEqual(prefills[2], nn.LlamaPass(88, 88)) {
 		t.Fatalf("tail chunk ran %s, want a fresh 88-token graph", prefills[2].Name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lastPrefill != nil || s.lastDecode != nil {
-		t.Fatalf("idle scheduler holds %d prefill and %d decode graphs", len(s.lastPrefill), len(s.lastDecode))
+	if n := s.passes.Len(); n != 0 {
+		t.Fatalf("idle scheduler holds %d step graphs", n)
 	}
 }

@@ -14,9 +14,6 @@
 package tune
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
@@ -80,31 +77,8 @@ type Library struct {
 	// modelList is models re-indexed to align with Kernels, so the online
 	// planner's inner loop resolves g_predict by array indexing instead of
 	// hashing a 6-field struct key. Built by buildIndex at every library
-	// construction site (Generate, Load, Evolve).
+	// construction site (Generate, Load).
 	modelList []*perfmodel.Model
-
-	// hash is the stable content digest (see Hash), memoized by buildIndex
-	// so concurrent readers never race on a lazy computation.
-	hash string
-}
-
-// Hash returns a stable digest over the library's full content — hardware
-// description, tuning options, kernels, and fitted performance models. Two
-// libraries with the same hash plan identically, so the hash is the cache-key
-// component that keeps programs planned against one library from being served
-// against another (a retuned, refined, or reloaded library changes the hash).
-// The digest is SHA-256 over the deterministic Save serialization (no maps,
-// models aligned to Kernels order). Empty only for an unserializable library.
-func (l *Library) Hash() string { return l.hash }
-
-// computeHash derives the content digest; see Hash.
-func (l *Library) computeHash() string {
-	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
 }
 
 // ModelAt returns the fitted model for Kernels[i], or nil when the index is
@@ -129,14 +103,12 @@ func (l *Library) PredictAt(i, t int) float64 {
 	panic(fmt.Sprintf("tune: PredictAt index %d outside library of %d kernels", i, len(l.Kernels)))
 }
 
-// buildIndex (re)derives modelList and the content hash from Kernels and
-// models.
+// buildIndex (re)derives modelList from Kernels and models.
 func (l *Library) buildIndex() {
 	l.modelList = make([]*perfmodel.Model, len(l.Kernels))
 	for i, k := range l.Kernels {
 		l.modelList[i] = l.models[k]
 	}
-	l.hash = l.computeHash()
 }
 
 // WithHardware returns a view of the library re-targeted at hardware h,
@@ -149,9 +121,6 @@ func (l *Library) buildIndex() {
 func (l *Library) WithHardware(h hw.Hardware) *Library {
 	out := *l
 	out.HW = h
-	// The hardware participates in the content digest, so the re-targeted
-	// view must not inherit the base library's hash.
-	out.hash = out.computeHash()
 	return &out
 }
 
