@@ -15,7 +15,9 @@
 // The serving layer (internal/serve) provides admission control, request
 // timeouts and size limits, panic recovery, planner deadlines with graceful
 // degradation to an always-legal fallback program, and — under -chaos-seed —
-// re-planning with exponential backoff. Model graphs run with asynchronous
+// stage-level recovery: a faulted stage is retried, migrated onto the
+// surviving PEs and replanned for them, or the request is answered with a
+// typed 503. Model graphs run with asynchronous
 // plan-ahead; llama2-decode runs its steps as successive step graphs. POST
 // /generate runs requests through the SLO-aware generation scheduler: paged
 // KV cache with prefix reuse, chunked prefill interleaved with decode waves,

@@ -2,7 +2,8 @@
 // serving stack. Worker processes POST the GEMM shapes they encounter at
 // runtime; the hardened serving layer (internal/serve) polymerizes a program
 // for each — caching per shape, degrading gracefully under planner deadlines,
-// and retrying with backoff when fault injection reports a bad run.
+// and healing a faulted stage through the graph runtime's recovery ladder
+// when fault injection reports a bad run.
 //
 //	go run ./examples/server            # serves on 127.0.0.1:8097
 //	curl -s localhost:8097/plan -d '{"m":4096,"n":1024,"k":4096}'
@@ -49,11 +50,12 @@ type planResponse struct {
 
 // execResponse mirrors the fields of serve's /execute answer we print.
 type execResponse struct {
-	Shape        string  `json:"shape"`
-	Degraded     bool    `json:"degraded"`
-	Attempts     int     `json:"attempts"`
-	FaultedTasks int     `json:"faulted_tasks"`
-	Checksum     float64 `json:"checksum"`
+	Shape           string  `json:"shape"`
+	Degraded        bool    `json:"degraded"`
+	FaultedTasks    int     `json:"faulted_tasks"`
+	RecoveredStages int     `json:"recovered_stages"`
+	RecoveredFaults int     `json:"recovered_faults"`
+	Checksum        float64 `json:"checksum"`
 }
 
 func post(client *http.Client, url string, req any, resp any) error {
@@ -107,7 +109,7 @@ func main() {
 	}
 
 	// A mildly hostile device: 5% of simulated tasks report transient
-	// faults, so some /execute calls re-plan with backoff.
+	// faults, so the recovery ladder re-runs some /execute stages.
 	hs, ln, err := startServer(compiler, serve.Config{
 		MaxInFlight: 8,
 		Faults:      &sim.Faults{Seed: 11, TaskFaultRate: 0.05},
@@ -137,8 +139,8 @@ func main() {
 	if err := post(client, base+"/execute", planRequest{M: 96, N: 80, K: 64}, &er); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s -> %d attempt(s), %d faulted task(s) in final run, checksum %.1f\n",
-		er.Shape, er.Attempts, er.FaultedTasks, er.Checksum)
+	fmt.Printf("%s -> %d stage(s) healed, %d faulted task(s) absorbed, %d surfaced, checksum %.1f\n",
+		er.Shape, er.RecoveredStages, er.RecoveredFaults, er.FaultedTasks, er.Checksum)
 
 	// Malformed and oversized requests are rejected, not crashed on.
 	for _, bad := range []planRequest{{M: -3, N: 8, K: 8}, {M: 1 << 30, N: 1 << 30, K: 1 << 30}} {
@@ -150,11 +152,15 @@ func main() {
 	var stats struct {
 		Requests int64 `json:"requests"`
 		Degraded int64 `json:"degraded"`
-		Retries  int64 `json:"retries"`
 		Cache    struct {
 			Size int `json:"size"`
 			Hits int `json:"hits"`
 		} `json:"cache"`
+		Graph struct {
+			RetriedStages   int64 `json:"retried_stages"`
+			MigratedStages  int64 `json:"migrated_stages"`
+			ReplannedStages int64 `json:"replanned_stages"`
+		} `json:"graph"`
 	}
 	r, err := client.Get(base + "/stats")
 	if err != nil {
@@ -164,8 +170,9 @@ func main() {
 		log.Fatal(err)
 	}
 	r.Body.Close()
-	fmt.Printf("\nstats: %d requests, %d degraded, %d retries, %d cached program(s)\n",
-		stats.Requests, stats.Degraded, stats.Retries, stats.Cache.Size)
+	fmt.Printf("\nstats: %d requests, %d degraded, %d cached program(s); stages healed by retry %d, migration %d, replan %d\n",
+		stats.Requests, stats.Degraded, stats.Cache.Size,
+		stats.Graph.RetriedStages, stats.Graph.MigratedStages, stats.Graph.ReplannedStages)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()

@@ -255,15 +255,6 @@ func (c *Compiler) HotShapes(n int) []tensor.GemmShape {
 // stale programs (ROADMAP item 16).
 func (c *Compiler) Planner() *poly.Planner { return c.plannerByFP("") }
 
-// Invalidate drops the cached program for one shape — e.g. after an
-// execution fault report — so the next request re-plans it. The shape is
-// dropped under every health fingerprint.
-func (c *Compiler) Invalidate(shape tensor.GemmShape) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cache.removeShape(shape)
-}
-
 // CacheStats reports the program cache bound and cumulative hit/miss/eviction
 // counts.
 func (c *Compiler) CacheStats() CacheStats {

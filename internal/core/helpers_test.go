@@ -13,6 +13,22 @@ func (c *Compiler) ClearCache() {
 	c.cache.degraded = 0
 }
 
+// Invalidate drops the cached program for one shape under every health
+// fingerprint, so the next request re-plans it.
+func (c *Compiler) Invalidate(shape tensor.GemmShape) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cache.entries.RemoveIf(func(key cacheKey, _ *poly.Program) bool {
+		if key.shape != shape {
+			return false
+		}
+		if key.fp != "" {
+			c.cache.degraded--
+		}
+		return true
+	})
+}
+
 // Cached reports whether a program for (shape, health fingerprint) is
 // currently cached, without touching recency or the hit and miss counters.
 func (c *Compiler) Cached(shape tensor.GemmShape, fp string) bool {

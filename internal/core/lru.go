@@ -243,21 +243,6 @@ func (c *lruCache) add(key cacheKey, prog *poly.Program) {
 	}
 }
 
-// removeShape drops the shape's entries under every health fingerprint — an
-// execution-fault invalidation must not leave a stale plan behind in any
-// health mode.
-func (c *lruCache) removeShape(shape tensor.GemmShape) {
-	c.entries.RemoveIf(func(key cacheKey, _ *poly.Program) bool {
-		if key.shape != shape {
-			return false
-		}
-		if key.fp != "" {
-			c.degraded--
-		}
-		return true
-	})
-}
-
 // shapesMRU returns up to limit distinct shapes in most-recently-used order
 // — the working set worth replanning proactively when the health view
 // changes.

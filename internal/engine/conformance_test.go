@@ -41,8 +41,9 @@ func TestModelOperatorConformance(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		for shape := range g.GemmShapes() {
-			if seen[shape] {
+		for _, op := range g.Ops {
+			shape := op.Gemm
+			if op.Kind == nn.OpOther || seen[shape] {
 				continue
 			}
 			seen[shape] = true

@@ -16,12 +16,11 @@ import (
 // its effects without deriving the schedule, the memory plan or the stage keys
 // again.
 
-// compiledKey identifies a compiled execution by content: the graph's digest,
-// the health fingerprint every stage ran under, and the fault salt.
+// compiledKey identifies a compiled execution by content: the graph's digest
+// and the health fingerprint every stage ran under.
 type compiledKey struct {
 	graph digest
 	fp    string
-	salt  uint64
 }
 
 // compiledExec is what one clean execution of a graph did, in the form a

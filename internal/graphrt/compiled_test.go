@@ -64,21 +64,21 @@ func timeless(rep Report) Report {
 // execute runs g on both runtimes and fails unless reports and errors agree.
 // It returns rt's report and whether rt went through its interpreter (1) or
 // replayed (0).
-func (p pair) execute(t *testing.T, ctx context.Context, g nn.Graph, salt uint64) (Report, int) {
+func (p pair) execute(t *testing.T, ctx context.Context, g nn.Graph) (Report, int) {
 	t.Helper()
 	before := p.rt.interpreted.Load()
-	got, err := p.rt.ExecuteSalted(ctx, g, salt)
-	want, werr := p.ref.ExecuteSalted(ctx, g, salt)
+	got, err := p.rt.Execute(ctx, g)
+	want, werr := p.ref.Execute(ctx, g)
 	if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
-		t.Fatalf("%s salt %d: error %v, interpreted %v", g.Name, salt, err, werr)
+		t.Fatalf("%s: error %v, interpreted %v", g.Name, err, werr)
 	}
 	if !reflect.DeepEqual(timeless(got), timeless(want)) {
-		t.Fatalf("%s salt %d:\n     got %+v\ninterpreted %+v", g.Name, salt, got, want)
+		t.Fatalf("%s:\n     got %+v\ninterpreted %+v", g.Name, got, want)
 	}
 	for _, f := range [][2]float64{{got.Cycles, want.Cycles}, {got.GemmCycles, want.GemmCycles},
 		{got.OtherCycles, want.OtherCycles}, {got.SpillCycles, want.SpillCycles}} {
 		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
-			t.Fatalf("%s salt %d: cycles %v, interpreted %v", g.Name, salt, f[0], f[1])
+			t.Fatalf("%s: cycles %v, interpreted %v", g.Name, f[0], f[1])
 		}
 	}
 	return got, int(p.rt.interpreted.Load() - before)
@@ -183,7 +183,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			replays := 0
 			for step := 0; step < 120; step++ {
 				g := graphs[rng.Intn(len(graphs))]
-				_, interpreted := p.execute(t, context.Background(), g, uint64(rng.Intn(2)))
+				_, interpreted := p.execute(t, context.Background(), g)
 				replays += 1 - interpreted
 			}
 			p.sameState(t)
@@ -195,10 +195,10 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 }
 
 // compile executes g until rt replays it, and fails if it never does.
-func (p pair) compile(t *testing.T, g nn.Graph, salt uint64) Report {
+func (p pair) compile(t *testing.T, g nn.Graph) Report {
 	t.Helper()
 	for i := 0; i < 2; i++ {
-		if rep, interpreted := p.execute(t, context.Background(), g, salt); interpreted == 0 {
+		if rep, interpreted := p.execute(t, context.Background(), g); interpreted == 0 {
 			return rep
 		}
 	}
@@ -208,9 +208,9 @@ func (p pair) compile(t *testing.T, g nn.Graph, salt uint64) Report {
 
 // mustInterpret executes g once and fails unless rt went through the
 // interpreter.
-func (p pair) mustInterpret(t *testing.T, why string, g nn.Graph, salt uint64) Report {
+func (p pair) mustInterpret(t *testing.T, why string, g nn.Graph) Report {
 	t.Helper()
-	rep, interpreted := p.execute(t, context.Background(), g, salt)
+	rep, interpreted := p.execute(t, context.Background(), g)
 	if interpreted != 1 {
 		t.Fatalf("%s: %s was replayed from the compiled table", why, g.Name)
 	}
@@ -222,62 +222,59 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 
 	t.Run("quarantine", func(t *testing.T) {
 		p := newPair(t, Config{PlanAhead: 2}, true)
-		healthy := p.compile(t, g, 0)
+		healthy := p.compile(t, g)
 		p.each(func(rt *Runtime) {
 			reg := rt.cfg.Health
 			reg.ObserveResult(reg.View(), sim.Result{FaultedTasks: 1, DeadPEs: []int{5}})
 		})
-		degraded := p.mustInterpret(t, "after PE 5 was quarantined", g, 0)
+		degraded := p.mustInterpret(t, "after PE 5 was quarantined", g)
 		if degraded.Cycles == healthy.Cycles {
 			t.Fatalf("%v cycles on the full device and with a PE quarantined", healthy.Cycles)
 		}
-		p.compile(t, g, 0) // and the degraded view gets its own entry
+		p.compile(t, g) // and the degraded view gets its own entry
 		p.sameState(t)
 	})
 
 	t.Run("pending health evidence", func(t *testing.T) {
 		p := newPair(t, Config{PlanAhead: 2}, true)
-		p.compile(t, g, 0)
+		p.compile(t, g)
 		p.each(func(rt *Runtime) {
 			reg := rt.cfg.Health
 			reg.ObserveResult(reg.View(), sim.Result{FaultedTasks: 1, PEFaults: []int{0, 0, 1}, PEBusy: []float64{1, 1, 1}})
 		})
 		// PE 2 carries a streak the graph's clean stages must reset one by one.
-		p.mustInterpret(t, "with a fault streak pending", g, 0)
-		p.compile(t, g, 0)
+		p.mustInterpret(t, "with a fault streak pending", g)
+		p.compile(t, g)
 		p.sameState(t)
 	})
 
 	t.Run("plan cache", func(t *testing.T) {
-		p := newPair(t, Config{PlanAhead: 2}, true)
-		p.compile(t, g, 0)
-		p.each(func(rt *Runtime) { rt.comp.Invalidate(g.Ops[0].Gemm) })
-		p.mustInterpret(t, "after one shape was invalidated", g, 0)
-		p.compile(t, g, 0)
+		// The cache holds g's programs and nothing more, so planning one
+		// other shape evicts one of them.
+		p := newPair(t, Config{PlanAhead: 2}, true, core.WithCacheCapacity(distinctShapes(g)))
+		p.compile(t, g)
+		p.each(func(rt *Runtime) {
+			if _, _, err := rt.comp.PlanOrFallback(context.Background(), tensor.GemmShape{M: 3, N: 5, K: 7}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p.mustInterpret(t, "after one of its programs was evicted", g)
+		p.compile(t, g)
 		p.sameState(t)
 
 		one := newPair(t, Config{PlanAhead: 2}, true, core.WithCacheCapacity(1))
 		for i := 0; i < 3; i++ {
-			one.mustInterpret(t, "over a plan cache that holds one program", g, 0)
+			one.mustInterpret(t, "over a plan cache that holds one program", g)
 		}
 		one.sameState(t)
-	})
-
-	t.Run("salt", func(t *testing.T) {
-		p := newPair(t, Config{PlanAhead: 2}, true)
-		p.compile(t, g, 0)
-		p.mustInterpret(t, "under a salt it was not compiled for", g, 7)
-		p.compile(t, g, 7)
-		p.compile(t, g, 0)
-		p.sameState(t)
 	})
 
 	t.Run("mutated in place", func(t *testing.T) {
 		p := newPair(t, Config{PlanAhead: 2}, true)
 		g := nn.Transformer(nn.BERTBaseConfig, 37, 1)
-		before := p.compile(t, g, 0)
+		before := p.compile(t, g)
 		g.Ops[1].Count++ // same Ops slice, same name
-		after := p.mustInterpret(t, "with one op's count changed in place", g, 0)
+		after := p.mustInterpret(t, "with one op's count changed in place", g)
 		if after.Cycles == before.Cycles {
 			t.Fatalf("%v cycles before and after the mutation", before.Cycles)
 		}
@@ -287,7 +284,7 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 	t.Run("degraded plans", func(t *testing.T) {
 		p := newPair(t, Config{PlanAhead: 2, PlanTimeout: -1}, true)
 		for i := 0; i < 3; i++ {
-			if rep := p.mustInterpret(t, "with every plan degraded", g, 0); rep.Degraded == 0 {
+			if rep := p.mustInterpret(t, "with every plan degraded", g); rep.Degraded == 0 {
 				t.Fatal("PlanTimeout < 0 degraded nothing")
 			}
 		}
@@ -312,7 +309,7 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			// The dirty result is memoized like any other, so every run meets
 			// it again and heals that one stage again.
-			if rep := p.mustInterpret(t, "with a faulted stage", g, 0); rep.RecoveredStages != 1 {
+			if rep := p.mustInterpret(t, "with a faulted stage", g); rep.RecoveredStages != 1 {
 				t.Fatalf("run %d recovered %d stages, want the faulted one alone", i, rep.RecoveredStages)
 			}
 		}
@@ -324,11 +321,11 @@ func TestCompiledEntryMissesWhenTheWorldChanges(t *testing.T) {
 
 	t.Run("cancelled", func(t *testing.T) {
 		p := newPair(t, Config{PlanAhead: 2}, true)
-		p.compile(t, g, 0)
+		p.compile(t, g)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		graphs := p.rt.Stats().Graphs
-		if _, interpreted := p.execute(t, ctx, g, 0); interpreted != 1 {
+		if _, interpreted := p.execute(t, ctx, g); interpreted != 1 {
 			t.Fatal("a cancelled execution was replayed")
 		}
 		if _, err := p.rt.Execute(ctx, g); !errors.Is(err, context.Canceled) {
@@ -590,7 +587,7 @@ func TestCompiledEntryPinsNoProgram(t *testing.T) {
 		}
 	}
 	p := newPair(t, Config{PlanAhead: 2}, true, core.WithCacheCapacity(len(shapes)))
-	p.compile(t, g, 0)
+	p.compile(t, g)
 	before := map[tensor.GemmShape]*poly.Program{}
 	for s := range shapes {
 		before[s] = p.rt.comp.Lookup(s)
@@ -619,7 +616,7 @@ func TestCompiledEntryPinsNoProgram(t *testing.T) {
 			t.Fatalf("%v was answered with the evicted program itself", s)
 		}
 	}
-	if _, interpreted := p.execute(t, context.Background(), g, 0); interpreted != 0 {
+	if _, interpreted := p.execute(t, context.Background(), g); interpreted != 0 {
 		t.Fatal("the entry was not replayed after its shapes were evicted and planned again")
 	}
 	p.sameState(t)
@@ -719,7 +716,7 @@ func TestCompiledSurvivesMemoDrop(t *testing.T) {
 	}
 	p := newPair(t, Config{PlanAhead: 2}, true)
 	for step := 0; step < 24; step++ {
-		p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))], 0)
+		p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))])
 	}
 	p.each(func(rt *Runtime) {
 		rt.mu.Lock()
@@ -728,7 +725,7 @@ func TestCompiledSurvivesMemoDrop(t *testing.T) {
 	})
 	replays := 0
 	for step := 0; step < 24; step++ {
-		_, interpreted := p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))], 0)
+		_, interpreted := p.execute(t, context.Background(), graphs[rng.Intn(len(graphs))])
 		replays += 1 - interpreted
 	}
 	if replays == 0 {

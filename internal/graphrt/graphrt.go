@@ -17,8 +17,9 @@
 //
 //   - a stage memo asked before anything is lowered: a stage is identified
 //     by the content of its programs, their instance counts, the health
-//     view and the fault salt, and only a stage the memo has not seen is
-//     lowered to tasks and simulated (see key.go, pipeline.go);
+//     view and the recovery attempt's fault salt, and only a stage the memo
+//     has not seen is lowered to tasks and simulated (see key.go,
+//     pipeline.go);
 //
 //   - compiled executions: a graph that has run cleanly before is identified
 //     by the content of its ops and replayed — after one plan-cache lookup
@@ -73,8 +74,11 @@ type Config struct {
 }
 
 // maxStageAttempts bounds total executions of one stage, the initial run
-// included: one rung of the recovery ladder each.
-const maxStageAttempts = 4
+// included. Rungs 1 and 2 run once each; rung 3 repeats until the budget is
+// spent. What heals a transient-fault storm is the number of fresh draws a
+// stage gets, and the ladder is the only recovery there is: no layer above
+// re-runs a graph (DESIGN §11 has the chaos sweep behind the number).
+const maxStageAttempts = 16
 
 // Runtime executes model graphs against one compiler and its hardware.
 // It is safe for concurrent use; cumulative stats aggregate across calls.
@@ -334,20 +338,15 @@ type ticket struct {
 	degraded bool
 }
 
-// Execute runs the graph end to end and returns its report.
+// Execute runs the graph end to end and returns its report. A stage that
+// exhausts the recovery ladder fails the execution with a *StageError.
 func (r *Runtime) Execute(ctx context.Context, g nn.Graph) (Report, error) {
-	return r.ExecuteSalted(ctx, g, 0)
-}
-
-// ExecuteSalted is Execute with a fault-injection salt distinguishing retry
-// attempts (forwarded to the simulator seam).
-func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (Report, error) {
 	// Ask the compiled table first; failing that the interpreter below is the
 	// compile step, recording what it does as it goes.
 	rec := recording{off: r.noCompile || r.lookupFn == nil}
 	if !rec.off {
 		_, fp, _ := r.healthView()
-		rec.key = compiledKey{graph: digestGraph(g), fp: fp, salt: salt}
+		rec.key = compiledKey{graph: digestGraph(g), fp: fp}
 		if rep, ok := r.replay(ctx, g, rec.key); ok {
 			return rep, nil
 		}
@@ -396,7 +395,7 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 		// quarantined while stage k executes shrinks the hardware stage
 		// k+1 runs on — mid-graph adaptation.
 		v, fp, hEff := r.healthView()
-		key := stageKey{fp: fp, salt: salt}
+		key := stageKey{fp: fp}
 		for _, i := range stage {
 			op := g.Ops[i]
 			if op.Kind == nn.OpOther {
@@ -428,8 +427,8 @@ func (r *Runtime) ExecuteSalted(ctx context.Context, g nn.Graph, salt uint64) (R
 				}
 				res = recovered
 			default:
-				// No registry: surface faults; the layer above owns
-				// the (blind) retry policy.
+				// No registry, no recovery: the faults are reported as
+				// they came back.
 				rep.FaultedTasks += res.FaultedTasks + res.StrandedTasks
 			}
 			rep.GemmCycles += res.Cycles

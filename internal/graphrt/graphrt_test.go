@@ -223,3 +223,14 @@ func TestExecuteHonorsCancellation(t *testing.T) {
 		t.Fatal("cancelled context must abort execution")
 	}
 }
+
+// distinctShapes counts the distinct GEMM shapes of g's ops.
+func distinctShapes(g nn.Graph) int {
+	shapes := make(map[tensor.GemmShape]bool)
+	for _, op := range g.Ops {
+		if op.Kind != nn.OpOther {
+			shapes[op.Gemm] = true
+		}
+	}
+	return len(shapes)
+}

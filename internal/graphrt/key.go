@@ -16,7 +16,8 @@ type digest struct{ lo, hi uint64 }
 
 // stageKey identifies one stage execution for the stage memo: the ordered
 // (program content, instance count) list of its ops folded into ops, the
-// fingerprint of the health view it ran under, and the fault-injection salt.
+// fingerprint of the health view it ran under, and the fault-injection salt
+// (recoverySalt of the ladder attempt, zero for a stage's first run).
 // Building it formats nothing.
 type stageKey struct {
 	ops  digest

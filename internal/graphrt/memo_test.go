@@ -179,7 +179,7 @@ func TestWarmExecuteOnlyLooksUp(t *testing.T) {
 		return lookup(s)
 	}
 	g := nn.Llama2Decode(4, 256)
-	distinct := int64(len(g.GemmShapes()))
+	distinct := int64(distinctShapes(g))
 	ctx := context.Background()
 	cold, err := rt.Execute(ctx, g)
 	if err != nil {

@@ -46,12 +46,12 @@ type stageOp struct {
 	prog  *poly.Program
 }
 
-// recoverySalt derives the fault-injection salt for a recovery attempt: the
-// high bits carry the attempt so recovery re-executions draw a fresh
-// transient-fault stream (and a fresh memo key) without colliding with the
-// serve layer's low-bit retry salts.
-func recoverySalt(salt uint64, attempt int) uint64 {
-	return salt + uint64(attempt)<<32
+// recoverySalt is the fault-injection salt of a recovery attempt: each
+// attempt draws a fresh transient-fault stream and misses the stage memo. The
+// attempt sits in the high word, which fixes the faults every rung draws and
+// so the degraded-mode cycle counts the chaos tests pin.
+func recoverySalt(attempt int) uint64 {
+	return uint64(attempt) << 32
 }
 
 // observe feeds one stage outcome into the health registry, if configured.
@@ -75,7 +75,8 @@ func (r *Runtime) observe(v health.View, res sim.Result) {
 //	rung 3 — replan: re-derive each op's program against H' through the
 //	         compiler (hitting the (shape, fingerprint)-keyed cache), then
 //	         run the new program — the paper's Cost(S, H') argument made
-//	         operational.
+//	         operational. Rung 3 repeats, against the then-current view and
+//	         under a fresh salt each time, until the budget is spent.
 //
 // Every attempt's outcome feeds the health registry, every dirty attempt's
 // cycles are charged to the report (device time really elapsed), and the
@@ -112,7 +113,7 @@ func (r *Runtime) recoverStage(ctx context.Context, g nn.Graph, si int, ops []st
 
 		v, fp, hEff := r.healthView()
 		key := firstKey
-		key.fp, key.salt = fp, recoverySalt(firstKey.salt, attempt)
+		key.fp, key.salt = fp, recoverySalt(attempt)
 		lowerOn := firstHW
 		if attempt >= 2 {
 			// Migrate: same programs, current survivor set.

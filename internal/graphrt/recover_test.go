@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"mikpoly/internal/core"
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/nn"
@@ -358,16 +359,16 @@ func TestRecoveryWithConcurrentDecodeSteps(t *testing.T) {
 // TestRecoveryLadderBeatsBlindRetry runs one persistent-fault schedule (PE 5
 // dies at cycle 1 of every run) two ways over two distilbert requests: on a
 // runtime without a health registry, behind a whole-graph blind retry loop
-// that drops the graph's plans and reruns it under a fresh fault salt; and
-// with the recovery ladder, which quarantines the PE and heals single
-// stages. The ladder must answer both requests cleanly in fewer device
+// that reruns it under a fresh fault draw; and with the recovery ladder,
+// which quarantines the PE and heals single stages. The ladder must answer both requests cleanly in fewer device
 // cycles, because it re-executes stages instead of entire graphs.
 func TestRecoveryLadderBeatsBlindRetry(t *testing.T) {
 	const maxRetries = 3
 	faults := sim.Faults{Seed: 33, PEDeathCycle: map[int]float64{5: 1}}
+	var redraw uint64 // the blind loop's attempt; zero under the ladder
 	simulate := func(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
 		f := v.RemapFaults(faults)
-		f.Salt += salt
+		f.Salt += salt + redraw
 		res, err := sim.RunWithFaults(h, tasks, f)
 		if err != nil {
 			t.Error(err)
@@ -383,19 +384,20 @@ func TestRecoveryLadderBeatsBlindRetry(t *testing.T) {
 	blind := testRuntime(t, Config{})
 	blind.SetSimulator(simulate)
 	for req := 0; req < 2; req++ {
-		for attempt := 0; ; attempt++ {
-			rep, err := blind.ExecuteSalted(ctx, g, uint64(attempt))
+		for redraw = 0; ; redraw++ {
+			// The stage memo is keyed without the redraw, so it must not
+			// answer an attempt with an earlier attempt's faults.
+			blind.simCache = core.NewLRU[stageKey, *sim.Result](simCacheCap)
+			rep, err := blind.Execute(ctx, g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rep.FaultedTasks == 0 || attempt == maxRetries {
+			if rep.FaultedTasks == 0 || redraw == maxRetries {
 				break
-			}
-			for shape := range g.GemmShapes() {
-				blind.comp.Invalidate(shape)
 			}
 		}
 	}
+	redraw = 0
 
 	healed, _ := healthyRuntime(t)
 	healed.SetSimulator(simulate)

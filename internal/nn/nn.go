@@ -242,18 +242,6 @@ func (g Graph) Consumers() [][]int {
 	return out
 }
 
-// GemmShapes returns the distinct GEMM shapes in the graph with their total
-// repeat counts — the planning workload a dynamic-shape compiler sees.
-func (g Graph) GemmShapes() map[tensor.GemmShape]int {
-	out := make(map[tensor.GemmShape]int)
-	for _, o := range g.Ops {
-		if o.Kind == OpGemm || o.Kind == OpConv {
-			out[o.Gemm] += o.Count
-		}
-	}
-	return out
-}
-
 // gemm appends a GEMM op.
 func (g *Graph) gemm(name string, m, n, k, count int) {
 	g.Ops = append(g.Ops, Op{

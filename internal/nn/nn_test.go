@@ -313,3 +313,15 @@ func (g Graph) TotalFLOPs() float64 {
 	}
 	return f
 }
+
+// GemmShapes returns the distinct GEMM shapes in the graph with their total
+// repeat counts — the planning workload a dynamic-shape compiler sees.
+func (g Graph) GemmShapes() map[tensor.GemmShape]int {
+	out := make(map[tensor.GemmShape]int)
+	for _, o := range g.Ops {
+		if o.Kind == OpGemm || o.Kind == OpConv {
+			out[o.Gemm] += o.Count
+		}
+	}
+	return out
+}

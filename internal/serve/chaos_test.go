@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mikpoly/internal/graphrt"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/sim"
 	"mikpoly/internal/tensor"
@@ -20,6 +22,7 @@ type chaosRecord struct {
 	Cycles   float64
 	Faulted  int
 	Checksum float64
+	Error    string // the 503's error text
 }
 
 // chaosOutcome is everything a chaos scenario exposes to its invariants:
@@ -38,7 +41,7 @@ type chaosOutcome struct {
 func runChaosScenario(t *testing.T, seed uint64) chaosOutcome {
 	t.Helper()
 	faults := sim.ChaosSchedule(seed, hw.A100())
-	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
+	srv, ts := newTestServer(t, Config{Faults: &faults})
 	t.Cleanup(srv.Close)
 
 	var out chaosOutcome
@@ -63,6 +66,11 @@ func runChaosScenario(t *testing.T, seed uint64) chaosOutcome {
 			}
 		case http.StatusServiceUnavailable:
 			// Typed rejection: acceptable chaos outcome.
+			var e errorResponse
+			if err := json.Unmarshal(data, &e); err != nil {
+				t.Fatalf("%s: %v", endpoint, err)
+			}
+			rec.Error = e.Error
 		default:
 			t.Fatalf("%s: status %d is neither success nor typed 503: %s", endpoint, resp.StatusCode, data)
 		}
@@ -147,13 +155,40 @@ func TestChaosSeedsInvariants(t *testing.T) {
 	}
 }
 
+// TestChaosSweep runs the chaos harness over ChaosSchedule seeds 1..64. The
+// stage ladder is the only recovery there is, so every answer must be a
+// clean 200 or a 503 carrying the StageError of the stage that exhausted it.
+// The number of clean 200s is deterministic and pinned: a change to fault
+// simulation, health classification or the ladder's budget moves it.
+func TestChaosSweep(t *testing.T) {
+	const seeds, wantClean = 64, 366
+	clean := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for _, rec := range runChaosScenario(t, seed).Records {
+				switch {
+				case rec.Status == http.StatusOK && rec.Faulted == 0:
+					clean++
+				case rec.Status == http.StatusServiceUnavailable && strings.Contains(rec.Error, graphrt.ErrStageUnrecoverable.Error()):
+				default:
+					t.Fatalf("%s: status %d with %d faulted tasks (%q) is neither a clean 200 nor a typed 503",
+						rec.Endpoint, rec.Status, rec.Faulted, rec.Error)
+				}
+			}
+		})
+	}
+	if clean != wantClean {
+		t.Fatalf("%d of %d requests answered a clean 200, want %d", clean, 6*seeds, wantClean)
+	}
+}
+
 // TestChaosNoCachePoisoning plants a persistent PE death, lets the stack
 // degrade, and then verifies the healthy cache entry was never overwritten
 // by a degraded-view program: back on the pristine device, the same shape is
 // served its full-width program from the cache.
 func TestChaosNoCachePoisoning(t *testing.T) {
 	faults := sim.Faults{Seed: 5, PEDeathCycle: map[int]float64{4: 1}}
-	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
+	srv, ts := newTestServer(t, Config{Faults: &faults})
 	t.Cleanup(srv.Close)
 
 	base := hw.A100().NumPEs
@@ -221,7 +256,7 @@ func TestChaosPEDeathHealsWithCorrectNumerics(t *testing.T) {
 	// Chaos stack: PE 6 dies at cycle 1 of every run — every stage faults
 	// until the registry quarantines it and the remap drops its schedule.
 	faults := sim.Faults{Seed: 11, PEDeathCycle: map[int]float64{6: 1}}
-	srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
+	srv, ts := newTestServer(t, Config{Faults: &faults})
 	t.Cleanup(srv.Close)
 
 	resp, data = postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
@@ -276,7 +311,7 @@ func TestChaosPEDeathHealsWithCorrectNumerics(t *testing.T) {
 func TestChaosDegradedCycleRegression(t *testing.T) {
 	run := func() (float64, int) {
 		faults := sim.Faults{Seed: 21, PEDeathCycle: map[int]float64{2: 1}, StickyFaults: map[int]int{9: 3}}
-		srv, ts := newTestServer(t, Config{Faults: &faults}, noBackoff)
+		srv, ts := newTestServer(t, Config{Faults: &faults})
 		t.Cleanup(srv.Close)
 		resp, data := postJSON(t, ts.URL+"/model", modelRequest{Model: "distilbert", Seq: 32})
 		if resp.StatusCode != http.StatusOK {

@@ -14,6 +14,7 @@ import (
 	"mikpoly/internal/health"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/kvcache"
+	"mikpoly/internal/nn"
 	"mikpoly/internal/poly"
 	"mikpoly/internal/sched"
 	"mikpoly/internal/sim"
@@ -63,15 +64,16 @@ type execRequest struct {
 }
 
 // execResponse reports the numeric digest and the (possibly fault-injected)
-// simulated execution.
+// simulated execution, with what the stage ladder healed on the way.
 type execResponse struct {
-	Shape        string    `json:"shape"`
-	Degraded     bool      `json:"degraded"`
-	Attempts     int       `json:"attempts"`
-	FaultedTasks int       `json:"faulted_tasks"`
-	SimCycles    float64   `json:"sim_cycles"`
-	Checksum     float64   `json:"checksum"`
-	Sample       []float32 `json:"sample"`
+	Shape           string    `json:"shape"`
+	Degraded        bool      `json:"degraded"`
+	FaultedTasks    int       `json:"faulted_tasks"`
+	RecoveredStages int       `json:"recovered_stages,omitempty"`
+	RecoveredFaults int       `json:"recovered_faults,omitempty"`
+	SimCycles       float64   `json:"sim_cycles"`
+	Checksum        float64   `json:"checksum"`
+	Sample          []float32 `json:"sample"`
 }
 
 // errorResponse is the wire format of every non-2xx answer.
@@ -199,7 +201,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if resp.Tasks > s.lim.simTasks {
 		resp.SimSkipped = true
 	} else {
-		res := s.simulate(c, prog, 0)
+		res := s.simulate(c, prog)
 		resp.SimCycles = res.Cycles
 		resp.SimTFLOPS = shape.FLOPs() / h.CyclesToSeconds(res.Cycles) / 1e12
 		resp.Efficiency = res.Efficiency()
@@ -232,41 +234,30 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		req.SeedB = 2
 	}
 
-	ctx := r.Context()
-	prog, degraded, err := s.planShape(ctx, c, shape)
+	// The simulated run is a one-op graph on the graph runtime: the stage
+	// ladder, quarantine and the typed 503 are /model's.
+	g := nn.Graph{
+		Name: "execute" + shape.String(),
+		Ops:  []nn.Op{{Name: "gemm", Kind: nn.OpGemm, Gemm: shape, Count: 1}},
+	}
+	rep, status, err := s.execGraph(r.Context(), s.runtime.Load(), g)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		httpError(w, status, err.Error())
 		return
 	}
-
-	// Simulated execution with fault-triggered re-planning: on a reported
-	// fault, drop the cached program, back off (exponential + jitter) and
-	// try again with a fresh plan and a distinct fault salt.
-	attempts := 0
-	var res sim.Result
-	for {
-		res = s.simulate(c, prog, uint64(attempts))
-		attempts++
-		if res.FaultedTasks == 0 || attempts > maxRetries {
-			break
-		}
-		s.nFaults.Add(1)
-		s.nRetries.Add(1)
-		if err := s.bo.sleep(ctx, attempts-1); err != nil {
-			httpError(w, http.StatusServiceUnavailable, "retry budget interrupted: "+err.Error())
-			return
-		}
-		c.Invalidate(shape)
-		var d bool
-		prog, d, err = s.planShape(ctx, c, shape)
-		if err != nil {
+	if rep.Degraded > 0 {
+		s.nDegraded.Add(1)
+	}
+	// The numerics run the program the plan cache holds for the shape, or
+	// the fallback where it holds none (fallbacks are not cached). Every
+	// program partitions the same iteration space with sequential-K
+	// accumulation, so the result does not depend on which one runs.
+	prog := c.Lookup(shape)
+	if prog == nil {
+		if prog, err = poly.FallbackProgram(c.Library(), shape); err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		degraded = degraded || d
-	}
-	if res.FaultedTasks > 0 {
-		s.nFaults.Add(1)
 	}
 
 	// Numeric execution on deterministic operands: the returned digest lets
@@ -289,34 +280,34 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		out.At(out.Rows-1, out.Cols-1),
 	}
 	writeJSON(w, http.StatusOK, execResponse{
-		Shape:        shape.String(),
-		Degraded:     degraded,
-		Attempts:     attempts,
-		FaultedTasks: res.FaultedTasks,
-		SimCycles:    res.Cycles,
-		Checksum:     sum,
-		Sample:       sample,
+		Shape:           shape.String(),
+		Degraded:        rep.Degraded > 0,
+		FaultedTasks:    rep.FaultedTasks,
+		RecoveredStages: rep.RecoveredStages,
+		RecoveredFaults: rep.RecoveredFaults,
+		SimCycles:       rep.Cycles,
+		Checksum:        sum,
+		Sample:          sample,
 	})
 }
 
-// simulate runs the program on the (possibly degraded) simulated device:
+// simulate runs /plan's program on the (possibly degraded) simulated device:
 // the health registry's current view shrinks the hardware before the tasks
-// are lowered, and the outcome feeds back into the registry so /execute
-// traffic contributes to fault classification just like /model stages.
-// salt distinguishes retry attempts so transient injected faults can clear.
-// c is the bound compiler, so the registry SetCompiler built with it is set.
-func (s *Server) simulate(c *core.Compiler, prog *poly.Program, salt uint64) sim.Result {
+// are lowered, and the outcome feeds back into the registry. c is the bound
+// compiler, so the registry SetCompiler built with it is set.
+func (s *Server) simulate(c *core.Compiler, prog *poly.Program) sim.Result {
 	reg := s.health.Load()
 	v := reg.View()
 	h := v.Apply(c.Hardware())
-	res := s.simulateTasks(h, v, prog.Tasks(h), salt)
+	res := s.simulateTasks(h, v, prog.Tasks(h), 0)
 	reg.ObserveResult(v, res)
 	return res
 }
 
 // simulateTasks runs a raw task batch under the service's fault config; it
-// is also the graph runtime's simulator seam, so /model executions see the
-// same injected degradation as /execute.
+// is also the graph runtime's simulator seam, so graph executions see the
+// same injected degradation as /plan. salt is the recovery ladder's: each
+// rung draws a fresh transient-fault stream.
 func (s *Server) simulateTasks(h hw.Hardware, v health.View, tasks []sim.Task, salt uint64) sim.Result {
 	if s.cfg.Faults == nil {
 		return sim.Run(h, tasks)
@@ -445,8 +436,6 @@ type statsResponse struct {
 	Requests        int64           `json:"requests"`
 	Rejected        int64           `json:"rejected"`
 	Degraded        int64           `json:"degraded"`
-	Retries         int64           `json:"retries"`
-	FaultedRuns     int64           `json:"faulted_runs"`
 	PanicsRecovered int64           `json:"panics_recovered"`
 	InFlight        int             `json:"in_flight"`
 	MaxInFlight     int             `json:"max_in_flight"`
@@ -470,8 +459,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Requests:        s.nRequests.Load(),
 		Rejected:        s.nRejected.Load(),
 		Degraded:        s.nDegraded.Load(),
-		Retries:         s.nRetries.Load(),
-		FaultedRuns:     s.nFaults.Load(),
 		PanicsRecovered: s.nPanics.Load(),
 		InFlight:        len(s.sem),
 		MaxInFlight:     cap(s.sem),

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"mikpoly/internal/core"
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/nn"
 )
@@ -41,7 +40,9 @@ type modelResponse struct {
 	HiddenMs   float64 `json:"hidden_ms"`
 	HiddenFrac float64 `json:"hidden_frac"`
 
-	Degraded     int `json:"degraded"`
+	Degraded int `json:"degraded"`
+	// Attempts counts the graphs executed: one per decode step. Recovery
+	// happens per stage, inside a graph, and shows in the Recovered fields.
 	Attempts     int `json:"attempts"`
 	FaultedTasks int `json:"faulted_tasks"`
 
@@ -62,8 +63,7 @@ type modelResponse struct {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
-	c := s.ready(w)
-	if c == nil {
+	if s.ready(w) == nil {
 		return
 	}
 	rt := s.runtime.Load()
@@ -121,7 +121,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		steps, tokens = req.Steps, req.Steps
 	}
 	var sum graphrt.Report
-	attempts := 0
 	for i := 0; i < steps; i++ {
 		g, err := nn.BuildModel(req.Model, dims)
 		if err != nil {
@@ -133,24 +132,20 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("graph %s has %d ops, exceeds limit %d", g.Name, len(g.Ops), s.lim.modelOps))
 			return
 		}
-		rep, n, err := s.runGraph(r.Context(), c, rt, g)
-		attempts += n
+		rep, status, err := s.execGraph(r.Context(), rt, g)
 		if err != nil {
-			var ge *graphError
-			errors.As(err, &ge)
-			if ge.strike && s.breakers.record(req.Model, false) {
+			// An unrecoverable stage is a strike against the model's
+			// circuit breaker.
+			if status == http.StatusServiceUnavailable && s.breakers.record(req.Model, false) {
 				s.nBreakerTrips.Add(1)
 			}
-			httpError(w, ge.status, err.Error())
+			httpError(w, status, err.Error())
 			return
 		}
 		addStep(&sum, rep)
 		dims.KVLen++
 	}
 	s.breakers.record(req.Model, true)
-	if sum.FaultedTasks > 0 {
-		s.nFaults.Add(1)
-	}
 	if sum.Degraded > 0 {
 		s.nDegraded.Add(1)
 	}
@@ -167,7 +162,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		HiddenMs:        ms(sum.HiddenWall),
 		HiddenFrac:      sum.HiddenFraction(),
 		Degraded:        sum.Degraded,
-		Attempts:        attempts,
+		Attempts:        steps,
 		FaultedTasks:    sum.FaultedTasks,
 		RecoveredStages: sum.RecoveredStages,
 		RecoveredFaults: sum.RecoveredFaults,
@@ -179,56 +174,21 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// graphError is a failed graph execution: the status it answers with and
-// whether it is a strike against the model's circuit breaker.
-type graphError struct {
-	status int
-	strike bool
-	err    error
-}
-
-func (e *graphError) Error() string { return e.err.Error() }
-
-// runGraph executes one graph and returns its report and the attempt count;
-// a non-nil error is a *graphError.
-//
-// The runtime's recovery ladder absorbs most faults stage-locally; what
-// reaches the loop is a typed StageError (ladder exhausted) or, defensively,
-// residual faulted tasks. Both get the whole-graph treatment: drop the
-// graph's cached programs, back off, and retry under a fresh fault salt —
-// bounded by maxRetries.
-func (s *Server) runGraph(ctx context.Context, c *core.Compiler, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, int, error) {
+// execGraph runs one graph on the graph runtime, whose stage ladder is the
+// only recovery there is, and returns the status a failure answers with: 503
+// for a *StageError — the ladder spent its budget on a stage, and the device
+// cannot run the graph now — and 500 for anything else.
+func (s *Server) execGraph(ctx context.Context, rt *graphrt.Runtime, g nn.Graph) (graphrt.Report, int, error) {
+	rep, err := rt.Execute(ctx, g)
 	var stageErr *graphrt.StageError
-	for attempts := 0; ; {
-		rep, err := rt.ExecuteSalted(ctx, g, uint64(attempts))
-		attempts++
-		retryable := err == nil && rep.FaultedTasks > 0
-		if err != nil && errors.As(err, &stageErr) {
-			s.nUnrecoverable.Add(1)
-			retryable = true
-		}
-		if err != nil && !retryable {
-			return rep, attempts, &graphError{http.StatusInternalServerError, false, err}
-		}
-		if !retryable || attempts > maxRetries {
-			if err != nil {
-				// Retries exhausted on an unrecoverable stage: typed 503 (the
-				// device genuinely cannot run this graph right now) and a
-				// strike against the model's circuit breaker.
-				return rep, attempts, &graphError{http.StatusServiceUnavailable, true, err}
-			}
-			return rep, attempts, nil
-		}
-		s.nFaults.Add(1)
-		s.nRetries.Add(1)
-		if berr := s.bo.sleep(ctx, attempts-1); berr != nil {
-			return rep, attempts, &graphError{http.StatusServiceUnavailable, false,
-				fmt.Errorf("retry budget interrupted: %w", berr)}
-		}
-		for shape := range g.GemmShapes() {
-			c.Invalidate(shape)
-		}
+	switch {
+	case err == nil:
+		return rep, http.StatusOK, nil
+	case errors.As(err, &stageErr):
+		s.nUnrecoverable.Add(1)
+		return rep, http.StatusServiceUnavailable, err
 	}
+	return rep, http.StatusInternalServerError, err
 }
 
 // addStep folds one graph's report into a request's running total. The

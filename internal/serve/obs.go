@@ -28,10 +28,6 @@ func (s *Server) registerObs() {
 		func() []obs.Sample { return one(float64(s.nRejected.Load())) })
 	m.Collect("mik_serve_degraded_total", "Responses served via the fallback program.", "counter",
 		func() []obs.Sample { return one(float64(s.nDegraded.Load())) })
-	m.Collect("mik_serve_retries_total", "Fault-triggered re-plan attempts.", "counter",
-		func() []obs.Sample { return one(float64(s.nRetries.Load())) })
-	m.Collect("mik_serve_faulted_runs_total", "Simulated runs reporting at least one faulted task.", "counter",
-		func() []obs.Sample { return one(float64(s.nFaults.Load())) })
 	m.Collect("mik_serve_panics_total", "Handler panics recovered.", "counter",
 		func() []obs.Sample { return one(float64(s.nPanics.Load())) })
 	m.Collect("mik_serve_models_total", "Model graphs executed via /model.", "counter",

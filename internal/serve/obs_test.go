@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,19 +14,20 @@ import (
 	"mikpoly/internal/graphrt"
 	"mikpoly/internal/hw"
 	"mikpoly/internal/obs"
+	"mikpoly/internal/tensor"
 	"mikpoly/internal/tune"
 )
 
 // newObsServer builds a fully observed stack: compiler with planner metrics
 // and tracing, server exporting /metrics and /trace.
-func newObsServer(t *testing.T, o *obs.Obs, cfg Config) (*Server, string) {
+func newObsServer(t *testing.T, o *obs.Obs, cfg Config, opts ...core.Option) (*Server, string) {
 	t.Helper()
 	lib, err := core.SharedLibrary(hw.A100(), tune.Options{NGen: 6, NSyn: 9, NMik: 10, NPred: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Obs = o
-	srv := New(core.NewCompilerFromLibrary(lib, core.WithObs(o)), cfg)
+	srv := New(core.NewCompilerFromLibrary(lib, append(opts, core.WithObs(o))...), cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts.URL
@@ -109,12 +111,12 @@ func TestObsDisabledServes404(t *testing.T) {
 // TestConcurrentModelStatsInvalidate is the race regression for the stats
 // snapshotting path: model executions mutate the runtime's cumulative
 // counters (including the per-PE busy slice) while /stats and /metrics read
-// shared compiler state and invalidations of the hot shapes drop its cached
-// programs. Run under -race (the CI does); any unsynchronized access fails
-// the build.
+// shared compiler state and plans of other shapes evict the models' programs
+// from a plan cache too small to hold them all. Run under -race (the CI
+// does); any unsynchronized access fails the build.
 func TestConcurrentModelStatsInvalidate(t *testing.T) {
 	o := obs.New(256)
-	srv, ts := newObsServer(t, o, Config{PlanAhead: 2})
+	srv, ts := newObsServer(t, o, Config{PlanAhead: 2}, core.WithCacheCapacity(4))
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -148,9 +150,10 @@ func TestConcurrentModelStatsInvalidate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				c := srv.comp()
-				for _, s := range c.HotShapes(8) {
-					c.Invalidate(s)
+				shape := tensor.GemmShape{M: 1 + i, N: 64, K: 64}
+				if _, _, err := srv.comp().PlanOrFallback(context.Background(), shape); err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}()

@@ -8,9 +8,11 @@
 // Robustness semantics: planning runs under a deadline and degrades to the
 // always-legal single-kernel program (poly.FallbackProgram) rather than
 // failing a request — the serving analogue of the paper's "zero invalid
-// runs" guarantee. When a simulated execution reports an injected fault
-// (sim.Faults), the shape is invalidated and re-planned with exponential
-// backoff plus deterministic jitter.
+// runs" guarantee. /execute and /model run on the graph runtime, whose
+// stage-level recovery ladder (retry in place, migrate to the degraded view,
+// replan on it) is the one recovery path: a stage that comes back faulted
+// under injected faults (sim.Faults) is healed there, or the request is
+// answered with a typed 503 that names the stage.
 package serve
 
 import (
@@ -31,8 +33,8 @@ import (
 // Config holds what a deployment sets. The zero value of any field selects
 // the DefaultConfig value, except PlanTimeout < 0, which means "already
 // expired" and forces every plan down the fallback path (a chaos knob).
-// Request bounds, retry and breaker tuning are constants (limits, maxRetries,
-// breakerThreshold); the scheduler's overload defenses are always on.
+// Request bounds and breaker tuning are constants (limits, breakerThreshold);
+// the scheduler's overload defenses are always on.
 type Config struct {
 	// MaxInFlight bounds concurrently admitted /plan and /execute
 	// requests; excess requests receive 429 with a Retry-After header.
@@ -47,8 +49,9 @@ type Config struct {
 	PlanTimeout time.Duration
 
 	// Faults, when non-nil, injects deterministic hardware degradation
-	// into every simulated execution; each retry attempt re-runs with a
-	// distinct salt so transient faults can clear.
+	// into every simulated execution; each rung of the recovery ladder
+	// re-runs a faulted stage under a distinct salt so transient faults
+	// can clear.
 	Faults *sim.Faults
 
 	// PlanAhead is the graph runtime's plan-ahead depth for /model
@@ -155,15 +158,6 @@ var defaultLimits = limits{
 	modelOps:   4096,
 }
 
-// Fault-retry tuning: after a simulated run reports a fault, a request
-// re-plans and re-runs up to maxRetries times, waiting ≈ retryBase·2ⁿ with
-// jitter (capped at retryMax) between attempts.
-const (
-	maxRetries = 3
-	retryBase  = 10 * time.Millisecond
-	retryMax   = 500 * time.Millisecond
-)
-
 // Per-model circuit breaker tuning: breakerThreshold consecutive
 // unrecoverable failures open a model's breaker, which admits a half-open
 // probe after breakerCooldown.
@@ -185,7 +179,6 @@ type Server struct {
 	lim      limits
 	o        *obs.Obs
 	sem      chan struct{}
-	bo       *backoff
 	breakers *breakerSet
 	started  time.Time
 	genSeq   atomic.Uint64 // /generate request IDs
@@ -194,11 +187,9 @@ type Server struct {
 	nRequests      atomic.Int64 // admitted plan/execute/model requests
 	nRejected      atomic.Int64 // 429s from admission control
 	nDegraded      atomic.Int64 // responses served via the fallback program
-	nRetries       atomic.Int64 // fault-triggered re-plan attempts
-	nFaults        atomic.Int64 // simulated runs that reported >= 1 faulted task
 	nPanics        atomic.Int64 // handler panics recovered
 	nModels        atomic.Int64 // /model graphs executed
-	nUnrecoverable atomic.Int64 // /model requests failed with a StageError
+	nUnrecoverable atomic.Int64 // /model and /execute requests failed with a StageError
 	nBreakerTrips  atomic.Int64 // circuit-breaker open transitions
 	nBreakerDrops  atomic.Int64 // requests rejected by an open breaker
 	nGenerated     atomic.Int64 // /generate requests completed
@@ -215,7 +206,6 @@ func New(c *core.Compiler, cfg Config) *Server {
 		lim:      defaultLimits,
 		o:        cfg.Obs,
 		sem:      make(chan struct{}, cfg.MaxInFlight),
-		bo:       newBackoff(retryBase, retryMax, 0),
 		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
 		started:  time.Now(),
 	}

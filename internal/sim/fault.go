@@ -39,8 +39,9 @@ type Faults struct {
 	Seed uint64
 
 	// Salt varies the fault pattern between otherwise identical runs —
-	// the serving layer increments it per retry attempt so a transient
-	// fault can clear on re-execution while staying deterministic.
+	// the graph runtime's recovery ladder gives each re-execution of a
+	// stage its own salt, so a transient fault can clear while staying
+	// deterministic.
 	Salt uint64
 
 	// DropPEs lists PEs that are offline: they accept no tasks. At least
